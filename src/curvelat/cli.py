@@ -15,17 +15,17 @@ exit with status 1 and a line "ErrorName: message" on stderr.
 import argparse
 import json
 import sys
-from itertools import product
 
 from .curve import BranchParametrization, Curve
 from .errors import ConsistencyError, CurvelatError, CurveSchemaError
-from .hilbert import (build_table, invariants, large_n_step_check,
-                      semigroup, symmetry_check)
+from .hilbert import (box_points, build_table, invariants,
+                      large_n_step_check, semigroup, symmetry_check)
 from .latthom import (euler_check, grv_homology, r1_structure,
                       r2_classify, sk_homology)
 from .oslattice import GradedGroup, Matroid, d0_structure_checks
 from .series import (alexander, canonical_str, hilbert_from_poincare,
-                     motivic_normalized, poincare_from_hilbert)
+                     motivic_normalized, poincare_from_hilbert,
+                     torres_restriction_check)
 
 
 def load_curve(path):
@@ -82,10 +82,6 @@ def _parse_point(text):
     except ValueError:
         raise ValueError(
             "expected comma-separated integers, got %r" % text)
-
-
-def _box_points(box):
-    return [tuple(p) for p in product(*(range(b + 1) for b in box))]
 
 
 def _point_key(v):
@@ -178,7 +174,7 @@ def _cmd_hilbert(args):
             raise ValueError("--box needs %d nonnegative coordinates"
                              % curve.r)
     table = build_table(curve, box)
-    values = {v: table.value(v) for v in _box_points(box)}
+    values = {v: table.value(v) for v in box_points(box)}
     if args.format == "json":
         _print_json({"box": list(box),
                      "values": {_point_key(v): n
@@ -208,7 +204,7 @@ def _cmd_semigroup(args):
         if len(box) != curve.r or any(b < 0 for b in box):
             raise ValueError("--box needs %d nonnegative coordinates"
                              % curve.r)
-    members = semigroup(curve, box=box)
+    members = semigroup(build_table(curve, box), box)
     if args.format == "json":
         _print_json({"box": list(box),
                      "conductor": list(inv.conductor),
@@ -223,7 +219,7 @@ def _cmd_semigroup(args):
             print(" ".join("*" if (a, b) in member_set else "."
                            for a in range(box[0] + 1)))
     else:
-        for v in _box_points(box):
+        for v in box_points(box):
             print("%s: %s" % (_point_key(v),
                               "*" if v in member_set else "."))
     print("conductor: %s" % " ".join(str(c) for c in inv.conductor))
@@ -232,14 +228,15 @@ def _cmd_semigroup(args):
 
 def _cmd_series(args):
     curve = load_curve(args.curve)
-    if args.kind == "poincare":
-        inv = invariants(curve)
-        box = tuple(c + 2 for c in inv.conductor)
-        series = poincare_from_hilbert(build_table(curve, box), box)
-    elif args.kind == "motivic":
+    if args.kind == "motivic":
         series = motivic_normalized(build_table(curve))
     else:
-        series = alexander(curve)
+        box = tuple(c + 2 for c in invariants(curve).conductor)
+        table = build_table(curve, box)
+        if args.kind == "poincare":
+            series = poincare_from_hilbert(table, box)
+        else:
+            series = alexander(table)
     if args.format == "json":
         payload = _series_payload(series)
         payload["kind"] = args.kind
@@ -269,7 +266,7 @@ def _cmd_homology(args):
     if len(box) != curve.r or any(b < 0 for b in box):
         raise ValueError("--box needs %d nonnegative coordinates"
                          % curve.r)
-    points = {v: grv_homology(table, v) for v in _box_points(box)}
+    points = {v: grv_homology(table, v) for v in box_points(box)}
     if args.format == "json":
         _print_json({"box": list(box),
                      "points": {_point_key(v): _groups_payload(g)
@@ -280,15 +277,18 @@ def _cmd_homology(args):
     return 0
 
 
-def _verify_round_trip(curve, table, box):
+def _verify_round_trip(table, box):
+    # the full mask is the curve itself, whose table verify already built
+    curve = table.curve
+    full = (1 << curve.r) - 1
     poincares = {}
-    for mask in range(1, 1 << curve.r):
+    for mask in range(1, full + 1):
         idx = [i for i in range(curve.r) if mask >> i & 1]
-        sub = curve.subcurve(idx)
         sub_box = tuple(box[i] for i in idx)
-        poincares[mask] = poincare_from_hilbert(
-            build_table(sub, sub_box), sub_box)
-    for v in _box_points(table.invariants.conductor):
+        sub_table = (table if mask == full
+                     else build_table(curve.subcurve(idx), sub_box))
+        poincares[mask] = poincare_from_hilbert(sub_table, sub_box)
+    for v in box_points(table.invariants.conductor):
         if hilbert_from_poincare(poincares, v) != table.value(v):
             raise ConsistencyError(
                 "series round trip fails at %s" % (v,))
@@ -305,10 +305,10 @@ def _verify_motivic(table):
                 % (v,))
 
 
-def _verify_alexander(curve, table):
+def _verify_alexander(table):
     inv = table.invariants
-    poly = alexander(curve, table=table)
-    if curve.r == 1:
+    poly = alexander(table)
+    if inv.r == 1:
         for k in range(inv.mu + 1):
             if poly.coefficient((k,)) != poly.coefficient((inv.mu - k,)):
                 raise ConsistencyError(
@@ -324,8 +324,6 @@ def _verify_alexander(curve, table):
 
 
 def _cmd_verify(args):
-    from .series import torres_restriction_check
-
     curve = load_curve(args.curve)
     margin = 4 if args.deep else 2
     inv = invariants(curve)
@@ -333,28 +331,28 @@ def _cmd_verify(args):
     box = tuple(c + margin for c in inv.conductor)
     table = build_table(curve, box)
     print("ok hilbert-table")
-    symmetry_check(curve, table=table)
+    symmetry_check(table)
     print("ok symmetry")
     large_n_step_check(curve)
     print("ok large-index-steps")
-    semigroup(curve, table=table)
+    semigroup(table)
     print("ok semigroup")
-    _verify_round_trip(curve, table, box)
+    _verify_round_trip(table, box)
     print("ok series-round-trip")
     _verify_motivic(table)
     print("ok motivic")
-    _verify_alexander(curve, table)
+    _verify_alexander(table)
     print("ok alexander")
     if curve.r >= 2:
         for rho in range(curve.r):
-            torres_restriction_check(curve, remove=rho)
+            torres_restriction_check(table, remove=rho)
         print("ok restriction")
     else:
         print("skip restriction (single branch)")
     euler_check(table)
     print("ok euler")
     u_truncation = 4 * curve.r + 12 if args.deep else None
-    for v in _box_points(tuple(c + 2 for c in inv.conductor)):
+    for v in box_points(tuple(c + 2 for c in inv.conductor)):
         grv_homology(table, v, u_truncation=u_truncation)
     print("ok graded-homology")
     zero = (0,) * curve.r
@@ -369,10 +367,10 @@ def _cmd_verify(args):
                 "sublevel complex at level %d is not contractible" % k)
     print("ok sublevel-contractible")
     if curve.r == 1:
-        r1_structure(curve, table=table)
+        r1_structure(table)
         print("ok branch-structure")
     elif curve.r == 2:
-        for v in _box_points(tuple(c + 2 for c in inv.conductor)):
+        for v in box_points(tuple(c + 2 for c in inv.conductor)):
             r2_classify(table, v)
         print("ok branch-structure")
     else:

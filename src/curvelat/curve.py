@@ -23,18 +23,6 @@ from .errors import (
 )
 from .exactalg import TruncSeries, parse_poly, rank_rational, series_mul
 
-# returned by valuation() when the series is zero modulo t^truncation
-AT_LEAST_TRUNCATION = "at-least-truncation"
-
-
-def valuation(series):
-    r"""
-    Order of a truncated series: the smallest exponent with nonzero
-    coefficient, or AT_LEAST_TRUNCATION when none is stored.
-    """
-    e = series.order()
-    return AT_LEAST_TRUNCATION if e is None else e
-
 
 class BranchParametrization:
     r"""
@@ -166,7 +154,7 @@ def h_oracle(curve, v):
             composed = branch.monomial(a, b)
             row.extend(composed.coefficient(e) for e in range(v[i]))
         rows.append(row)
-    return rank_rational(rows) if rows and rows[0] else 0
+    return rank_rational(rows)
 
 
 def branch_delta(branch):

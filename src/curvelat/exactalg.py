@@ -13,8 +13,6 @@ from math import gcd
 
 from .errors import PolySyntaxError
 
-Rational = Fraction
-
 
 class TruncSeries:
     r"""
@@ -82,17 +80,6 @@ def series_add(a, b):
     return TruncSeries(coeffs, t)
 
 
-def series_sub(a, b):
-    r"""Difference, truncated to the smaller of the two truncations."""
-    return series_add(a, series_scale(b, -1))
-
-
-def series_scale(a, c):
-    r"""Multiply every coefficient by the Rational c."""
-    c = Fraction(c)
-    return TruncSeries({e: v * c for e, v in a.coeffs.items()}, a.truncation)
-
-
 def series_mul(a, b):
     r"""Product, truncated to the smaller of the two truncations."""
     t = min(a.truncation, b.truncation)
@@ -103,16 +90,6 @@ def series_mul(a, b):
             if e < t:
                 coeffs[e] = coeffs.get(e, Fraction(0)) + ca * cb
     return TruncSeries(coeffs, t)
-
-
-def series_pow(a, n):
-    r"""n-th power for a natural number n; n = 0 gives the constant 1."""
-    if n < 0:
-        raise ValueError("negative power of a truncated series")
-    result = TruncSeries({0: Fraction(1)}, a.truncation)
-    for _ in range(n):
-        result = series_mul(result, a)
-    return result
 
 
 # ---------------------------------------------------------------------------

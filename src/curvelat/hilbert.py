@@ -78,6 +78,11 @@ def invariants(curve):
     return result
 
 
+def box_points(box):
+    r"""Every lattice point of [0, box], in lexicographic order."""
+    return product(*(range(b + 1) for b in box))
+
+
 def _add(v, w):
     return tuple(a + b for a, b in zip(v, w))
 
@@ -140,7 +145,7 @@ def _step_rule_sweep(table, bound):
     # is closed under componentwise minima with its far region
     l = table.invariants.conductor
     r = len(l)
-    for v in product(*[range(b + 1) for b in bound]):
+    for v in box_points(bound):
         for i in range(r):
             cap = [max(l[j], v[j]) for j in range(r)]
             ranges = [range(v[j], cap[j] + 1) if j != i
@@ -151,9 +156,14 @@ def _step_rule_sweep(table, bound):
                     "step rule fails at %s direction %d" % (v, i))
 
 
-def build_table(curve, box=None, sweep="lex"):
+def build_table(curve, box=None):
     r"""
     Fill h over [0, corner] and run both consistency routes.
+
+    Cells are filled in lexicographic order, so v - e_i is always known
+    before v: a cell one step past the conductor in some direction i
+    (the first such i) is its neighbor's value plus 1, every other cell
+    is a direct matrix rank.
 
     Parameters
     ----------
@@ -161,9 +171,6 @@ def build_table(curve, box=None, sweep="lex"):
     box : tuple of ints, optional
         Requested box; the stored corner is max(box, conductor) + 2
         in every coordinate.  Defaults to the conductor.
-    sweep : "lex" or "revlex"
-        Which filled neighbor supplies the unit step beyond the
-        conductor; the resulting table must not depend on it.
 
     Returns
     -------
@@ -177,62 +184,52 @@ def build_table(curve, box=None, sweep="lex"):
     box = tuple(max(int(b), 0) for b in box)
     bound = tuple(max(b, c) for b, c in zip(box, l))
     corner = tuple(b + 2 for b in bound)
-    directions = range(r) if sweep == "lex" else range(r - 1, -1, -1)
     values = {}
-    for total in range(sum(corner) + 1):
-        for v in product(*[range(c + 1) for c in corner]):
-            if sum(v) != total:
-                continue
-            if total == 0:
-                values[v] = 0
-                continue
-            filled = None
-            for i in directions:
-                if v[i] - 1 >= l[i]:
-                    parent = list(v)
-                    parent[i] -= 1
-                    filled = values[tuple(parent)] + 1
-                    break
-            values[v] = filled if filled is not None else h_oracle(curve, v)
+    for v in box_points(corner):
+        for i in range(r):
+            if v[i] - 1 >= l[i]:
+                values[v] = values[v[:i] + (v[i] - 1,) + v[i + 1:]] + 1
+                break
+        else:
+            values[v] = h_oracle(curve, v)
     table = HilbertTable(curve, corner, values, inv)
     _spot_check(curve, values, corner)
     _step_rule_sweep(table, bound)
     return table
 
 
-def semigroup(curve, box=None, table=None):
+def semigroup(table, box=None):
     r"""
-    Value semigroup points inside a box, sorted lexicographically.
+    Value semigroup points inside a box, sorted lexicographically,
+    read off the given HilbertTable.
 
     The default box is the conductor plus 1 in every coordinate, which
     shows the full gap structure together with one layer of the far
-    region in which every lattice point is a member.
+    region in which every lattice point is a member.  Every point of
+    the box that dominates the conductor must be a member, otherwise
+    ConsistencyError is raised.
     """
-    inv = invariants(curve)
+    l = table.invariants.conductor
     if box is None:
-        box = tuple(c + 1 for c in inv.conductor)
-    if table is None:
-        table = build_table(curve, box)
-    members = set(v for v in product(*[range(b + 1) for b in box])
-                  if table.in_semigroup(v))
-    for v in product(*[range(b + 1) for b in box]):
-        if all(a >= b for a, b in zip(v, inv.conductor)) and v not in members:
+        box = tuple(c + 1 for c in l)
+    members = set(v for v in box_points(box) if table.in_semigroup(v))
+    for v in box_points(box):
+        if all(a >= b for a, b in zip(v, l)) and v not in members:
             raise ConsistencyError(
                 "%s dominates the conductor but is not a member" % (v,))
     return sorted(members)
 
 
-def symmetry_check(curve, table=None):
+def symmetry_check(table):
     r"""
-    Verify h(l - v) - h(v) = delta - |v| for every v in [0, l].
+    Verify h(l - v) - h(v) = delta - |v| for every v in [0, l] on the
+    given HilbertTable.
 
     Returns True, or raises ConsistencyError at the first failure.
     """
-    inv = invariants(curve)
+    inv = table.invariants
     l = inv.conductor
-    if table is None:
-        table = build_table(curve, l)
-    for v in product(*[range(c + 1) for c in l]):
+    for v in box_points(l):
         mirrored = tuple(a - b for a, b in zip(l, v))
         if table.value(mirrored) - table.value(v) != inv.delta - sum(v):
             raise ConsistencyError(

@@ -15,6 +15,7 @@ from itertools import product
 
 from .errors import (BoxTooSmall, ConsistencyError, UnclassifiablePattern)
 from .exactalg import rank_rational
+from .hilbert import box_points
 from .oslattice import (GradedGroup, Matroid, du_homology,
                         homology_from_boundaries)
 from .series import alexander, hv_polynomial, pi_value
@@ -91,10 +92,6 @@ def grv_homology(table, v, u_truncation=None):
     return direct
 
 
-def _box_points(box):
-    return [tuple(p) for p in product(*(range(b + 1) for b in box))]
-
-
 def euler_check(table, box=None):
     r"""
     Verify that the Euler characteristic of the graded piece at every
@@ -104,7 +101,7 @@ def euler_check(table, box=None):
     """
     if box is None:
         box = tuple(c + 1 for c in table.invariants.conductor)
-    for v in _box_points(box):
+    for v in box_points(box):
         groups = grv_homology_formula(table, v)
         chi = sum(_sign(q) * rank for q, (rank, _) in groups.groups.items())
         if chi != pi_value(table, v):
@@ -190,11 +187,12 @@ R1Structure = namedtuple("R1Structure",
                           "e2_a", "e2_alpha"])
 
 
-def r1_structure(curve, table=None, bound=None):
+def r1_structure(table, bound=None):
     r"""
-    Full structural record for a one-branch curve: the graded pieces,
-    the U-action ranks between consecutive points, and the second page
-    of the spectral sequence of the U = 0 complex.
+    Full structural record for a one-branch curve, read off its
+    HilbertTable: the graded pieces, the U-action ranks between
+    consecutive points, and the second page of the spectral sequence
+    of the U = 0 complex.
 
     Every statement is verified internally: the graded pieces against
     both computation routes and the closed form (nonzero exactly on
@@ -206,8 +204,7 @@ def r1_structure(curve, table=None, bound=None):
 
     Parameters
     ----------
-    curve : Curve with one branch
-    table : HilbertTable, optional
+    table : HilbertTable of a one-branch curve
     bound : int, optional
         Largest lattice point examined; defaults to mu + 2.
 
@@ -217,12 +214,8 @@ def r1_structure(curve, table=None, bound=None):
     GradedGroup), u_ranks (dict point to int), e2_a and e2_alpha
     (dicts from surviving point to homological degree).
     """
-    from .hilbert import build_table
-
-    if curve.r != 1:
+    if table.curve.r != 1:
         raise ValueError("structure record requires a one-branch curve")
-    if table is None:
-        table = build_table(curve)
     inv = table.invariants
     mu = inv.mu
     if bound is None:
@@ -265,7 +258,7 @@ def r1_structure(curve, table=None, bound=None):
     for j, v in enumerate(alpha_basis):
         if v + 1 in member_set:
             mat[a_index[v + 1]][j] = 1
-    rank = rank_rational(mat) if mat and mat[0] else 0
+    rank = rank_rational(mat)
     a_survivors = {v for i, v in enumerate(a_basis)
                    if not any(mat[i][j] for j in range(len(alpha_basis)))}
     alpha_survivors = {v for j, v in enumerate(alpha_basis)
@@ -298,7 +291,7 @@ def r1_structure(curve, table=None, bound=None):
         signed[v] = signed.get(v, 0) + 1
     for v in e2_alpha:
         signed[v + 1] = signed.get(v + 1, 0) - 1
-    poly = alexander(curve, table=table)
+    poly = alexander(table)
     for e in range(mu + 1):
         if signed.get(e, 0) != poly.coefficient((e,)):
             raise ConsistencyError(

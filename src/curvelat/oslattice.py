@@ -190,13 +190,9 @@ def homology_from_boundaries(dims, boundaries):
     ranks = {}
     torsions = {}
     for q, mat in boundaries.items():
-        if mat and mat[0]:
-            snf = smith_normal_form(mat)
-            ranks[q] = snf.rank
-            torsions[q] = tuple(d for d in snf.divisors if d > 1)
-        else:
-            ranks[q] = 0
-            torsions[q] = ()
+        snf = smith_normal_form(mat)
+        ranks[q] = snf.rank
+        torsions[q] = tuple(d for d in snf.divisors if d > 1)
     groups = {}
     for q, dim in dims.items():
         free = dim - ranks.get(q, 0) - ranks.get(q + 1, 0)
@@ -324,10 +320,6 @@ def du_homology(matroid, u_truncation=None):
     return first
 
 
-def _span_rank(vectors):
-    return rank_rational(vectors) if vectors else 0
-
-
 def d0_structure_checks(matroid):
     r"""
     Verify, degree by degree over the rationals, the structural facts
@@ -367,7 +359,7 @@ def d0_structure_checks(matroid):
         dfull = cx.boundary_full(k + 1)
         cols_above = len(cx.basis(k + 1))
         image_d0 = [[d0[i][c] for i in range(dim)]
-                    for c in range(cols_above)] if dim else []
+                    for c in range(cols_above)]
 
         # rank-preserving boundary vanishes on independent generators
         out = cx.boundary_d0(k)
@@ -390,21 +382,21 @@ def d0_structure_checks(matroid):
                             "generator into the independent span")
 
         # kernel of d0 equals independent span plus image of d0
-        kernel_dim = dim - _span_rank_cols(out)
+        kernel_dim = dim - rank_rational(out)
         indep_vectors = [unit(i) for i in indep_rows]
         joint = indep_vectors + image_d0
-        if _span_rank(joint) != kernel_dim:
+        if rank_rational(joint) != kernel_dim:
             raise ConsistencyError(
                 "kernel of the weight-0 boundary is not independent "
                 "span plus image in degree %d" % k)
 
         # image splits across the dependent and independent spans
-        dim_image = _span_rank(image_d0)
+        dim_image = rank_rational(image_d0)
         dep_vectors = [unit(i) for i in dep_rows]
         inter_dep = (dim_image + len(dep_rows)
-                     - _span_rank(image_d0 + dep_vectors))
+                     - rank_rational(image_d0 + dep_vectors))
         inter_indep = (dim_image + len(indep_rows)
-                       - _span_rank(image_d0 + indep_vectors))
+                       - rank_rational(image_d0 + indep_vectors))
         if inter_dep + inter_indep != dim_image:
             raise ConsistencyError(
                 "image of the weight-0 boundary does not split in "
@@ -418,14 +410,8 @@ def d0_structure_checks(matroid):
         for c in dep_above:
             ideal.append([dfull[i][c] for i in range(dim)])
         expected = poincare[k] if k < len(poincare) else 0
-        if dim - _span_rank(ideal) != expected:
+        if dim - rank_rational(ideal) != expected:
             raise ConsistencyError(
                 "ideal quotient dimension disagrees with the "
                 "arrangement polynomial in degree %d" % k)
     return True
-
-
-def _span_rank_cols(mat):
-    if not mat or not mat[0]:
-        return 0
-    return rank_rational(mat)

@@ -9,10 +9,8 @@ A BoxSeries stores finitely many terms c * t^v * q^m with v inside a
 box; series in the t variables alone keep m = 0 everywhere.
 """
 
-from itertools import product
-
 from .errors import ConsistencyError, PolynomialityViolation, SupportViolation
-from .hilbert import build_table, invariants
+from .hilbert import box_points, build_table, invariants
 
 
 class BoxSeries:
@@ -79,10 +77,6 @@ def canonical_str(series):
     return " ".join(parts)
 
 
-def _box_points(box):
-    return product(*[range(b + 1) for b in box])
-
-
 def _subsets(r):
     return range(1 << r)
 
@@ -93,7 +87,7 @@ def _shift(v, mask):
 
 def hilbert_series(table, box):
     r"""Sum of h(v) t^v over the box."""
-    coeffs = {(v, 0): table.value(v) for v in _box_points(box)}
+    coeffs = {(v, 0): table.value(v) for v in box_points(box)}
     return BoxSeries(len(box), box, coeffs)
 
 
@@ -112,7 +106,7 @@ def pi_value(table, v):
 
 def poincare_from_hilbert(table, box):
     r"""The series of pi values over the box."""
-    coeffs = {(v, 0): pi_value(table, v) for v in _box_points(box)}
+    coeffs = {(v, 0): pi_value(table, v) for v in box_points(box)}
     return BoxSeries(len(box), box, coeffs)
 
 
@@ -197,7 +191,7 @@ def motivic_series(table, box):
     """
     r = len(box)
     coeffs = {}
-    for v in _box_points(box):
+    for v in box_points(box):
         for m, c in hv_polynomial(table, v).items():
             coeffs[(v, m)] = c
     return BoxSeries(r, box, coeffs)
@@ -243,9 +237,10 @@ def motivic_normalized(table, margin=2):
     return BoxSeries(r, l, result)
 
 
-def alexander(curve, table=None, margin=2):
+def alexander(table, margin=2):
     r"""
-    The annihilating polynomial of the curve.
+    The annihilating polynomial of the curve, read off the given
+    HilbertTable.
 
     For one branch this is the pi series times (1 - t): supported in
     [0, mu], palindromic, and it is checked to vanish for margin steps
@@ -254,11 +249,9 @@ def alexander(curve, table=None, margin=2):
     runs margin steps past the conductor.  Violations raise
     SupportViolation.
     """
-    inv = invariants(curve)
+    inv = table.invariants
     l = inv.conductor
     r = inv.r
-    if table is None:
-        table = build_table(curve, tuple(c + margin for c in l))
     if r == 1:
         mu = inv.mu
         wide = mu + margin
@@ -275,7 +268,7 @@ def alexander(curve, table=None, margin=2):
         return BoxSeries(1, (mu,), coeffs)
     wide = tuple(c + margin for c in l)
     coeffs = {}
-    for v in _box_points(wide):
+    for v in box_points(wide):
         c = pi_value(table, v)
         if c:
             if any(a > b - 1 for a, b in zip(v, l)):
@@ -286,7 +279,7 @@ def alexander(curve, table=None, margin=2):
     return BoxSeries(r, tuple(c - 1 for c in l), coeffs)
 
 
-def torres_restriction_check(curve, remove=0, box=None):
+def torres_restriction_check(table, remove=0, box=None):
     r"""
     Verify that dropping branch `remove` matches the restriction
     identity: the full pi series evaluated at t_remove = 1, multiplied
@@ -295,31 +288,33 @@ def torres_restriction_check(curve, remove=0, box=None):
     branch j, equals the pi series of the subcurve, on the whole
     comparison box.
 
+    The full series is read off the given HilbertTable; the subcurve
+    gets its own table over the comparison box, which defaults to the
+    subcurve conductor plus 2.
+
     Returns True, or raises ConsistencyError.
     """
-    inv = invariants(curve)
+    inv = table.invariants
     r = inv.r
     if r < 2:
         raise ValueError("restriction needs at least two branches")
     keep = [i for i in range(r) if i != remove]
-    sub = curve.subcurve(keep)
-    sub_inv = invariants(sub)
+    sub = table.curve.subcurve(keep)
     if box is None:
-        box = tuple(c + 2 for c in sub_inv.conductor)
-    sub_table = build_table(sub, box)
-    lhs = poincare_from_hilbert(sub_table, box)
-    full = alexander(curve)
+        box = tuple(c + 2 for c in invariants(sub).conductor)
+    lhs = poincare_from_hilbert(build_table(sub, box), box)
+    full = alexander(table)
     collapsed = {}
     for (v, _m), c in full.coeffs.items():
         w = tuple(v[i] for i in keep)
         collapsed[w] = collapsed.get(w, 0) + c
-    values = {w: collapsed.get(w, 0) for w in _box_points(box)}
+    values = {w: collapsed.get(w, 0) for w in box_points(box)}
     shift = tuple(inv.pairwise[remove][j] for j in keep)
     for w in sorted(values, key=sum):
         prev = tuple(a - s for a, s in zip(w, shift))
         if all(a >= 0 for a in prev):
             values[w] += values[prev]
-    for w in _box_points(box):
+    for w in box_points(box):
         if values[w] != lhs.coefficient(w):
             raise ConsistencyError(
                 "restriction identity fails at %s: %d vs %d"

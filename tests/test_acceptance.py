@@ -242,7 +242,7 @@ def test_criterion_10_r1_structure():
         curve = corpus_curve(name)
         table = build_table(curve)
         mu = table.invariants.mu
-        record = r1_structure(curve, table=table)
+        record = r1_structure(table)
         # homology supported exactly on semigroup members, one copy in
         # degree -2 h(v)
         for v, groups in record.hl.items():
@@ -263,7 +263,7 @@ def test_criterion_10_r1_structure():
             signed[v] = signed.get(v, 0) + 1
         for v in record.e2_alpha:
             signed[v + 1] = signed.get(v + 1, 0) - 1
-        poly = alexander(curve, table=table)
+        poly = alexander(table)
         for e in range(mu + 1):
             assert signed.get(e, 0) == poly.coefficient((e,)), (name, e)
         assert all(0 <= e <= mu for e, c in signed.items() if c), name

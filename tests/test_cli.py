@@ -10,6 +10,7 @@ import pytest
 
 from conftest import CORPUS, corpus_path
 
+import curvelat.hilbert
 from curvelat.cli import load_curve, main
 from curvelat.errors import CurveSchemaError
 
@@ -203,6 +204,28 @@ def test_verify_passes_whole_corpus(capsys):
         assert code == 0, name
         assert "all checks passed" in out
         assert "ok graded-homology" in out
+
+
+@pytest.mark.parametrize("name, distinct", [("triple", 10), ("d5", 5)])
+def test_verify_builds_each_table_once(capsys, monkeypatch, name, distinct):
+    # a table is identified by its branch objects and its stored corner;
+    # every module that imported build_table gets the counting wrapper
+    original = curvelat.hilbert.build_table
+    keys = []
+
+    def counting(curve, *args, **kwargs):
+        table = original(curve, *args, **kwargs)
+        keys.append((tuple(id(b) for b in curve.branches), table.corner))
+        return table
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("curvelat"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    code, _, _ = _run(capsys, ["verify", corpus_path(name)])
+    assert code == 0
+    assert len(keys) == len(set(keys)) == distinct
 
 
 def test_missing_file(capsys):

@@ -1,13 +1,11 @@
 import pytest
 
 from curvelat.curve import (
-    AT_LEAST_TRUNCATION,
     BranchParametrization,
     Curve,
     branch_delta,
     h_oracle,
     intersection_multiplicity,
-    valuation,
 )
 from curvelat.errors import (
     InsufficientTruncation,
@@ -69,19 +67,13 @@ def test_curve_needs_branches():
 
 
 # ---------------------------------------------------------------------------
-# valuation
-
-
-def test_valuation_of_series():
-    assert valuation(parse_poly("t^2 + t^5", 16)) == 2
-    assert valuation(parse_poly("0", 16)) == AT_LEAST_TRUNCATION
-    assert valuation(parse_poly("t^20", 16)) == AT_LEAST_TRUNCATION
+# monomials
 
 
 def test_monomial_composition():
     b = corpus_curve("cusp").branches[0]
-    assert valuation(b.monomial(1, 1)) == 5
-    assert valuation(b.monomial(0, 0)) == 0
+    assert b.monomial(1, 1).order() == 5
+    assert b.monomial(0, 0).order() == 0
 
 
 # ---------------------------------------------------------------------------

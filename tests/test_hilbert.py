@@ -102,15 +102,6 @@ def test_table_agrees_with_oracle_everywhere():
                 assert t.value((v1, v2, v3)) == h_oracle(c, (v1, v2, v3))
 
 
-def test_table_path_independence():
-    for name in ["a3", "d5", "triple"]:
-        c = corpus_curve(name)
-        box = tuple(3 for _ in range(c.r))
-        a = build_table(c, box, sweep="lex")
-        b = build_table(c, box, sweep="revlex")
-        assert a.values == b.values
-
-
 def test_table_extends_beyond_corner():
     c = corpus_curve("a3")
     t = build_table(c, (3, 3))
@@ -138,29 +129,27 @@ def test_table_steps_and_membership():
 
 
 def test_semigroup_two_branch_reference_sets():
-    c = corpus_curve("a3")
-    got = set(semigroup(c, (4, 4)))
+    got = set(semigroup(build_table(corpus_curve("a3"), (4, 4)), (4, 4)))
     assert got == REFERENCE_A3_SEMIGROUP
-    c = corpus_curve("d5")
-    got = set(semigroup(c, (5, 5)))
+    got = set(semigroup(build_table(corpus_curve("d5"), (5, 5)), (5, 5)))
     assert got == REFERENCE_D5_SEMIGROUP
 
 
 def test_semigroup_single_branch():
-    got = semigroup(corpus_curve("t2t5"), (8,))
+    got = semigroup(build_table(corpus_curve("t2t5"), (8,)), (8,))
     assert got == [(0,), (2,), (4,), (5,), (6,), (7,), (8,)]
 
 
 def test_semigroup_default_box():
-    got = semigroup(corpus_curve("cusp"))
+    got = semigroup(build_table(corpus_curve("cusp")))
     assert got == [(0,), (2,), (3,)]
 
 
 def test_semigroup_min_closed():
     # componentwise minimum of two members is a member
     for name in ["a3", "d5"]:
-        c = corpus_curve(name)
-        members = set(semigroup(c, (6, 6)))
+        members = set(semigroup(build_table(corpus_curve(name), (6, 6)),
+                                (6, 6)))
         for a in members:
             for b in members:
                 m = tuple(min(x, y) for x, y in zip(a, b))
@@ -173,7 +162,7 @@ def test_semigroup_min_closed():
 
 def test_symmetry_all_corpus():
     for name in CORPUS:
-        assert symmetry_check(corpus_curve(name)) is True
+        assert symmetry_check(build_table(corpus_curve(name))) is True
 
 
 def test_large_n_steps_all_corpus():
@@ -182,11 +171,10 @@ def test_large_n_steps_all_corpus():
 
 
 def test_symmetry_detects_corruption():
-    c = corpus_curve("a3")
-    t = build_table(c, (2, 2))
+    t = build_table(corpus_curve("a3"), (2, 2))
     t.values[(1, 0)] += 1
     with pytest.raises(ConsistencyError):
-        symmetry_check(c, table=t)
+        symmetry_check(t)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_sk_box_guards():
 
 
 def test_r1_structure_line():
-    rec = r1_structure(corpus_curve("line"))
+    rec = r1_structure(_table("line"))
     assert rec.e2_a == {0: 0}
     assert rec.e2_alpha == {}
     assert rec.members[:3] == (0, 1, 2)
@@ -180,7 +180,7 @@ def test_r1_structure_line():
 
 
 def test_r1_structure_cusp():
-    rec = r1_structure(corpus_curve("cusp"))
+    rec = r1_structure(_table("cusp"))
     assert rec.e2_a == {0: 0, 2: -2}
     assert rec.e2_alpha == {0: -1}
     assert rec.u_ranks[0] == 0
@@ -190,7 +190,7 @@ def test_r1_structure_cusp():
 
 
 def test_r1_structure_t2t5():
-    rec = r1_structure(corpus_curve("t2t5"))
+    rec = r1_structure(_table("t2t5"))
     assert rec.e2_a == {0: 0, 2: -2, 4: -4}
     assert rec.e2_alpha == {0: -1, 2: -3}
     assert rec.members[:5] == (0, 2, 4, 5, 6)
@@ -199,7 +199,7 @@ def test_r1_structure_t2t5():
 
 def test_r1_structure_rejects_multibranch():
     with pytest.raises(ValueError):
-        r1_structure(corpus_curve("a3"))
+        r1_structure(_table("a3"))
 
 
 def test_r2_classify_pins_a3():

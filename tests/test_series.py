@@ -19,6 +19,10 @@ from conftest import CORPUS, corpus_curve
 from oracles import alexander_r1_from_semigroup, numerical_semigroup
 
 
+def _table(name):
+    return build_table(corpus_curve(name))
+
+
 def poincare(name, box):
     c = corpus_curve(name)
     return poincare_from_hilbert(build_table(c, box), box)
@@ -233,11 +237,11 @@ def test_motivic_normalized_margin_guard():
 
 
 def test_alexander_single_branches():
-    a = alexander(corpus_curve("line"))
+    a = alexander(_table("line"))
     assert a.coeffs == {((0,), 0): 1}
-    a = alexander(corpus_curve("cusp"))
+    a = alexander(_table("cusp"))
     assert canonical_str(a) == "1 - t + t^2"
-    a = alexander(corpus_curve("t2t5"))
+    a = alexander(_table("t2t5"))
     assert canonical_str(a) == "1 - t + t^2 - t^3 + t^4"
 
 
@@ -247,7 +251,7 @@ def test_alexander_matches_semigroup_oracle():
         inv = invariants(c)
         members = numerical_semigroup(gens, 2 * inv.conductor[0] + 2)
         expected = alexander_r1_from_semigroup(members, inv.conductor[0])
-        a = alexander(c)
+        a = alexander(build_table(c))
         for k, coeff in enumerate(expected):
             assert a.coefficient((k,)) == coeff
 
@@ -256,20 +260,20 @@ def test_alexander_palindromic_one_branch():
     for name in ["line", "cusp", "t2t5"]:
         c = corpus_curve(name)
         mu = invariants(c).mu
-        a = alexander(c)
+        a = alexander(build_table(c))
         for k in range(mu + 1):
             assert a.coefficient((k,)) == a.coefficient((mu - k,))
 
 
 def test_alexander_two_branches():
-    assert canonical_str(alexander(corpus_curve("a3"))) == "1 + t1*t2"
-    assert canonical_str(alexander(corpus_curve("d5"))) == "1 + t1*t2^3"
-    a = alexander(corpus_curve("a5"))
+    assert canonical_str(alexander(_table("a3"))) == "1 + t1*t2"
+    assert canonical_str(alexander(_table("d5"))) == "1 + t1*t2^3"
+    a = alexander(_table("a5"))
     assert a.coeffs == {((0, 0), 0): 1, ((1, 1), 0): 1, ((2, 2), 0): 1}
 
 
 def test_alexander_triple_point():
-    a = alexander(corpus_curve("triple"))
+    a = alexander(_table("triple"))
     assert a.coeffs == {((0, 0, 0), 0): 1, ((1, 1, 1), 0): -1}
 
 
@@ -278,7 +282,7 @@ def test_alexander_reflection_multibranch():
     for name in ["a3", "a5", "a7", "d5", "triple"]:
         c = corpus_curve(name)
         inv = invariants(c)
-        a = alexander(c)
+        a = alexander(build_table(c))
         sign = (-1) ** inv.r
         top = tuple(x - 1 for x in inv.conductor)
         for v in [key for (key, m) in a.coeffs]:
@@ -287,11 +291,10 @@ def test_alexander_reflection_multibranch():
 
 
 def test_alexander_support_guard():
-    c = corpus_curve("a3")
-    table = build_table(c, (4, 4))
+    table = build_table(corpus_curve("a3"), (4, 4))
     table.values[(3, 3)] += 1
     with pytest.raises(SupportViolation):
-        alexander(c, table=table)
+        alexander(table)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +303,11 @@ def test_alexander_support_guard():
 
 def test_restriction_all_corpus_pairs():
     for name in ["a3", "a5", "a7", "d5", "triple"]:
-        c = corpus_curve(name)
-        for i in range(c.r):
-            assert torres_restriction_check(c, remove=i) is True
+        table = _table(name)
+        for i in range(table.curve.r):
+            assert torres_restriction_check(table, remove=i) is True
 
 
 def test_restriction_rejects_single_branch():
     with pytest.raises(ValueError):
-        torres_restriction_check(corpus_curve("cusp"))
+        torres_restriction_check(_table("cusp"))
