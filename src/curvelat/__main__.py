@@ -1,0 +1,8 @@
+r"""Run the command line interface: ``python -m curvelat ...``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,10 @@ h(v) = codimension of the set of functions whose order on branch i is
 at least v_i; everything else in the package is derived from it.  This
 module computes h(v) directly as the rank of a matrix of monomial jet
 coefficients, with no recursion and no caching, so it can serve as the
-ground-truth route against which faster routes are checked.
+ground-truth route against which faster routes are checked.  Branch
+deltas and intersection numbers are read off h values too; the second
+route for an intersection number is a local check at one lattice
+point, so nothing global about the polynomial curves enters.
 """
 
 from fractions import Fraction
@@ -106,10 +109,6 @@ class Curve:
         return Curve([self.branches[i] for i in indices])
 
 
-def _clamp(v):
-    return tuple(max(int(c), 0) for c in v)
-
-
 def h_oracle(curve, v):
     r"""
     Hilbert value h(v) as a matrix rank, directly from the definition.
@@ -137,7 +136,7 @@ def h_oracle(curve, v):
     if len(v) != curve.r:
         raise ValueError("expected %d coordinates, got %d"
                          % (curve.r, len(v)))
-    v = _clamp(v)
+    v = tuple(max(int(c), 0) for c in v)
     m = max(v)
     if m == 0:
         return 0
@@ -199,34 +198,32 @@ def branch_delta(branch):
         % branch.truncation)
 
 
-def _implicit_polynomial(branch):
-    # exact implicit equation of the branch, for the resultant route
-    import sympy
+def _local_intersection_check(bi, ci, bj, cj, m):
+    r"""
+    Raise ConsistencyError unless m is the intersection number I of
+    branches bi and bj (conductors ci and cj), using three h values.
 
-    t, x, y = sympy.symbols("t x y")
-    if branch.x.is_zero():
-        return x, (x, y)
-    if branch.y.is_zero():
-        return y, (x, y)
-    px = sum(sympy.Rational(c) * t ** e for e, c in branch.x.coeffs.items())
-    py = sum(sympy.Rational(c) * t ** e for e, c in branch.y.coeffs.items())
-    f = sympy.resultant(sympy.expand(x - px), sympy.expand(y - py), t)
-    return sympy.expand(f), (x, y)
-
-
-def _intersection_by_resultant(bi, bj):
-    # order of branch i's equation along branch j; None when identical
-    import sympy
-
-    t = sympy.Symbol("t")
-    f, (x, y) = _implicit_polynomial(bi)
-    px = sum(sympy.Rational(c) * t ** e for e, c in bj.x.coeffs.items())
-    py = sum(sympy.Rational(c) * t ** e for e, c in bj.y.coeffs.items())
-    g = sympy.expand(f.subs({x: px, y: py}))
-    if g == 0:
-        return None
-    poly = sympy.Poly(g, t)
-    return min(e for (e,), c in poly.terms())
+    For an ordering (a, b) let s = m // m_b + 1, k = c_a + m_a s and J
+    the functions of order >= k on a; accept iff
+    h_ab(k, m) = h_a(k) < h_ab(k, m + 1).  This is exact: the local
+    equation f_a lies in J and has order I on b, so h_ab(k, e) = h_a(k)
+    forces e <= I; and a series of order >= c_a + m_a s on a is z^s (z
+    a coordinate of order m_a) times one of order >= c_a, which is a
+    restriction, so J lies in (f_a) + (x, y)^s and every g in J has
+    order >= min(I, s m_b) >= min(I, m + 1) on b.  Only the germ enters,
+    not the rest of the polynomial curves.  The ordering with the
+    smaller k is used: a line against a cusp needs k = 2, not 8.
+    """
+    k, a, b = min(((c + a.multiplicity() * (m // b.multiplicity() + 1), a, b)
+                   for a, c, b in ((bi, ci, bj), (bj, cj, bi))),
+                  key=lambda option: option[0])
+    h_a = h_oracle(Curve([a]), (k,))
+    h_m, h_next = (h_oracle(Curve([a, b]), (k, e)) for e in (m, m + 1))
+    if not h_m == h_a < h_next:
+        raise ConsistencyError(
+            "intersection multiplicity: jet scan gives %d, local Hilbert "
+            "check needs h_ab(%d, %d) = h_a(%d) < h_ab(%d, %d) but gets "
+            "%d, %d, %d" % (m, k, m, k, k, m + 1, h_m, h_a, h_next))
 
 
 def intersection_multiplicity(curve, i, j):
@@ -236,16 +233,21 @@ def intersection_multiplicity(curve, i, j):
     Primary route: the count of missing jets
     g(k) = h_i(k) + h_j(k) - h_{ij}(k, k) stabilizes to the
     intersection multiplicity; the scan accepts once the value repeats
-    past the conductors of both branches plus the candidate value.  The
-    result is then cross-checked against the order of one branch's
-    implicit equation composed with the other parametrization and a
-    ConsistencyError is raised if the two routes disagree.
+    past the conductors of both branches plus the candidate value.
+
+    Second route: three h values of the pair at (k, m) and (k, m + 1)
+    certify the scan's value m (see _local_intersection_check); this
+    needs max(k, m + 1) series terms, up to m_a - 1 more than the scan.
 
     Raises
     ------
     NonStabilizing
         If the scan is not accepted within the truncation (in
         particular when the two branches coincide).
+    ConsistencyError
+        If the local check rejects the scan's value.
+    InsufficientTruncation
+        If the local check needs more series terms than kept.
     """
     if i == j:
         raise ValueError("intersection of a branch with itself")
@@ -271,11 +273,5 @@ def intersection_multiplicity(curve, i, j):
         raise NonStabilizing(
             "intersection scan did not stabilize within truncation %d"
             % curve.truncation)
-    check = _intersection_by_resultant(bi, bj)
-    if check is None:
-        raise NonStabilizing("branches have identical images")
-    if check != accepted:
-        raise ConsistencyError(
-            "intersection multiplicity: jet scan gives %d, resultant "
-            "route gives %d" % (accepted, check))
+    _local_intersection_check(bi, ci, bj, cj, accepted)
     return accepted

@@ -83,14 +83,6 @@ def box_points(box):
     return product(*(range(b + 1) for b in box))
 
 
-def _add(v, w):
-    return tuple(a + b for a, b in zip(v, w))
-
-
-def _unit(r, i):
-    return tuple(1 if j == i else 0 for j in range(r))
-
-
 class HilbertTable:
     r"""
     Filled box of h values with total evaluation.
@@ -115,7 +107,8 @@ class HilbertTable:
 
     def step(self, v, i):
         r"""h(v + e_i) - h(v), always 0 or 1."""
-        return self.value(_add(v, _unit(len(v), i))) - self.value(v)
+        ahead = [c + 1 if j == i else c for j, c in enumerate(v)]
+        return self.value(ahead) - self.value(v)
 
     def in_semigroup(self, v):
         r"""True when every coordinate step at v equals 1."""
@@ -244,20 +237,20 @@ def large_n_step_check(curve):
     Verify directly from matrix ranks that steps are 1 far out: for
     every direction i and every n from conductor_i to conductor_i + 3,
     h increases by exactly 1 in direction i at a spread of sample
-    points with v_i = n.
+    points with v_i = n, computing each sample's five values once.
 
     Returns True, or raises ConsistencyError.
     """
-    inv = invariants(curve)
-    r = curve.r
-    l = inv.conductor
+    l = invariants(curve).conductor
+    r = len(l)
     for i in range(r):
-        for n in range(l[i], l[i] + 4):
-            samples = [sorted({0, 1, l[j], l[j] + 1}) if j != i else [n]
-                       for j in range(r)]
-            for v in product(*samples):
-                here = h_oracle(curve, v)
-                ahead = h_oracle(curve, _add(v, _unit(r, i)))
+        samples = [sorted({0, 1, l[j], l[j] + 1}) if j != i else [l[i]]
+                   for j in range(r)]
+        for base in product(*samples):
+            line = [base[:i] + (n,) + base[i + 1:]
+                    for n in range(l[i], l[i] + 5)]
+            h = [h_oracle(curve, v) for v in line]
+            for v, here, ahead in zip(line, h, h[1:]):
                 if ahead - here != 1:
                     raise ConsistencyError(
                         "step beyond the conductor is %d at %s "

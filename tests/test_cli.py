@@ -287,6 +287,15 @@ if __name__ == "__main__":
 """
 
 
+def _run_python(*argv):
+    # a fresh interpreter with this checkout's src/ first on the path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+
+
 def test_console_script_installed(tmp_path):
     # Runs the declared entry point the way an installed `curvelat`
     # command runs it, against this checkout's src/ rather than
@@ -298,16 +307,31 @@ def test_console_script_installed(tmp_path):
     ep = EntryPoint("curvelat", scripts["curvelat"], "console_scripts")
     exe = tmp_path / "curvelat"
     exe.write_text(CONSOLE_SCRIPT.format(module=ep.module, attr=ep.attr))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-
-    def run(*argv):
-        return subprocess.run([sys.executable, str(exe), *argv], env=env,
-                              capture_output=True, text=True)
-
-    proc = run("value", corpus_path("a3"), "--at", "2,2")
+    proc = _run_python(str(exe), "value", corpus_path("a3"), "--at", "2,2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "2\n"
-    proc = run("value", "/nonexistent.json", "--at", "1,1")
+    proc = _run_python(str(exe), "value", "/nonexistent.json", "--at", "1,1")
     assert proc.returncode == 2
+
+
+def test_python_m_curvelat():
+    proc = _run_python("-m", "curvelat", "value", corpus_path("a3"),
+                       "--at", "2,2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
+    assert proc.stderr == ""
+
+
+def test_runs_without_sympy():
+    # sys.modules[name] = None makes every import of that name fail
+    script = """import sys
+sys.modules["sympy"] = None
+from curvelat.cli import main
+codes = [main(["verify", "src/curvelat/data/d5.json"]),
+         main(["invariants", "bench/curves/four.json"])]
+sys.exit(max(codes))
+"""
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed\nr: 4\ndelta: 6\n" in proc.stdout
+    assert proc.stderr == ""

@@ -1,21 +1,30 @@
-import pytest
+import os
+from math import comb
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvelat.cli import load_curve
 from curvelat.curve import (
     BranchParametrization,
     Curve,
+    _local_intersection_check,
     branch_delta,
     h_oracle,
     intersection_multiplicity,
 )
 from curvelat.errors import (
+    ConsistencyError,
     InsufficientTruncation,
     InvalidParametrization,
     NonStabilizing,
     PrimitivityError,
 )
-from curvelat.exactalg import parse_poly, rank_rational
+from curvelat.exactalg import TruncSeries, parse_poly, rank_rational
+from curvelat.hilbert import invariants
 
-from conftest import corpus_curve
+from conftest import CORPUS, corpus_curve
 from oracles import (
     REFERENCE_A3,
     REFERENCE_D5,
@@ -219,3 +228,120 @@ def test_intersection_coincident_branches():
     b2 = BranchParametrization.from_strings("t", "t^2", 16)
     with pytest.raises(NonStabilizing):
         intersection_multiplicity(Curve([b1, b2]), 0, 1)
+
+
+def test_intersection_with_curve_through_origin_twice():
+    # the polynomial curve (t - t^2, t^2 - t^3) is a node: it passes
+    # through the origin again at t = 1, which a global implicit
+    # equation would also count
+    b1 = BranchParametrization.from_strings("t - t^2", "t^2 - t^3", 16)
+    b2 = BranchParametrization.from_strings("t", "0", 16)
+    c = Curve([b1, b2])
+    assert intersection_multiplicity(c, 0, 1) == 2
+    assert intersection_multiplicity(c, 1, 0) == 2
+    assert invariants(c).pairwise == [[0, 2], [2, 0]]
+
+
+def test_intersection_with_doubly_covered_parametrization():
+    # (u^2, u^3) with u = t + t^2: locally a cusp, globally a 2:1 map
+    b1 = BranchParametrization.from_strings(
+        "t^2 + 2*t^3 + t^4", "t^3 + 3*t^4 + 3*t^5 + t^6", 16)
+    b2 = BranchParametrization.from_strings("t", "0", 16)
+    c = Curve([b1, b2])
+    assert intersection_multiplicity(c, 0, 1) == 3
+    assert intersection_multiplicity(c, 1, 0) == 3
+    assert invariants(c).pairwise == [[0, 3], [3, 0]]
+
+
+def test_intersection_needs_enough_terms():
+    # I = 6 for two tangent cusps: the scan accepts at k = 9, the local
+    # check reads h at k = c + m_a (6 // m_b + 1) = 10
+    c = Curve([BranchParametrization.from_strings("t^2", y, 9)
+               for y in ("t^3", "2*t^3")])
+    with pytest.raises(InsufficientTruncation):
+        intersection_multiplicity(c, 0, 1)
+    c = Curve([BranchParametrization.from_strings("t^2", y, 10)
+               for y in ("t^3", "2*t^3")])
+    assert intersection_multiplicity(c, 0, 1) == 6
+
+
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                         "curves")
+
+
+def _bench_curve(name):
+    return load_curve(os.path.join(BENCH_DIR, name + ".json"))
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("a3", 2), ("a5", 3), ("a7", 4), ("d5", 2), ("triple", 1),
+    ("tacnode3", 2), ("a31", 16), ("four", 1),
+])
+def test_local_check_accepts_only_the_true_value(name, expected):
+    # every branch pair of these curves has the same intersection number
+    c = corpus_curve(name) if name in CORPUS else _bench_curve(name)
+    conductors = [branch_delta(b)[1] for b in c.branches]
+    for i in range(c.r):
+        for j in range(i + 1, c.r):
+            args = (c.branches[i], conductors[i], c.branches[j],
+                    conductors[j])
+            _local_intersection_check(*args, expected)
+            for wrong in (expected - 1, expected + 1):
+                with pytest.raises(ConsistencyError):
+                    _local_intersection_check(*args, wrong)
+
+
+# ---------------------------------------------------------------------------
+# closed-form intersection numbers
+
+
+def _branch(x, y, truncation, twist):
+    # coordinates c*t^n given as (c, n), c = 0 for a zero coordinate;
+    # twist composes with t -> t + t^2, the same germ by a 2:1 map
+    def series(c, n):
+        if twist:
+            return TruncSeries({n + j: c * comb(n, j) for j in range(n + 1)},
+                               truncation)
+        return TruncSeries({n: c}, truncation)
+    return BranchParametrization(series(*x), series(*y))
+
+
+def _pair(first, second, truncation, twist):
+    # twist is None or the index of the branch to reparametrize; the
+    # truncation keeps a twisted polynomial whole, so its map stays 2:1
+    truncation = max(truncation, 2 * max(n for _, n in first + second) + 1)
+    return Curve([_branch(*first, truncation, twist == 0),
+                  _branch(*second, truncation, twist == 1)])
+
+
+twists = st.sampled_from([None, 0, 1])
+coprime = st.sampled_from([(2, 3), (3, 2), (2, 5), (3, 4)])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 5), st.integers(-3, 3), st.integers(-3, 3), twists)
+def test_intersection_tangent_smooth_branches(k, a, b, twist):
+    if a == b:
+        b = a + 4
+    c = _pair(((1, 1), (a, k)), ((1, 1), (b, k)), k + 2, twist)
+    assert intersection_multiplicity(c, 0, 1) == k
+    assert intersection_multiplicity(c, 1, 0) == k
+
+
+@settings(max_examples=12, deadline=None)
+@given(coprime, twists)
+def test_intersection_line_with_monomial_branch(pq, twist):
+    p, q = pq
+    c = _pair(((1, 1), (0, 1)), ((1, p), (1, q)),
+              (p - 1) * (q - 1) + q + 2, twist)
+    assert intersection_multiplicity(c, 0, 1) == q
+    assert intersection_multiplicity(c, 1, 0) == q
+
+
+@settings(max_examples=12, deadline=None)
+@given(coprime, twists)
+def test_intersection_tangent_monomial_branches(pq, twist):
+    p, q = pq
+    c = _pair(((1, p), (1, q)), ((1, p), (2, q)),
+              (p - 1) * (q - 1) + p * q + min(p, q) + 1, twist)
+    assert intersection_multiplicity(c, 0, 1) == p * q
