@@ -7,15 +7,17 @@ a pair of polynomials (x(t), y(t)).  The fundamental quantity is
 h(v) = codimension of the set of functions whose order on branch i is
 at least v_i; everything else in the package is derived from it.  This
 module computes h(v) directly as the rank of a matrix of monomial jet
-coefficients, with no recursion and no caching, so it can serve as the
-ground-truth route against which faster routes are checked.  Branch
+coefficients, with no recursion, so it can serve as the ground-truth
+route against which faster routes are checked.  Each branch caches the
+integer jet of every monomial it has composed (``jet``) and its delta
+and conductor (``branch_delta``); h itself is never cached.  Branch
 deltas and intersection numbers are read off h values too; the second
 route for an intersection number is a local check at one lattice
 point, so nothing global about the polynomial curves enters.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     ConsistencyError,
@@ -58,6 +60,8 @@ class BranchParametrization:
         self.x = x
         self.y = y
         self.truncation = x.truncation
+        self.scale = lcm(*[c.denominator for s in (x, y)
+                           for c in s.coeffs.values()])
 
     @classmethod
     def from_strings(cls, x_text, y_text, truncation):
@@ -75,6 +79,32 @@ class BranchParametrization:
         xa = self._power(self.x, a, "_xpow")
         yb = self._power(self.y, b, "_ypow")
         return series_mul(xa, yb)
+
+    def jet(self, a, b):
+        r"""
+        Integer coefficients of t^0 .. t^(truncation - 1) in
+        (x^a y^b)(q t), where q = ``scale`` is the lcm of the
+        denominators of all coefficients of x and y.
+
+        Every coefficient of x and y has a denominator dividing q and
+        both series have order >= 1, so the t^e coefficient of x^a y^b
+        has a denominator dividing q^(a + b) and vanishes unless
+        e >= a + b; hence q^e times it is an integer.  The substitution
+        t -> q t scales column e of any jet matrix by q^e != 0, so it
+        changes no rank and no h value.  Each jet is derived once from
+        ``monomial`` and cached on the branch.
+
+        Returns
+        -------
+        tuple of ints, of length ``truncation``
+        """
+        cache = self.__dict__.setdefault("_jets", {})
+        if (a, b) not in cache:
+            jet = [0] * self.truncation
+            for e, c in self.monomial(a, b).coeffs.items():
+                jet[e] = c.numerator * self.scale ** e // c.denominator
+            cache[a, b] = tuple(jet)
+        return cache[a, b]
 
     def _power(self, base, n, slot):
         cache = self.__dict__.setdefault(slot, {})
@@ -115,9 +145,9 @@ def h_oracle(curve, v):
 
     Functions are represented by the monomials x^a y^b with a + b below
     max(v); the matrix row of a monomial lists, branch by branch, the
-    coefficients of t^0 .. t^(v_i - 1) of the monomial composed with the
-    branch, and h(v) is the rank.  Negative coordinates are clamped to
-    zero first.
+    first v_i entries of the monomial's integer jet on the branch (see
+    BranchParametrization.jet), and h(v) is the rank.  Negative
+    coordinates are clamped to zero first.
 
     Parameters
     ----------
@@ -149,9 +179,8 @@ def h_oracle(curve, v):
     rows = []
     for a, b in monomials:
         row = []
-        for i, branch in enumerate(curve.branches):
-            composed = branch.monomial(a, b)
-            row.extend(composed.coefficient(e) for e in range(v[i]))
+        for branch, n in zip(curve.branches, v):
+            row.extend(branch.jet(a, b)[:n])
         rows.append(row)
     return rank_rational(rows)
 
@@ -164,7 +193,8 @@ def branch_delta(branch):
     semigroup by whether h(n+1) - h(n) = 1, and stops once a run of
     consecutive members as long as the branch multiplicity is seen;
     from then on every integer is a member, so the gap list is
-    complete.
+    complete.  The result is kept on the branch, so each branch is
+    scanned once however many pairs it belongs to.
 
     Returns
     -------
@@ -175,6 +205,9 @@ def branch_delta(branch):
     NonStabilizing
         If the run certificate is not reached within the truncation.
     """
+    known = branch.__dict__.get("_delta")
+    if known is not None:
+        return known
     sub = Curve([branch])
     a = branch.multiplicity()
     gaps = []
@@ -187,7 +220,8 @@ def branch_delta(branch):
             run += 1
             if run >= a:
                 conductor = gaps[-1] + 1 if gaps else 0
-                return len(gaps), conductor
+                branch._delta = len(gaps), conductor
+                return branch._delta
         else:
             gaps.append(n)
             run = 0

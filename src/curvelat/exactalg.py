@@ -9,7 +9,7 @@ matrices are plain lists of lists.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import PolySyntaxError
 
@@ -222,10 +222,14 @@ def parse_poly(text, truncation):
 
 def rank_rational(rows):
     r"""
-    Rank of a matrix with Rational entries.
+    Rank of a matrix with integer or Rational entries.
 
-    Each row is scaled by the lcm of its denominators, then the rank is
-    computed by fraction-free (Bareiss) elimination over the integers.
+    Each row is scaled by the lcm of its denominators, read through the
+    ``numerator`` and ``denominator`` attributes that ints and Fractions
+    both have, so an integer row (such as a row of jets) is copied as it
+    is and never becomes Fractions.  Zero rows, which add nothing to
+    the rank, are dropped.  The rank is then computed by fraction-free
+    (Bareiss) elimination over the integers.
 
     Parameters
     ----------
@@ -237,11 +241,9 @@ def rank_rational(rows):
     """
     m = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        m.append([int(x * den) for x in fr])
+        if any(row):
+            den = lcm(*[x.denominator for x in row])
+            m.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank = 0
@@ -255,12 +257,13 @@ def rank_rational(rows):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[col]
         for i in range(rank + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[i][j] * m[rank][col]
-                           - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = m[rank][col]
+            row = m[i]
+            f = row[col]
+            m[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         rank += 1
         if rank == nrows:
             break

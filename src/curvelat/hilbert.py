@@ -2,16 +2,19 @@ r"""
 The Hilbert function on a lattice box, the value semigroup, and the
 numeric invariants of a curve germ.
 
-The table builder fills a box with h values using the matrix-rank route
-below the conductor and unit steps beyond it, then re-derives a sample
-of cells from scratch and checks the step recursion (a direction-i step
-is 1 exactly when some semigroup point agrees with v in coordinate i
-and dominates it elsewhere) over the whole box.  Any mismatch raises
-ConsistencyError.
+The table builder fills [0, l] (l the conductor) with prefix ranks:
+one integer echelon basis of jet columns per point of the first r - 1
+coordinates, extended by the last branch's columns one at a time.
+Beyond the conductor every unit step adds 1.  It then re-derives a
+sample of cells from scratch with a full Bareiss rank (h_oracle) and
+checks the step recursion (a direction-i step is 1 exactly when some
+semigroup point agrees with v in coordinate i and dominates it
+elsewhere) over the whole box.  Any mismatch raises ConsistencyError.
 """
 
 from collections import namedtuple
 from itertools import product
+from math import gcd
 
 from .curve import branch_delta, h_oracle, intersection_multiplicity
 from .errors import ConsistencyError
@@ -131,6 +134,57 @@ def _spot_check(curve, values, corner):
                     % (h, v, direct))
 
 
+def _echelon_insert(basis, column):
+    # basis maps a pivot k to a gcd-normalized integer vector whose
+    # first nonzero entry is at k; returns basis itself when column is
+    # in its span, else a new dict with one more pivot
+    w = column
+    k = next((j for j, x in enumerate(w) if x), None)
+    while k in basis:
+        b = basis[k]
+        g = gcd(w[k], b[k])
+        f, p = w[k] // g, b[k] // g
+        w = [p * x - f * y for x, y in zip(w, b)]
+        k = next((j for j in range(k + 1, len(w)) if w[j]), None)
+    if k is None:
+        return basis
+    g = gcd(*w)
+    return {**basis, k: [x // g for x in w]}
+
+
+def _fill_to_conductor(curve, l):
+    # h on [0, l] as ranks of jet columns, in lexicographic order.  h(v)
+    # needs the monomials of degree < max(v); those of degree >= max(v)
+    # vanish in every column e < v_i, so the monomials of degree
+    # < max(l) serve the whole box, and rows zero in every column of
+    # the box are dropped.  invariants() has evaluated h at l, so the
+    # truncation covers every column.
+    top = max(l)
+    monomials = [(a, total - a) for total in range(top)
+                 for a in range(total + 1)]
+    columns = [[[branch.jet(a, b)[e] for a, b in monomials]
+                for e in range(n)]
+               for branch, n in zip(curve.branches, l)]
+    live = [k for k in range(len(monomials))
+            if any(col[k] for cols in columns for col in cols)]
+    columns = [[[col[k] for k in live] for col in cols] for cols in columns]
+    values = {}
+
+    def sweep(prefix, basis):
+        # basis spans the columns e < prefix_j of each branch j
+        if len(prefix) == len(columns):
+            values[prefix] = len(basis)
+            return
+        cols = columns[len(prefix)]
+        for e, col in enumerate(cols):
+            sweep(prefix + (e,), basis)
+            basis = _echelon_insert(basis, col)
+        sweep(prefix + (len(cols),), basis)
+
+    sweep((), {})
+    return values
+
+
 def _step_rule_sweep(table, bound):
     # second route: a step is 1 exactly when a semigroup witness agrees
     # in that coordinate and dominates elsewhere; witnesses may be
@@ -153,10 +207,14 @@ def build_table(curve, box=None):
     r"""
     Fill h over [0, corner] and run both consistency routes.
 
-    Cells are filled in lexicographic order, so v - e_i is always known
-    before v: a cell one step past the conductor in some direction i
-    (the first such i) is its neighbor's value plus 1, every other cell
-    is a direct matrix rank.
+    Cells of [0, l] (l the conductor) are prefix ranks of integer jet
+    columns: for each point of the first r - 1 coordinates, an echelon
+    basis of that prefix's columns is extended by the last branch's
+    columns one at a time, and the rank after each column is the next
+    h.  Every other cell is filled in lexicographic order as its
+    neighbor's value plus 1, one step back in the first direction i
+    with v_i > l_i.  A sample of cells is then recomputed by h_oracle,
+    a full Bareiss rank, and the step rule is checked over the box.
 
     Parameters
     ----------
@@ -177,6 +235,7 @@ def build_table(curve, box=None):
     box = tuple(max(int(b), 0) for b in box)
     bound = tuple(max(b, c) for b, c in zip(box, l))
     corner = tuple(b + 2 for b in bound)
+    below = _fill_to_conductor(curve, l)
     values = {}
     for v in box_points(corner):
         for i in range(r):
@@ -184,7 +243,7 @@ def build_table(curve, box=None):
                 values[v] = values[v[:i] + (v[i] - 1,) + v[i + 1:]] + 1
                 break
         else:
-            values[v] = h_oracle(curve, v)
+            values[v] = below[v]
     table = HilbertTable(curve, corner, values, inv)
     _spot_check(curve, values, corner)
     _step_rule_sweep(table, bound)

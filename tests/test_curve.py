@@ -1,10 +1,12 @@
 import os
+from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvelat.curve as curve_module
 from curvelat.cli import load_curve
 from curvelat.curve import (
     BranchParametrization,
@@ -28,6 +30,7 @@ from conftest import CORPUS, corpus_curve
 from oracles import (
     REFERENCE_A3,
     REFERENCE_D5,
+    gauss_rank,
     h_a_odd,
     h_count_r1,
     numerical_semigroup,
@@ -83,6 +86,41 @@ def test_monomial_composition():
     b = corpus_curve("cusp").branches[0]
     assert b.monomial(1, 1).order() == 5
     assert b.monomial(0, 0).order() == 0
+
+
+def test_jet_scales_rational_coefficients():
+    # q = lcm(2, 3) = 6, and q^e clears every denominator at t^e
+    b = BranchParametrization.from_strings("1/2*t^2", "1/3*t^3", 16)
+    assert b.scale == 6
+    for a, c in product(range(4), repeat=2):
+        jet = b.jet(a, c)
+        assert len(jet) == 16
+        assert all(type(x) is int for x in jet)
+        for e in range(16):
+            assert jet[e] == 6 ** e * b.monomial(a, c).coefficient(e)
+    assert b.jet(2, 1) is b.jet(2, 1)
+
+
+def _curve(pairs, truncation):
+    return Curve([BranchParametrization.from_strings(x, y, truncation)
+                  for x, y in pairs])
+
+
+def _fraction_rows(curve, v):
+    # the defining matrix with the rational coefficients themselves
+    return [[branch.monomial(a, total - a).coefficient(e)
+             for branch, n in zip(curve.branches, v) for e in range(n)]
+            for total in range(max(v)) for a in range(total + 1)]
+
+
+@pytest.mark.parametrize("pairs", [
+    [("t", "1/2*t^2"), ("t", "-2/3*t^2")],
+    [("1/2*t^2", "1/3*t^3"), ("t", "0")],
+])
+def test_h_rational_coefficients_against_gauss_rank(pairs):
+    c = _curve(pairs, 12)
+    for v in product(range(8), repeat=2):
+        assert h_oracle(c, v) == gauss_rank(_fraction_rows(c, v))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +220,27 @@ def test_branch_delta_values():
     assert branch_delta(corpus_curve("cusp").branches[0]) == (1, 2)
     assert branch_delta(corpus_curve("t2t5").branches[0]) == (2, 4)
     assert branch_delta(corpus_curve("d5").branches[1]) == (1, 2)
+
+
+def test_invariants_scans_each_branch_once(monkeypatch):
+    # every branch keeps its (delta, conductor), so the six pair scans
+    # of four lines reuse the four branch scans; 46 one-branch h values
+    # when each pair rescanned both of its branches
+    calls = []
+    original = curve_module.h_oracle
+
+    def counted(curve, v):
+        if curve.r == 1:
+            calls.append(v)
+        return original(curve, v)
+
+    monkeypatch.setattr(curve_module, "h_oracle", counted)
+    c = _bench_curve("four")
+    invariants(c)
+    assert len(calls) == 34
+    calls.clear()
+    assert [branch_delta(b) for b in c.branches] == [(0, 0)] * 4
+    assert calls == []
 
 
 def test_branch_delta_needs_enough_terms():

@@ -1,8 +1,19 @@
-import pytest
+from fractions import Fraction
 
-from curvelat.curve import h_oracle
-from curvelat.errors import ConsistencyError
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+import curvelat.hilbert as hilbert_module
+from curvelat.curve import BranchParametrization, Curve, h_oracle
+from curvelat.errors import (
+    ConsistencyError,
+    InsufficientTruncation,
+    NonStabilizing,
+)
+from curvelat.exactalg import TruncSeries
 from curvelat.hilbert import (
+    box_points,
     build_table,
     char_poly,
     invariants,
@@ -100,6 +111,92 @@ def test_table_agrees_with_oracle_everywhere():
         for v2 in range(5):
             for v3 in range(5):
                 assert t.value((v1, v2, v3)) == h_oracle(c, (v1, v2, v3))
+    c = Curve([BranchParametrization.from_strings(x, y, 24) for x, y in
+               [("1/2*t^2", "1/3*t^3"), ("t", "-2/3*t^2 + 5/7*t^3")]])
+    t = build_table(c, (7, 7))
+    assert t.invariants.conductor == (5, 3)
+    for v in box_points((7, 7)):
+        assert t.value(v) == h_oracle(c, v)
+
+
+def _spot_checked(v, truncation):
+    # the fixed ~10% sample that the table builder recomputes
+    acc = 0
+    for c in v:
+        acc = (acc * 1000003 + c) % 2147483648
+    return acc % 10 == 0 and max(v) <= truncation
+
+
+@pytest.mark.parametrize("name", ["a5", "triple"])
+def test_fill_calls_h_oracle_only_for_the_spot_check(name, monkeypatch):
+    c = corpus_curve(name)
+    invariants(c)
+    cells = []
+    original = hilbert_module.h_oracle
+
+    def recorded(curve, v):
+        cells.append(v)
+        return original(curve, v)
+
+    monkeypatch.setattr(hilbert_module, "h_oracle", recorded)
+    t = build_table(c)
+    assert cells == [v for v in t.values if _spot_checked(v, c.truncation)]
+    assert 0 < len(cells) < len(t.values)
+
+
+def test_spot_check_catches_a_wrong_fill_value(monkeypatch):
+    c = corpus_curve("triple")
+    l = invariants(c).conductor
+    wrong = max((v for v in box_points(l) if _spot_checked(v, c.truncation)),
+                key=sum)
+    assert sum(wrong) > 0
+    original = hilbert_module._fill_to_conductor
+
+    def off_by_one(curve, conductor):
+        values = original(curve, conductor)
+        values[wrong] += 1
+        return values
+
+    monkeypatch.setattr(hilbert_module, "_fill_to_conductor", off_by_one)
+    with pytest.raises(ConsistencyError, match="table value .* direct rank"):
+        build_table(c)
+
+
+_coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2),
+                                 Fraction(-2, 3), Fraction(5, 4)])
+
+
+@st.composite
+def _branch(draw, smooth=None):
+    # a smooth branch (c t, a t^q + b t^(q+1)) or a cusp
+    # (c t^2, a t^3 + b t^4), coordinates possibly swapped
+    if smooth is None:
+        smooth = draw(st.booleans())
+    p, q = (1, draw(st.integers(1, 3))) if smooth else (2, 3)
+    a, b = draw(_coefficients), draw(st.sampled_from([0, 1, -1, 2]))
+    x = TruncSeries({p: draw(_coefficients)}, 16)
+    y = TruncSeries({q: a, q + 1: b}, 16)
+    if draw(st.booleans()):
+        x, y = y, x
+    return BranchParametrization(x, y)
+
+
+_curves = st.one_of(
+    st.lists(_branch(), min_size=2, max_size=2),
+    st.lists(_branch(True), min_size=3, max_size=3),
+).map(Curve)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_curves)
+def test_fill_matches_h_oracle_on_random_curves(c):
+    # every cell the prefix ranks fill agrees with a full Bareiss rank
+    try:
+        t = build_table(c)
+    except (NonStabilizing, InsufficientTruncation):
+        reject()
+    for v in box_points(t.invariants.conductor):
+        assert t.values[v] == h_oracle(c, v)
 
 
 def test_table_extends_beyond_corner():
