@@ -16,16 +16,13 @@ import argparse
 import json
 import sys
 
+from . import verify
 from .curve import BranchParametrization, Curve
-from .errors import ConsistencyError, CurvelatError, CurveSchemaError
-from .hilbert import (box_points, build_table, invariants,
-                      large_n_step_check, semigroup, symmetry_check)
-from .latthom import (euler_check, grv_homology, r1_structure,
-                      r2_classify, sk_homology)
-from .oslattice import GradedGroup, Matroid, d0_structure_checks
-from .series import (alexander, canonical_str, hilbert_from_poincare,
-                     motivic_normalized, poincare_from_hilbert,
-                     torres_restriction_check)
+from .errors import CurvelatError, CurveSchemaError
+from .hilbert import box_points, build_table, invariants, semigroup
+from .latthom import grv_homology
+from .series import (alexander, canonical_str, motivic_normalized,
+                     poincare_from_hilbert)
 
 
 def load_curve(path):
@@ -277,104 +274,9 @@ def _cmd_homology(args):
     return 0
 
 
-def _verify_round_trip(table, box):
-    # the full mask is the curve itself, whose table verify already built
-    curve = table.curve
-    full = (1 << curve.r) - 1
-    poincares = {}
-    for mask in range(1, full + 1):
-        idx = [i for i in range(curve.r) if mask >> i & 1]
-        sub_box = tuple(box[i] for i in idx)
-        sub_table = (table if mask == full
-                     else build_table(curve.subcurve(idx), sub_box))
-        poincares[mask] = poincare_from_hilbert(sub_table, sub_box)
-    for v in box_points(table.invariants.conductor):
-        if hilbert_from_poincare(poincares, v) != table.value(v):
-            raise ConsistencyError(
-                "series round trip fails at %s" % (v,))
-
-
-def _verify_motivic(table):
-    inv = table.invariants
-    series = motivic_normalized(table)
-    for (v, m), coeff in series.coeffs.items():
-        w = tuple(a - b for a, b in zip(inv.conductor, v))
-        if series.coefficient(w, m + inv.delta - sum(v)) != coeff:
-            raise ConsistencyError(
-                "normalized series is not reflection symmetric at %s"
-                % (v,))
-
-
-def _verify_alexander(table):
-    inv = table.invariants
-    poly = alexander(table)
-    if inv.r == 1:
-        for k in range(inv.mu + 1):
-            if poly.coefficient((k,)) != poly.coefficient((inv.mu - k,)):
-                raise ConsistencyError(
-                    "polynomial is not palindromic at degree %d" % k)
-    else:
-        sign = 1 if inv.r % 2 == 0 else -1
-        top = tuple(x - 1 for x in inv.conductor)
-        for (v, _m) in poly.coeffs:
-            w = tuple(x - y for x, y in zip(top, v))
-            if poly.coefficient(v) != sign * poly.coefficient(w):
-                raise ConsistencyError(
-                    "polynomial reflection fails at %s" % (v,))
-
-
 def _cmd_verify(args):
-    curve = load_curve(args.curve)
-    margin = 4 if args.deep else 2
-    inv = invariants(curve)
-    print("ok invariants")
-    box = tuple(c + margin for c in inv.conductor)
-    table = build_table(curve, box)
-    print("ok hilbert-table")
-    symmetry_check(table)
-    print("ok symmetry")
-    large_n_step_check(curve)
-    print("ok large-index-steps")
-    semigroup(table)
-    print("ok semigroup")
-    _verify_round_trip(table, box)
-    print("ok series-round-trip")
-    _verify_motivic(table)
-    print("ok motivic")
-    _verify_alexander(table)
-    print("ok alexander")
-    if curve.r >= 2:
-        for rho in range(curve.r):
-            torres_restriction_check(table, remove=rho)
-        print("ok restriction")
-    else:
-        print("skip restriction (single branch)")
-    euler_check(table)
-    print("ok euler")
-    u_truncation = 4 * curve.r + 12 if args.deep else None
-    for v in box_points(tuple(c + 2 for c in inv.conductor)):
-        grv_homology(table, v, u_truncation=u_truncation)
-    print("ok graded-homology")
-    zero = (0,) * curve.r
-    mid = tuple(c // 2 for c in inv.conductor)
-    for v in (zero, mid, inv.conductor):
-        d0_structure_checks(Matroid.from_local_matroid(table, v))
-    print("ok arrangement-structure")
-    levels = 5 if args.deep else 3
-    for k in range(levels):
-        if sk_homology(table, zero, k) != GradedGroup({0: (1, ())}):
-            raise ConsistencyError(
-                "sublevel complex at level %d is not contractible" % k)
-    print("ok sublevel-contractible")
-    if curve.r == 1:
-        r1_structure(table)
-        print("ok branch-structure")
-    elif curve.r == 2:
-        for v in box_points(tuple(c + 2 for c in inv.conductor)):
-            r2_classify(table, v)
-        print("ok branch-structure")
-    else:
-        print("skip branch-structure (three or more branches)")
+    for status, stage in verify.run(load_curve(args.curve), args.deep):
+        print("%s %s" % (status, stage))
     print("all checks passed")
     return 0
 

@@ -71,15 +71,6 @@ class TruncSeries:
         return "TruncSeries(%s + O(t^%d))" % (body, self.truncation)
 
 
-def series_add(a, b):
-    r"""Sum, truncated to the smaller of the two truncations."""
-    t = min(a.truncation, b.truncation)
-    coeffs = dict(a.coeffs)
-    for e, c in b.coeffs.items():
-        coeffs[e] = coeffs.get(e, Fraction(0)) + c
-    return TruncSeries(coeffs, t)
-
-
 def series_mul(a, b):
     r"""Product, truncated to the smaller of the two truncations."""
     t = min(a.truncation, b.truncation)

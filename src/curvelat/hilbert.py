@@ -18,6 +18,7 @@ from math import gcd
 
 from .curve import branch_delta, h_oracle, intersection_multiplicity
 from .errors import ConsistencyError
+from .oslattice import Matroid, arrangement_poincare
 
 CurveInvariants = namedtuple("CurveInvariants", [
     "r", "delta", "delta_branches", "mu", "mu_branches",
@@ -102,7 +103,10 @@ class HilbertTable:
         self.invariants = inv
 
     def value(self, v):
-        r"""h at an arbitrary integer vector (negatives clamp to 0)."""
+        r"""h at an integer vector of length r (negatives clamp to 0)."""
+        if len(v) != len(self.corner):
+            raise ValueError("expected %d coordinates, got %d"
+                             % (len(self.corner), len(v)))
         v = tuple(max(int(c), 0) for c in v)
         clipped = tuple(min(c, m) for c, m in zip(v, self.corner))
         extra = sum(c - m for c, m in zip(v, clipped))
@@ -291,16 +295,19 @@ def symmetry_check(table):
     return True
 
 
-def large_n_step_check(curve):
+def large_n_step_check(table):
     r"""
     Verify directly from matrix ranks that steps are 1 far out: for
     every direction i and every n from conductor_i to conductor_i + 3,
     h increases by exactly 1 in direction i at a spread of sample
     points with v_i = n, computing each sample's five values once.
+    Only the curve and conductor of the table are read; every value
+    comes from h_oracle.
 
     Returns True, or raises ConsistencyError.
     """
-    l = invariants(curve).conductor
+    curve = table.curve
+    l = table.invariants.conductor
     r = len(l)
     for i in range(r):
         samples = [sorted({0, 1, l[j], l[j] + 1}) if j != i else [l[i]]
@@ -322,8 +329,8 @@ def local_matroid(table, v):
     Rank function of the local matroid at v: for each subset K of
     branch indices (as a bitmask), rank(K) = h(v + e_K) - h(v).
 
-    The three axioms (bounded by cardinality, monotone, submodular)
-    are verified before returning.
+    Only reads the ranks; Matroid.from_local_matroid checks the matroid
+    axioms on them.
 
     Returns
     -------
@@ -335,26 +342,6 @@ def local_matroid(table, v):
     for mask in range(1 << r):
         w = tuple(v[j] + (1 if mask >> j & 1 else 0) for j in range(r))
         rank[mask] = table.value(w) - base
-    for mask in range(1 << r):
-        size = bin(mask).count("1")
-        if not 0 <= rank[mask] <= size:
-            raise ConsistencyError(
-                "matroid rank %d of a %d-set at %s" % (rank[mask], size, v))
-        for i in range(r):
-            if mask >> i & 1:
-                continue
-            bigger = mask | 1 << i
-            if not rank[mask] <= rank[bigger] <= rank[mask] + 1:
-                raise ConsistencyError("matroid rank not monotone at %s"
-                                       % (v,))
-            for j in range(i + 1, r):
-                if mask >> j & 1:
-                    continue
-                both = bigger | 1 << j
-                other = mask | 1 << j
-                if rank[both] + rank[mask] > rank[bigger] + rank[other]:
-                    raise ConsistencyError(
-                        "matroid rank not submodular at %s" % (v,))
     return rank
 
 
@@ -366,11 +353,7 @@ def char_poly(table, v):
 
     Zero whenever v is outside the value semigroup.
     """
-    rank = local_matroid(table, v)
-    r = len(v)
-    full = rank[(1 << r) - 1]
-    coeffs = [0] * (full + 1)
-    for mask in range(1 << r):
-        size = bin(mask).count("1")
-        coeffs[full - rank[mask]] += (-1) ** size
-    return tuple(coeffs)
+    # the coefficient of t^(full - k) is (-1)^k times the coefficient of
+    # t^k in the arrangement polynomial sum (-1)^|K| (-t)^rank(K)
+    poincare = arrangement_poincare(Matroid.from_local_matroid(table, v))
+    return tuple((-1) ** k * c for k, c in enumerate(poincare))[::-1]

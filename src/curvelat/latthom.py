@@ -21,10 +21,6 @@ from .oslattice import (GradedGroup, Matroid, du_homology,
 from .series import alexander, hv_polynomial, pi_value
 
 
-def _sign(parity):
-    return 1 if parity % 2 == 0 else -1
-
-
 def grv_homology_direct(table, v, u_truncation=None):
     r"""
     Graded piece of lattice homology at v via the local complex.
@@ -65,7 +61,7 @@ def grv_homology_formula(table, v):
     h = table.value(v)
     groups = {}
     for m, c in hv_polynomial(table, v).items():
-        rank = _sign(h + m) * c
+        rank = (-1) ** (h + m) * c
         if rank < 0:
             raise ConsistencyError(
                 "q coefficient at %s has the wrong sign" % (v,))
@@ -103,7 +99,8 @@ def euler_check(table, box=None):
         box = tuple(c + 1 for c in table.invariants.conductor)
     for v in box_points(box):
         groups = grv_homology_formula(table, v)
-        chi = sum(_sign(q) * rank for q, (rank, _) in groups.groups.items())
+        chi = sum((-1) ** (q % 2) * rank
+                  for q, (rank, _) in groups.groups.items())
         if chi != pi_value(table, v):
             raise ConsistencyError(
                 "Euler characteristic at %s does not match the "
@@ -175,7 +172,7 @@ def sk_homology(table, u, k, box=None):
                 rest = tuple(a for a in dirs if a != axis)
                 far = tuple(w[i] + (1 if i == axis else 0)
                             for i in range(r))
-                s = _sign(pos)
+                s = (-1) ** pos
                 mat[lower[(far, rest)]][col] += s
                 mat[lower[(w, rest)]][col] -= s
         boundaries[q] = mat
@@ -318,7 +315,7 @@ def r1_structure(table, bound=None):
 R2Case = namedtuple("R2Case", ["label", "pattern", "groups"])
 
 
-def r2_classify(table, v):
+def r2_classify(table, v, groups):
     r"""
     Classify the local jump pattern of a two-branch curve at v and
     return the graded piece it forces.
@@ -328,8 +325,9 @@ def r2_classify(table, v):
     give: cases a, b, c (not in the semigroup) zero homology; case d
     one copy of Z in degree -2 h(v); case e two copies, in degrees
     -2 h(v) and -1 - 2 h(v).  Any other pattern raises
-    UnclassifiablePattern, and a mismatch with the computed graded
-    piece raises ConsistencyError.
+    UnclassifiablePattern, and a forced piece that differs from groups,
+    the graded piece computed at v (see grv_homology), raises
+    ConsistencyError.
 
     Returns
     -------
@@ -343,23 +341,22 @@ def r2_classify(table, v):
     diag = table.value((v[0] + 1, v[1] + 1)) - h
     pattern = (s1, s2, diag)
     if pattern == (0, 0, 0):
-        label, groups = "a", GradedGroup({})
+        label, forced = "a", GradedGroup({})
     elif pattern == (0, 1, 1):
-        label, groups = "b", GradedGroup({})
+        label, forced = "b", GradedGroup({})
     elif pattern == (1, 0, 1):
-        label, groups = "c", GradedGroup({})
+        label, forced = "c", GradedGroup({})
     elif pattern == (1, 1, 1):
-        label, groups = "d", GradedGroup({-2 * h: (1, ())})
+        label, forced = "d", GradedGroup({-2 * h: (1, ())})
     elif pattern == (1, 1, 2):
-        label, groups = "e", GradedGroup({-2 * h: (1, ()),
+        label, forced = "e", GradedGroup({-2 * h: (1, ()),
                                           -1 - 2 * h: (1, ())})
     else:
         raise UnclassifiablePattern(
             "jump pattern %s at %s is not one of the five admissible "
             "local shapes" % (pattern, v))
-    computed = grv_homology(table, v)
-    if computed != groups:
+    if groups != forced:
         raise ConsistencyError(
             "graded piece at %s does not match its classified case %s"
             % (v, label))
-    return R2Case(label, pattern, groups)
+    return R2Case(label, pattern, forced)

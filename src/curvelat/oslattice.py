@@ -51,12 +51,12 @@ class Matroid:
     @classmethod
     def boolean(cls, n):
         r"""Free matroid: every subset is independent."""
-        return cls(n, {m: bin(m).count("1") for m in range(1 << n)})
+        return cls(n, {m: m.bit_count() for m in range(1 << n)})
 
     @classmethod
     def uniform(cls, n, r):
         r"""Uniform matroid: rank is cardinality capped at r."""
-        return cls(n, {m: min(bin(m).count("1"), r) for m in range(1 << n)})
+        return cls(n, {m: min(m.bit_count(), r) for m in range(1 << n)})
 
     @classmethod
     def generic_lines(cls, n):
@@ -65,23 +65,20 @@ class Matroid:
 
     @classmethod
     def from_local_matroid(cls, table, v):
-        r"""Wrap the local rank function of a Hilbert table at v."""
+        r"""Local matroid at v; axiom failures raise ConsistencyError."""
         from .hilbert import local_matroid
 
         rank = local_matroid(table, v)
-        return cls(len(v), rank)
-
-    def subset_rank(self, elements):
-        mask = 0
-        for e in elements:
-            mask |= 1 << e
-        return self.rank[mask]
+        try:
+            return cls(len(v), rank)
+        except ValueError as exc:
+            raise ConsistencyError("local matroid at %s: %s" % (v, exc))
 
     def full_rank(self):
         return self.rank[(1 << self.n) - 1]
 
     def is_independent(self, mask):
-        return self.rank[mask] == bin(mask).count("1")
+        return self.rank[mask] == mask.bit_count()
 
 
 class GradedGroup:
@@ -210,7 +207,7 @@ def arrangement_poincare(matroid):
     """
     coeffs = [0] * (matroid.full_rank() + 1)
     for mask in range(1 << matroid.n):
-        size = bin(mask).count("1")
+        size = mask.bit_count()
         rk = matroid.rank[mask]
         coeffs[rk] += (-1) ** size * (-1) ** rk
     return tuple(coeffs)
@@ -251,7 +248,7 @@ def _du_basis_and_boundaries(matroid, n_trunc):
     # basis element: (mask, m) = U^m z_K, degree |K| - 2(m + rank K)
     by_degree = {}
     for mask in range(1 << matroid.n):
-        size = bin(mask).count("1")
+        size = mask.bit_count()
         rk = matroid.rank[mask]
         for m in range(n_trunc):
             q = size - 2 * (m + rk)

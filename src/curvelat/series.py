@@ -10,7 +10,7 @@ box; series in the t variables alone keep m = 0 everywhere.
 """
 
 from .errors import ConsistencyError, PolynomialityViolation, SupportViolation
-from .hilbert import box_points, build_table, invariants
+from .hilbert import box_points
 
 
 class BoxSeries:
@@ -77,10 +77,6 @@ def canonical_str(series):
     return " ".join(parts)
 
 
-def _subsets(r):
-    return range(1 << r)
-
-
 def _shift(v, mask):
     return tuple(c + (1 if mask >> i & 1 else 0) for i, c in enumerate(v))
 
@@ -98,8 +94,8 @@ def pi_value(table, v):
     """
     r = len(v)
     total = 0
-    for mask in _subsets(r):
-        sign = 1 if bin(mask).count("1") % 2 else -1
+    for mask in range(1 << r):
+        sign = 1 if mask.bit_count() % 2 else -1
         total += sign * table.value(_shift(v, mask))
     return total
 
@@ -162,8 +158,8 @@ def hv_polynomial(table, v):
     """
     r = len(v)
     num = {}
-    for mask in _subsets(r):
-        size = bin(mask).count("1")
+    for mask in range(1 << r):
+        size = mask.bit_count()
         e = table.value(_shift(v, mask))
         num[e] = num.get(e, 0) + (-1) ** size
     out = {}
@@ -216,8 +212,8 @@ def motivic_normalized(table, margin=2):
     g = motivic_series(table, wide)
     coeffs = {}
     for (v, m), c in g.coeffs.items():
-        for mask in _subsets(r):
-            size = bin(mask).count("1")
+        for mask in range(1 << r):
+            size = mask.bit_count()
             w = _shift(v, mask)
             if all(a <= b for a, b in zip(w, wide)):
                 key = (w, m + size)
@@ -279,18 +275,18 @@ def alexander(table, margin=2):
     return BoxSeries(r, tuple(c - 1 for c in l), coeffs)
 
 
-def torres_restriction_check(table, remove=0, box=None):
+def torres_restriction_check(table, sub_tables):
     r"""
-    Verify that dropping branch `remove` matches the restriction
-    identity: the full pi series evaluated at t_remove = 1, multiplied
-    by the geometric series in the single monomial whose exponent on
-    each remaining branch j is the intersection of branch remove with
-    branch j, equals the pi series of the subcurve, on the whole
-    comparison box.
+    Verify the restriction identity for every branch rho: the full pi
+    series evaluated at t_rho = 1, multiplied by the geometric series
+    in the single monomial whose exponent on each remaining branch j
+    is the intersection of branch rho with branch j, equals the pi
+    series of the curve without branch rho, on the comparison box (that
+    subcurve's conductor plus 2).
 
-    The full series is read off the given HilbertTable; the subcurve
-    gets its own table over the comparison box, which defaults to the
-    subcurve conductor plus 2.
+    Both sides are read off the given tables: the full series once off
+    table, and sub_tables[rho] must be the table of the curve without
+    branch rho, otherwise ValueError is raised.
 
     Returns True, or raises ConsistencyError.
     """
@@ -298,25 +294,29 @@ def torres_restriction_check(table, remove=0, box=None):
     r = inv.r
     if r < 2:
         raise ValueError("restriction needs at least two branches")
-    keep = [i for i in range(r) if i != remove]
-    sub = table.curve.subcurve(keep)
-    if box is None:
-        box = tuple(c + 2 for c in invariants(sub).conductor)
-    lhs = poincare_from_hilbert(build_table(sub, box), box)
+    branches = table.curve.branches
+    if ([sub.curve.branches for sub in sub_tables]
+            != [branches[:i] + branches[i + 1:] for i in range(r)]):
+        raise ValueError("sub_tables[rho] must be the table of the curve "
+                         "without branch rho")
     full = alexander(table)
-    collapsed = {}
-    for (v, _m), c in full.coeffs.items():
-        w = tuple(v[i] for i in keep)
-        collapsed[w] = collapsed.get(w, 0) + c
-    values = {w: collapsed.get(w, 0) for w in box_points(box)}
-    shift = tuple(inv.pairwise[remove][j] for j in keep)
-    for w in sorted(values, key=sum):
-        prev = tuple(a - s for a, s in zip(w, shift))
-        if all(a >= 0 for a in prev):
-            values[w] += values[prev]
-    for w in box_points(box):
-        if values[w] != lhs.coefficient(w):
-            raise ConsistencyError(
-                "restriction identity fails at %s: %d vs %d"
-                % (w, values[w], lhs.coefficient(w)))
+    for remove, sub in enumerate(sub_tables):
+        keep = [i for i in range(r) if i != remove]
+        box = tuple(c + 2 for c in sub.invariants.conductor)
+        lhs = poincare_from_hilbert(sub, box)
+        collapsed = {}
+        for (v, _m), c in full.coeffs.items():
+            w = tuple(v[i] for i in keep)
+            collapsed[w] = collapsed.get(w, 0) + c
+        values = {w: collapsed.get(w, 0) for w in box_points(box)}
+        shift = tuple(inv.pairwise[remove][j] for j in keep)
+        for w in sorted(values, key=sum):
+            prev = tuple(a - s for a, s in zip(w, shift))
+            if all(a >= 0 for a in prev):
+                values[w] += values[prev]
+        for w in box_points(box):
+            if values[w] != lhs.coefficient(w):
+                raise ConsistencyError(
+                    "restriction identity fails at %s: %d vs %d"
+                    % (w, values[w], lhs.coefficient(w)))
     return True

@@ -276,7 +276,7 @@ def test_criterion_11_r2_classification():
         table = build_table(corpus_curve(name))
         box = _plus(table.invariants.conductor, 2)
         for v in _box_points(box):
-            case = r2_classify(table, v)
+            case = r2_classify(table, v, grv_homology(table, v))
             labels_seen.add(case.label)
             assert case.label in "abcde", (name, v)
             member = table.in_semigroup(v)

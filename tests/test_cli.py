@@ -11,6 +11,7 @@ import pytest
 from conftest import CORPUS, corpus_path
 
 import curvelat.hilbert
+import curvelat.latthom
 from curvelat.cli import load_curve, main
 from curvelat.errors import CurveSchemaError
 
@@ -206,10 +207,19 @@ def test_verify_passes_whole_corpus(capsys):
         assert "ok graded-homology" in out
 
 
-@pytest.mark.parametrize("name, distinct", [("triple", 10), ("d5", 5)])
+def _rebind(monkeypatch, original, replacement):
+    # every curvelat module that imported original gets the replacement
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("curvelat"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize("name, distinct", [("triple", 7), ("d5", 3)])
 def test_verify_builds_each_table_once(capsys, monkeypatch, name, distinct):
-    # a table is identified by its branch objects and its stored corner;
-    # every module that imported build_table gets the counting wrapper
+    # one table per nonempty branch subset, identified by its branch
+    # objects and its stored corner
     original = curvelat.hilbert.build_table
     keys = []
 
@@ -218,14 +228,26 @@ def test_verify_builds_each_table_once(capsys, monkeypatch, name, distinct):
         keys.append((tuple(id(b) for b in curve.branches), table.corner))
         return table
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("curvelat"):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+    _rebind(monkeypatch, original, counting)
     code, _, _ = _run(capsys, ["verify", corpus_path(name)])
     assert code == 0
     assert len(keys) == len(set(keys)) == distinct
+
+
+def test_verify_computes_each_graded_piece_once(capsys, monkeypatch):
+    # d5 has conductor (2, 4): one grv_homology call per point of the
+    # 5 x 7 box up to conductor + 2, shared by the two-branch cases
+    original = curvelat.latthom.grv_homology
+    points = []
+
+    def counting(table, v, *args, **kwargs):
+        points.append(v)
+        return original(table, v, *args, **kwargs)
+
+    _rebind(monkeypatch, original, counting)
+    code, _, _ = _run(capsys, ["verify", corpus_path("d5")])
+    assert code == 0
+    assert len(points) == len(set(points)) == 35
 
 
 def test_missing_file(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, reject, settings
@@ -30,6 +31,7 @@ from oracles import (
     REFERENCE_D5,
     REFERENCE_D5_SEMIGROUP,
     h_a_odd,
+    numerical_semigroup,
 )
 
 
@@ -73,6 +75,53 @@ def test_invariants_milnor_relation():
         inv = invariants(corpus_curve(name))
         assert inv.mu == 2 * inv.delta - inv.r + 1
         assert sum(inv.conductor) == 2 * inv.delta
+
+
+# ---------------------------------------------------------------------------
+# families with closed-form invariants
+
+
+def _monomial_branch(x, y, truncation):
+    # (c t^n, d t^m) from x = (c, n) and y = (d, m)
+    return BranchParametrization(TruncSeries({x[1]: x[0]}, truncation),
+                                 TruncSeries({y[1]: y[0]}, truncation))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(2, 7))
+       .filter(lambda pq: gcd(*pq) == 1))
+def test_monomial_branch_has_two_generator_semigroup(pq):
+    p, q = pq
+    c = (p - 1) * (q - 1)
+    curve = Curve([_monomial_branch((1, p), (1, q), c + p + q + 2)])
+    inv = invariants(curve)
+    assert inv.delta == c // 2
+    assert inv.conductor == (c,)
+    members = {v for (v,) in semigroup(build_table(curve))}
+    assert members == numerical_semigroup((p, q), c + 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True))
+def test_distinct_lines_delta_and_milnor(slopes):
+    r = len(slopes)
+    inv = invariants(Curve([_monomial_branch((1, 1), (a, 1), 8)
+                            for a in slopes]))
+    assert inv.delta == r * (r - 1) // 2
+    assert inv.mu == (r - 1) ** 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(-3, 3), st.integers(-3, 3))
+def test_tangent_smooth_pair_matches_a_odd(k, a, b):
+    # (t, a t^k) and (t, b t^k) form an A_(2k-1) singularity
+    if a == b:
+        b = a + 4
+    t = build_table(Curve([_monomial_branch((1, 1), (a, k), 2 * k + 4),
+                           _monomial_branch((1, 1), (b, k), 2 * k + 4)]))
+    assert t.invariants.conductor == (k, k)
+    for v in box_points(t.corner):
+        assert t.value(v) == h_a_odd(k, *v)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +313,16 @@ def test_symmetry_all_corpus():
 
 def test_large_n_steps_all_corpus():
     for name in CORPUS:
-        assert large_n_step_check(corpus_curve(name)) is True
+        assert large_n_step_check(build_table(corpus_curve(name))) is True
+
+
+def test_value_rejects_wrong_length_points():
+    # a point is never truncated to, or padded out to, the branch count
+    t = build_table(corpus_curve("d5"))
+    assert t.value((1, 3)) == 2
+    for v in [(1, 3, 7), (1,)]:
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            t.value(v)
 
 
 def test_symmetry_detects_corruption():

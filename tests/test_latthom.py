@@ -202,23 +202,27 @@ def test_r1_structure_rejects_multibranch():
         r1_structure(_table("a3"))
 
 
+def _classify(table, v):
+    return r2_classify(table, v, grv_homology(table, v))
+
+
 def test_r2_classify_pins_a3():
     table = _table("a3")
-    assert r2_classify(table, (0, 0)).label == "d"
-    assert r2_classify(table, (1, 1)).label == "d"
-    assert r2_classify(table, (2, 2)).label == "e"
-    assert r2_classify(table, (1, 0)).label == "c"
-    assert r2_classify(table, (0, 1)).label == "b"
-    assert r2_classify(table, (3, 3)).label == "e"
-    assert r2_classify(table, (2, 2)).groups == GradedGroup(
+    assert _classify(table, (0, 0)).label == "d"
+    assert _classify(table, (1, 1)).label == "d"
+    assert _classify(table, (2, 2)).label == "e"
+    assert _classify(table, (1, 0)).label == "c"
+    assert _classify(table, (0, 1)).label == "b"
+    assert _classify(table, (3, 3)).label == "e"
+    assert _classify(table, (2, 2)).groups == GradedGroup(
         {-4: (1, ()), -5: (1, ())})
 
 
 def test_r2_classify_pins_d5():
     table = _table("d5")
-    assert r2_classify(table, (0, 1)).label == "a"
-    assert r2_classify(table, (2, 4)).label == "e"
-    assert r2_classify(table, (1, 3)).label == "d"
+    assert _classify(table, (0, 1)).label == "a"
+    assert _classify(table, (2, 4)).label == "e"
+    assert _classify(table, (1, 3)).label == "d"
 
 
 def test_r2_sweep_consistency():
@@ -227,7 +231,7 @@ def test_r2_sweep_consistency():
         table = _table(name)
         box = tuple(c + 2 for c in table.invariants.conductor)
         for v in _points(box):
-            case = r2_classify(table, v)
+            case = _classify(table, v)
             seen.add(case.label)
             assert (case.label in ("d", "e")) == table.in_semigroup(v)
             conductor = table.invariants.conductor
@@ -238,9 +242,9 @@ def test_r2_sweep_consistency():
 
 def test_r2_classify_rejects_wrong_branch_count():
     with pytest.raises(ValueError):
-        r2_classify(_table("cusp"), (1,))
+        r2_classify(_table("cusp"), (1,), GradedGroup({}))
     with pytest.raises(ValueError):
-        r2_classify(_table("triple"), (1, 1, 1))
+        r2_classify(_table("triple"), (1, 1, 1), GradedGroup({}))
 
 
 class _FakeTable(object):
@@ -256,12 +260,10 @@ def test_r2_unclassifiable_pattern():
     fake = _FakeTable(corpus_curve("a3"),
                       {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3})
     with pytest.raises(UnclassifiablePattern):
-        r2_classify(fake, (0, 0))
+        r2_classify(fake, (0, 0), GradedGroup({}))
 
 
-def test_r2_case_mismatch_raises(monkeypatch):
+def test_r2_case_mismatch_raises():
     table = _table("a3")
-    monkeypatch.setattr(latthom, "grv_homology",
-                        lambda t, v: GradedGroup({0: (5, ())}))
     with pytest.raises(ConsistencyError):
-        r2_classify(table, (1, 1))
+        r2_classify(table, (1, 1), GradedGroup({0: (5, ())}))

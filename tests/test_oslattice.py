@@ -6,6 +6,7 @@ from conftest import corpus_curve
 
 from curvelat.errors import ConsistencyError
 from curvelat.hilbert import build_table
+from curvelat.latthom import grv_homology
 from curvelat.oslattice import (GradedGroup, Matroid, OSComplex,
                                 arrangement_poincare, d0_structure_checks,
                                 du_homology, homology_from_boundaries,
@@ -49,15 +50,15 @@ def _corpus_local_matroids():
 def test_boolean_matroid_ranks():
     m = Matroid.boolean(3)
     assert m.full_rank() == 3
-    assert m.subset_rank([0, 2]) == 2
+    assert m.rank[0b101] == 2
     assert m.is_independent(0b111)
 
 
 def test_uniform_matroid_ranks():
     m = Matroid.uniform(4, 2)
     assert m.full_rank() == 2
-    assert m.subset_rank([1]) == 1
-    assert m.subset_rank([0, 1, 3]) == 2
+    assert m.rank[0b10] == 1
+    assert m.rank[0b1011] == 2
     assert not m.is_independent(0b111)
     assert m.is_independent(0b101)
 
@@ -88,6 +89,15 @@ def test_from_local_matroid_pins():
             == Matroid.uniform(3, 2).rank)
     assert (Matroid.from_local_matroid(tri, (0, 0, 0)).rank
             == Matroid.uniform(3, 1).rank)
+
+
+def test_corrupted_table_breaks_the_local_matroid():
+    # h rising by 2 in one unit step is no matroid rank: the axiom
+    # check in Matroid surfaces as a ConsistencyError naming the point
+    table = build_table(corpus_curve("a3"))
+    table.values[(2, 1)] += 1
+    with pytest.raises(ConsistencyError, match=r"local matroid at \(1, 1\)"):
+        grv_homology(table, (1, 1))
 
 
 def test_arrangement_poincare_pins():

@@ -1,6 +1,6 @@
 import pytest
 
-from curvelat.errors import SupportViolation
+from curvelat.errors import ConsistencyError, SupportViolation
 from curvelat.hilbert import build_table, invariants
 from curvelat.series import (
     BoxSeries,
@@ -301,13 +301,41 @@ def test_alexander_support_guard():
 # restriction identity
 
 
+def _without_each_branch(table):
+    # sub_tables[rho] is the table of the curve without branch rho
+    r = table.curve.r
+    return [build_table(table.curve.subcurve([i for i in range(r)
+                                              if i != rho]))
+            for rho in range(r)]
+
+
 def test_restriction_all_corpus_pairs():
     for name in ["a3", "a5", "a7", "d5", "triple"]:
         table = _table(name)
-        for i in range(table.curve.r):
-            assert torres_restriction_check(table, remove=i) is True
+        sub_tables = _without_each_branch(table)
+        assert torres_restriction_check(table, sub_tables) is True
 
 
 def test_restriction_rejects_single_branch():
     with pytest.raises(ValueError):
-        torres_restriction_check(_table("cusp"))
+        torres_restriction_check(_table("cusp"), [])
+
+
+def test_restriction_rejects_mismatched_sub_tables():
+    table = _table("triple")
+    sub_tables = _without_each_branch(table)
+    other = build_table(corpus_curve("triple"))
+    # swapped, missing, or of equal but not the same branches
+    for bad_table, bad_subs in [(table, [sub_tables[i] for i in (0, 2, 1)]),
+                                (table, sub_tables[:2]),
+                                (other, sub_tables)]:
+        with pytest.raises(ValueError, match="without branch rho"):
+            torres_restriction_check(bad_table, bad_subs)
+
+
+def test_restriction_detects_a_wrong_sub_table_value():
+    table = _table("d5")
+    sub_tables = _without_each_branch(table)
+    sub_tables[0].values[(1,)] += 1
+    with pytest.raises(ConsistencyError, match="restriction identity"):
+        torres_restriction_check(table, sub_tables)
