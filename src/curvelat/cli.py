@@ -81,6 +81,13 @@ def _parse_point(text):
             "expected comma-separated integers, got %r" % text)
 
 
+def _parse_box(text, r):
+    box = _parse_point(text)
+    if len(box) != r or any(b < 0 for b in box):
+        raise ValueError("--box needs %d nonnegative coordinates" % r)
+    return box
+
+
 def _point_key(v):
     return ",".join(str(a) for a in v)
 
@@ -166,10 +173,7 @@ def _cmd_hilbert(args):
     if args.box is None:
         box = tuple(c + 2 for c in inv.conductor)
     else:
-        box = _parse_point(args.box)
-        if len(box) != curve.r or any(b < 0 for b in box):
-            raise ValueError("--box needs %d nonnegative coordinates"
-                             % curve.r)
+        box = _parse_box(args.box, curve.r)
     table = build_table(curve, box)
     values = {v: table.value(v) for v in box_points(box)}
     if args.format == "json":
@@ -197,10 +201,7 @@ def _cmd_semigroup(args):
     if args.box is None:
         box = tuple(c + 1 for c in inv.conductor)
     else:
-        box = _parse_point(args.box)
-        if len(box) != curve.r or any(b < 0 for b in box):
-            raise ValueError("--box needs %d nonnegative coordinates"
-                             % curve.r)
+        box = _parse_box(args.box, curve.r)
     members = semigroup(build_table(curve, box), box)
     if args.format == "json":
         _print_json({"box": list(box),
@@ -259,10 +260,7 @@ def _cmd_homology(args):
         else:
             print(_render_groups(groups))
         return 0
-    box = _parse_point(args.box)
-    if len(box) != curve.r or any(b < 0 for b in box):
-        raise ValueError("--box needs %d nonnegative coordinates"
-                         % curve.r)
+    box = _parse_box(args.box, curve.r)
     points = {v: grv_homology(table, v) for v in box_points(box)}
     if args.format == "json":
         _print_json({"box": list(box),

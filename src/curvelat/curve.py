@@ -18,6 +18,7 @@ point, so nothing global about the polynomial curves enters.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 from .errors import (
     ConsistencyError,
@@ -162,11 +163,13 @@ def h_oracle(curve, v):
     ------
     InsufficientTruncation
         If some clamped coordinate exceeds the series truncation.
+    TypeError
+        If some coordinate is not an integer.
     """
     if len(v) != curve.r:
         raise ValueError("expected %d coordinates, got %d"
                          % (curve.r, len(v)))
-    v = tuple(max(int(c), 0) for c in v)
+    v = tuple(max(index(c), 0) for c in v)
     m = max(v)
     if m == 0:
         return 0

@@ -15,6 +15,7 @@ elsewhere) over the whole box.  Any mismatch raises ConsistencyError.
 from collections import namedtuple
 from itertools import product
 from math import gcd
+from operator import index
 
 from .curve import branch_delta, h_oracle, intersection_multiplicity
 from .errors import ConsistencyError
@@ -107,7 +108,7 @@ class HilbertTable:
         if len(v) != len(self.corner):
             raise ValueError("expected %d coordinates, got %d"
                              % (len(self.corner), len(v)))
-        v = tuple(max(int(c), 0) for c in v)
+        v = tuple(max(index(c), 0) for c in v)
         clipped = tuple(min(c, m) for c, m in zip(v, self.corner))
         extra = sum(c - m for c, m in zip(v, clipped))
         return self.values[clipped] + extra
@@ -117,11 +118,19 @@ class HilbertTable:
         ahead = [c + 1 if j == i else c for j, c in enumerate(v)]
         return self.value(ahead) - self.value(v)
 
+    def cube(self, v):
+        r"""h(v + e_K) for every bitmask K, where bit j adds e_j."""
+        return [self.value([c + (mask >> j & 1) for j, c in enumerate(v)])
+                for mask in range(1 << len(v))]
+
     def in_semigroup(self, v):
         r"""True when every coordinate step at v equals 1."""
         if any(c < 0 for c in v):
             return False
-        return all(self.step(v, i) == 1 for i in range(len(v)))
+        h = self.value(v)
+        return all(self.value([c + 1 if j == i else c
+                               for j, c in enumerate(v)]) == h + 1
+                   for i in range(len(v)))
 
 
 def _spot_check(curve, values, corner):
@@ -236,7 +245,7 @@ def build_table(curve, box=None):
     l = inv.conductor
     if box is None:
         box = l
-    box = tuple(max(int(b), 0) for b in box)
+    box = tuple(max(index(b), 0) for b in box)
     bound = tuple(max(b, c) for b, c in zip(box, l))
     corner = tuple(b + 2 for b in bound)
     below = _fill_to_conductor(curve, l)
@@ -326,23 +335,22 @@ def large_n_step_check(table):
 
 def local_matroid(table, v):
     r"""
-    Rank function of the local matroid at v: for each subset K of
-    branch indices (as a bitmask), rank(K) = h(v + e_K) - h(v).
+    The local matroid at v: a subset K of branch indices (a bitmask)
+    has rank h(v + e_K) - h(v).
 
-    Only reads the ranks; Matroid.from_local_matroid checks the matroid
-    axioms on them.
+    Matroid checks the rank axioms; a failure raises ConsistencyError
+    naming v.
 
     Returns
     -------
-    dict mapping bitmask to rank
+    Matroid
     """
-    r = len(v)
-    base = table.value(v)
-    rank = {}
-    for mask in range(1 << r):
-        w = tuple(v[j] + (1 if mask >> j & 1 else 0) for j in range(r))
-        rank[mask] = table.value(w) - base
-    return rank
+    cube = table.cube(v)
+    try:
+        return Matroid(len(v), {mask: h - cube[0]
+                                for mask, h in enumerate(cube)})
+    except ValueError as exc:
+        raise ConsistencyError("local matroid at %s: %s" % (v, exc))
 
 
 def char_poly(table, v):
@@ -355,5 +363,5 @@ def char_poly(table, v):
     """
     # the coefficient of t^(full - k) is (-1)^k times the coefficient of
     # t^k in the arrangement polynomial sum (-1)^|K| (-t)^rank(K)
-    poincare = arrangement_poincare(Matroid.from_local_matroid(table, v))
+    poincare = arrangement_poincare(local_matroid(table, v))
     return tuple((-1) ** k * c for k, c in enumerate(poincare))[::-1]

@@ -15,9 +15,8 @@ from itertools import product
 
 from .errors import (BoxTooSmall, ConsistencyError, UnclassifiablePattern)
 from .exactalg import rank_rational
-from .hilbert import box_points
-from .oslattice import (GradedGroup, Matroid, du_homology,
-                        homology_from_boundaries)
+from .hilbert import box_points, local_matroid
+from .oslattice import GradedGroup, du_homology, homology_from_boundaries
 from .series import alexander, hv_polynomial, pi_value
 
 
@@ -40,8 +39,7 @@ def grv_homology_direct(table, v, u_truncation=None):
     -------
     GradedGroup
     """
-    matroid = Matroid.from_local_matroid(table, v)
-    base = du_homology(matroid, u_truncation)
+    base = du_homology(local_matroid(table, v), u_truncation)
     shift = -2 * table.value(v)
     return GradedGroup({q + shift: grp for q, grp in base.groups.items()})
 
@@ -88,16 +86,14 @@ def grv_homology(table, v, u_truncation=None):
     return direct
 
 
-def euler_check(table, box=None):
+def euler_check(table):
     r"""
     Verify that the Euler characteristic of the graded piece at every
-    point of the box equals the signed count from the Hilbert table.
+    point of [0, conductor + 1] equals the signed count from the table.
 
     Returns True, or raises ConsistencyError.
     """
-    if box is None:
-        box = tuple(c + 1 for c in table.invariants.conductor)
-    for v in box_points(box):
+    for v in box_points(tuple(c + 1 for c in table.invariants.conductor)):
         groups = grv_homology_formula(table, v)
         chi = sum((-1) ** (q % 2) * rank
                   for q, (rank, _) in groups.groups.items())
@@ -139,22 +135,16 @@ def sk_homology(table, u, k, box=None):
         if any(c < a for c, a in zip(corner, u)):
             raise ValueError("box does not contain the base point")
 
-    vertices = [tuple(p) for p in
-                product(*(range(u[i], corner[i] + 1) for i in range(r)))]
-    for w in vertices:
-        if table.value(w) <= k and any(w[i] == corner[i] for i in range(r)):
+    by_dim = {}
+    for w in product(*(range(u[i], corner[i] + 1) for i in range(r))):
+        cube = table.cube(w)
+        if cube[0] <= k and any(w[i] == corner[i] for i in range(r)):
             raise BoxTooSmall(
                 "sublevel set at level %d reaches the search boundary"
                 % k)
-
-    by_dim = {}
-    for w in vertices:
-        axes = [i for i in range(r) if w[i] + 1 <= corner[i]]
-        for mask in range(1 << len(axes)):
-            dirs = tuple(axes[i] for i in range(len(axes))
-                         if mask >> i & 1)
-            top = tuple(w[i] + (1 if i in dirs else 0) for i in range(r))
-            if table.value(top) <= k:
+        for mask, h in enumerate(cube):
+            dirs = tuple(i for i in range(r) if mask >> i & 1)
+            if h <= k and all(w[i] < corner[i] for i in dirs):
                 by_dim.setdefault(len(dirs), []).append((w, dirs))
     for q in by_dim:
         by_dim[q].sort()
@@ -184,7 +174,7 @@ R1Structure = namedtuple("R1Structure",
                           "e2_a", "e2_alpha"])
 
 
-def r1_structure(table, bound=None):
+def r1_structure(table):
     r"""
     Full structural record for a one-branch curve, read off its
     HilbertTable: the graded pieces, the U-action ranks between
@@ -202,12 +192,10 @@ def r1_structure(table, bound=None):
     Parameters
     ----------
     table : HilbertTable of a one-branch curve
-    bound : int, optional
-        Largest lattice point examined; defaults to mu + 2.
 
     Returns
     -------
-    R1Structure with fields bound, members, hl (dict point to
+    R1Structure with fields bound (mu + 2), members, hl (dict point to
     GradedGroup), u_ranks (dict point to int), e2_a and e2_alpha
     (dicts from surviving point to homological degree).
     """
@@ -215,8 +203,7 @@ def r1_structure(table, bound=None):
         raise ValueError("structure record requires a one-branch curve")
     inv = table.invariants
     mu = inv.mu
-    if bound is None:
-        bound = mu + 2
+    bound = mu + 2
 
     members = tuple(v for v in range(bound + 2)
                     if table.in_semigroup((v,)))
@@ -335,11 +322,8 @@ def r2_classify(table, v, groups):
     """
     if table.curve.r != 2:
         raise ValueError("classification requires a two-branch curve")
-    h = table.value(v)
-    s1 = table.value((v[0] + 1, v[1])) - h
-    s2 = table.value((v[0], v[1] + 1)) - h
-    diag = table.value((v[0] + 1, v[1] + 1)) - h
-    pattern = (s1, s2, diag)
+    h, *ahead = table.cube(v)
+    pattern = tuple(x - h for x in ahead)
     if pattern == (0, 0, 0):
         label, forced = "a", GradedGroup({})
     elif pattern == (0, 1, 1):

@@ -63,17 +63,6 @@ class Matroid:
         r"""n lines in general position through one point of a plane."""
         return cls.uniform(n, min(n, 2))
 
-    @classmethod
-    def from_local_matroid(cls, table, v):
-        r"""Local matroid at v; axiom failures raise ConsistencyError."""
-        from .hilbert import local_matroid
-
-        rank = local_matroid(table, v)
-        try:
-            return cls(len(v), rank)
-        except ValueError as exc:
-            raise ConsistencyError("local matroid at %s: %s" % (v, exc))
-
     def full_rank(self):
         return self.rank[(1 << self.n) - 1]
 

@@ -92,12 +92,8 @@ def pi_value(table, v):
     Alternating sum over all subsets K of branches (the empty set
     included) of (-1)^(|K|-1) h(v + e_K).
     """
-    r = len(v)
-    total = 0
-    for mask in range(1 << r):
-        sign = 1 if mask.bit_count() % 2 else -1
-        total += sign * table.value(_shift(v, mask))
-    return total
+    return sum(h if mask.bit_count() % 2 else -h
+               for mask, h in enumerate(table.cube(v)))
 
 
 def poincare_from_hilbert(table, box):
@@ -156,12 +152,9 @@ def hv_polynomial(table, v):
     dict mapping q-exponent to nonzero integer coefficient; the
     division must be exact, otherwise ConsistencyError is raised.
     """
-    r = len(v)
     num = {}
-    for mask in range(1 << r):
-        size = mask.bit_count()
-        e = table.value(_shift(v, mask))
-        num[e] = num.get(e, 0) + (-1) ** size
+    for mask, e in enumerate(table.cube(v)):
+        num[e] = num.get(e, 0) + (-1) ** mask.bit_count()
     out = {}
     acc = 0
     top = max(num)
@@ -193,22 +186,20 @@ def motivic_series(table, box):
     return BoxSeries(r, box, coeffs)
 
 
-def motivic_normalized(table, margin=2):
+def motivic_normalized(table):
     r"""
     The q-refined series multiplied by the product of (1 - t_i q),
     which collapses it to a polynomial supported in the conductor box.
 
-    The series is computed margin steps past the conductor in every
+    The series is computed two steps past the conductor in every
     direction and any surviving term outside [0, conductor] raises
     PolynomialityViolation; the returned polynomial is supported in
     [0, conductor].
     """
-    if margin < 2:
-        raise ValueError("margin must be at least 2")
     inv = table.invariants
     l = inv.conductor
     r = len(l)
-    wide = tuple(c + margin for c in l)
+    wide = tuple(c + 2 for c in l)
     g = motivic_series(table, wide)
     coeffs = {}
     for (v, m), c in g.coeffs.items():
@@ -220,7 +211,7 @@ def motivic_normalized(table, margin=2):
                 coeffs[key] = coeffs.get(key, 0) + (-1) ** size * c
     # terms at the outer rim carry truncation noise from the factors,
     # so only the band strictly inside the computed box is meaningful
-    trusted = tuple(c + margin - 1 for c in l)
+    trusted = tuple(c + 1 for c in l)
     result = {}
     for (v, m), c in coeffs.items():
         if c == 0 or any(a > b for a, b in zip(v, trusted)):
@@ -233,16 +224,16 @@ def motivic_normalized(table, margin=2):
     return BoxSeries(r, l, result)
 
 
-def alexander(table, margin=2):
+def alexander(table):
     r"""
     The annihilating polynomial of the curve, read off the given
     HilbertTable.
 
     For one branch this is the pi series times (1 - t): supported in
-    [0, mu], palindromic, and it is checked to vanish for margin steps
+    [0, mu], palindromic, and it is checked to vanish for two steps
     beyond mu.  For several branches it is the pi series itself, which
     is a polynomial supported in [0, conductor - 1]; the support check
-    runs margin steps past the conductor.  Violations raise
+    runs two steps past the conductor.  Violations raise
     SupportViolation.
     """
     inv = table.invariants
@@ -250,7 +241,7 @@ def alexander(table, margin=2):
     r = inv.r
     if r == 1:
         mu = inv.mu
-        wide = mu + margin
+        wide = mu + 2
         pis = [pi_value(table, (v,)) for v in range(wide + 1)]
         coeffs = {}
         for k in range(wide + 1):
@@ -262,7 +253,7 @@ def alexander(table, margin=2):
                         "past mu = %d" % (k, mu))
                 coeffs[((k,), 0)] = c
         return BoxSeries(1, (mu,), coeffs)
-    wide = tuple(c + margin for c in l)
+    wide = tuple(c + 2 for c in l)
     coeffs = {}
     for v in box_points(wide):
         c = pi_value(table, v)

@@ -9,10 +9,11 @@ those tables, and none builds one of its own.
 
 from .errors import ConsistencyError
 from .hilbert import (box_points, build_table, invariants,
-                      large_n_step_check, semigroup, symmetry_check)
+                      large_n_step_check, local_matroid, semigroup,
+                      symmetry_check)
 from .latthom import (euler_check, grv_homology, r1_structure,
                       r2_classify, sk_homology)
-from .oslattice import GradedGroup, Matroid, d0_structure_checks
+from .oslattice import GradedGroup, d0_structure_checks
 from .series import (alexander, hilbert_from_poincare, motivic_normalized,
                      poincare_from_hilbert, torres_restriction_check)
 
@@ -109,7 +110,7 @@ def run(curve, deep=False):
     zero = (0,) * curve.r
     mid = tuple(c // 2 for c in inv.conductor)
     for v in (zero, mid, inv.conductor):
-        d0_structure_checks(Matroid.from_local_matroid(table, v))
+        d0_structure_checks(local_matroid(table, v))
     yield ("ok", "arrangement-structure")
     levels = 5 if deep else 3
     for k in range(levels):

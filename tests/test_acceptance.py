@@ -28,6 +28,7 @@ from curvelat import (
     grv_homology_formula,
     hilbert_from_poincare,
     hv_polynomial,
+    local_matroid,
     motivic_normalized,
     os_homology,
     pi_value,
@@ -212,7 +213,7 @@ def test_criterion_09_arrangement_suite():
         table = build_table(corpus_curve(name))
         box = _plus(table.invariants.conductor, 1)
         for v in _box_points(box):
-            m = Matroid.from_local_matroid(table, v)
+            m = local_matroid(table, v)
             key = (m.n, tuple(sorted(m.rank.items())))
             if key not in seen:
                 seen.add(key)

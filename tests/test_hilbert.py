@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -325,6 +326,36 @@ def test_value_rejects_wrong_length_points():
             t.value(v)
 
 
+def test_non_integer_coordinates_are_refused():
+    # (1.9, 3.9) must not be read as (1, 3), where h = 2
+    curve = corpus_curve("d5")
+    t = build_table(curve)
+    for v in [(1.9, 3.9), (Fraction(3, 2), 3)]:
+        with pytest.raises(TypeError):
+            t.value(v)
+        with pytest.raises(TypeError):
+            h_oracle(curve, v)
+    with pytest.raises(TypeError):
+        build_table(curve, (2.5, 4))
+
+
+@pytest.mark.parametrize("name", ["d5", "triple"])
+def test_cube_bit_j_adds_e_j(name):
+    # entry K of the cube is h(v + e_K) with bit j of K adding e_j, at a
+    # point inside the box, one beyond the stored corner and one with a
+    # negative coordinate
+    t = build_table(corpus_curve(name))
+    r = len(t.corner)
+    inside = tuple(range(1, r + 1))
+    beyond = tuple(c + j for j, c in enumerate(t.corner))
+    for v in [inside, beyond, (-1,) + inside[1:]]:
+        cube = t.cube(v)
+        assert len(cube) == 1 << r
+        for bits in product((0, 1), repeat=r):
+            mask = sum(b << j for j, b in enumerate(bits))
+            assert cube[mask] == t.value([c + b for c, b in zip(v, bits)])
+
+
 def test_symmetry_detects_corruption():
     t = build_table(corpus_curve("a3"), (2, 2))
     t.values[(1, 0)] += 1
@@ -339,7 +370,7 @@ def test_symmetry_detects_corruption():
 def test_local_matroid_parallel_point():
     # at (1,1) both singletons are dependent on each other: rank 1
     t = build_table(corpus_curve("a3"), (4, 4))
-    rank = local_matroid(t, (1, 1))
+    rank = local_matroid(t, (1, 1)).rank
     assert rank[0] == 0
     assert rank[1] == 1 and rank[2] == 1
     assert rank[3] == 1
@@ -347,7 +378,7 @@ def test_local_matroid_parallel_point():
 
 def test_local_matroid_far_point_is_free():
     t = build_table(corpus_curve("d5"), (5, 5))
-    rank = local_matroid(t, (2, 4))
+    rank = local_matroid(t, (2, 4)).rank
     assert rank[3] == 2
 
 

@@ -247,20 +247,12 @@ def test_r2_classify_rejects_wrong_branch_count():
         r2_classify(_table("triple"), (1, 1, 1), GradedGroup({}))
 
 
-class _FakeTable(object):
-    def __init__(self, curve, values):
-        self.curve = curve
-        self._values = values
-
-    def value(self, v):
-        return self._values[tuple(v)]
-
-
 def test_r2_unclassifiable_pattern():
-    fake = _FakeTable(corpus_curve("a3"),
-                      {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3})
+    # h jumping by 3 across one unit square is no admissible shape
+    table = _table("a3")
+    table.values[(1, 1)] = 3
     with pytest.raises(UnclassifiablePattern):
-        r2_classify(fake, (0, 0), GradedGroup({}))
+        r2_classify(table, (0, 0), GradedGroup({}))
 
 
 def test_r2_case_mismatch_raises():

@@ -1,0 +1,56 @@
+"""The package's modules form a layered DAG: each imports only earlier ones."""
+
+import ast
+import os
+
+import curvelat
+
+# each module may import only modules listed before it; the package
+# root and the __main__ entry point sit on top of everything
+ORDER = ["errors", "exactalg", "curve", "oslattice", "hilbert", "series",
+         "latthom", "verify", "cli", "__main__", "__init__"]
+
+SRC = os.path.dirname(curvelat.__file__)
+
+
+def _imported_modules(tree):
+    # intra-package targets of every import statement at any depth
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                yield node.module.split(".")[0]
+            elif node.level == 1:
+                for alias in node.names:
+                    yield alias.name
+            elif node.level == 0 and node.module:
+                parts = node.module.split(".")
+                if parts[0] == "curvelat" and len(parts) > 1:
+                    yield parts[1]
+                elif parts[0] == "curvelat":
+                    for alias in node.names:
+                        yield alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "curvelat" and len(parts) > 1:
+                    yield parts[1]
+
+
+def _sources():
+    return sorted(name[:-3] for name in os.listdir(SRC)
+                  if name.endswith(".py"))
+
+
+def test_every_module_has_a_layer():
+    assert sorted(ORDER) == _sources()
+
+
+def test_imports_point_to_earlier_layers():
+    for name in _sources():
+        with open(os.path.join(SRC, name + ".py")) as handle:
+            tree = ast.parse(handle.read())
+        for target in _imported_modules(tree):
+            assert ORDER.index(target) < ORDER.index(name), (
+                "%s imports %s, which is not an earlier layer"
+                % (name, target))
+

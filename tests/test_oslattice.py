@@ -5,7 +5,7 @@ import pytest
 from conftest import corpus_curve
 
 from curvelat.errors import ConsistencyError
-from curvelat.hilbert import build_table
+from curvelat.hilbert import build_table, local_matroid
 from curvelat.latthom import grv_homology
 from curvelat.oslattice import (GradedGroup, Matroid, OSComplex,
                                 arrangement_poincare, d0_structure_checks,
@@ -43,7 +43,7 @@ def _corpus_local_matroids():
     for name, v in [("a3", (1, 1)), ("d5", (2, 4)),
                     ("triple", (0, 0, 0)), ("triple", (1, 1, 1))]:
         table = build_table(corpus_curve(name))
-        out.append(Matroid.from_local_matroid(table, v))
+        out.append(local_matroid(table, v))
     return out
 
 
@@ -80,15 +80,13 @@ def test_matroid_validation_rejects_bad_rank_functions():
 
 
 def test_from_local_matroid_pins():
-    a3 = Matroid.from_local_matroid(build_table(corpus_curve("a3")), (1, 1))
+    a3 = local_matroid(build_table(corpus_curve("a3")), (1, 1))
     assert a3.rank == {0: 0, 1: 1, 2: 1, 3: 1}
-    d5 = Matroid.from_local_matroid(build_table(corpus_curve("d5")), (2, 4))
+    d5 = local_matroid(build_table(corpus_curve("d5")), (2, 4))
     assert d5.rank == Matroid.boolean(2).rank
     tri = build_table(corpus_curve("triple"))
-    assert (Matroid.from_local_matroid(tri, (1, 1, 1)).rank
-            == Matroid.uniform(3, 2).rank)
-    assert (Matroid.from_local_matroid(tri, (0, 0, 0)).rank
-            == Matroid.uniform(3, 1).rank)
+    assert local_matroid(tri, (1, 1, 1)).rank == Matroid.uniform(3, 2).rank
+    assert local_matroid(tri, (0, 0, 0)).rank == Matroid.uniform(3, 1).rank
 
 
 def test_corrupted_table_breaks_the_local_matroid():

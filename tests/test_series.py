@@ -226,12 +226,6 @@ def test_motivic_normalized_reflection():
             assert nz.coefficient(w, m + inv.delta - sum(v)) == coeff
 
 
-def test_motivic_normalized_margin_guard():
-    t = build_table(corpus_curve("cusp"), (4,))
-    with pytest.raises(ValueError):
-        motivic_normalized(t, margin=1)
-
-
 # ---------------------------------------------------------------------------
 # annihilating polynomials
 
