@@ -328,7 +328,7 @@ def _build_parser():
 
     p = add("verify", _cmd_verify, "run the self-verification battery")
     p.add_argument("--deep", action="store_true",
-                   help="wider boxes and higher truncations")
+                   help="wider boxes and more sublevel levels")
 
     return parser
 

@@ -20,7 +20,7 @@ from .oslattice import GradedGroup, du_homology, homology_from_boundaries
 from .series import alexander, hv_polynomial, pi_value
 
 
-def grv_homology_direct(table, v, u_truncation=None):
+def grv_homology_direct(table, v):
     r"""
     Graded piece of lattice homology at v via the local complex.
 
@@ -32,14 +32,12 @@ def grv_homology_direct(table, v, u_truncation=None):
     ----------
     table : HilbertTable
     v : tuple of ints
-    u_truncation : int, optional
-        Passed through to the U-extended homology.
 
     Returns
     -------
     GradedGroup
     """
-    base = du_homology(local_matroid(table, v), u_truncation)
+    base = du_homology(local_matroid(table, v))
     shift = -2 * table.value(v)
     return GradedGroup({q + shift: grp for q, grp in base.groups.items()})
 
@@ -67,7 +65,7 @@ def grv_homology_formula(table, v):
     return GradedGroup(groups)
 
 
-def grv_homology(table, v, u_truncation=None):
+def grv_homology(table, v):
     r"""
     Graded piece of lattice homology at v, computed by both the local
     complex and the q-polynomial; any disagreement raises
@@ -77,7 +75,7 @@ def grv_homology(table, v, u_truncation=None):
     -------
     GradedGroup
     """
-    direct = grv_homology_direct(table, v, u_truncation)
+    direct = grv_homology_direct(table, v)
     formula = grv_homology_formula(table, v)
     if direct != formula:
         raise ConsistencyError(
@@ -115,7 +113,7 @@ def sk_homology(table, u, k, box=None):
     table : HilbertTable
     u : tuple of ints, the base point
     k : int, the level
-    box : tuple of ints, optional
+    box : tuple of ints, one per branch, optional
         Absolute corner bounding the search region.  The default is
         large enough to contain the whole complex; if an explicit box
         cuts it off, BoxTooSmall is raised.
@@ -132,6 +130,8 @@ def sk_homology(table, u, k, box=None):
         corner = tuple(max(u[i], k + deltas[i]) + 1 for i in range(r))
     else:
         corner = tuple(box)
+        if len(corner) != r:
+            raise ValueError("box has wrong length")
         if any(c < a for c, a in zip(corner, u)):
             raise ValueError("box does not contain the base point")
 

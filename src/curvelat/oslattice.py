@@ -3,7 +3,9 @@ Matroids, the subset complex with its weighted boundary operators, and
 the two homology theories built from them: the plain degree-zero part,
 whose ranks match the coefficients of the arrangement polynomial, and
 the U-extended complex, whose homology matches the projective
-arrangement polynomial in negated degrees.
+arrangement polynomial in negated degrees.  The U-extended complex
+splits by weight into finite subset complexes, so its homology is
+computed exactly, with no truncation of U.
 
 All homology is computed over the integers; torsion is reported, never
 discarded.
@@ -233,77 +235,46 @@ def os_homology(matroid):
     return homology_from_boundaries(dims, boundaries)
 
 
-def _du_basis_and_boundaries(matroid, n_trunc):
-    # basis element: (mask, m) = U^m z_K, degree |K| - 2(m + rank K)
-    by_degree = {}
-    for mask in range(1 << matroid.n):
-        size = mask.bit_count()
-        rk = matroid.rank[mask]
-        for m in range(n_trunc):
-            q = size - 2 * (m + rk)
-            by_degree.setdefault(q, []).append((size, mask, m))
-    for q in by_degree:
-        by_degree[q].sort()
-    boundaries = {}
-    for q, cols in by_degree.items():
-        rows = by_degree.get(q - 1, [])
-        index = {key: i for i, key in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for c, (size, mask, m) in enumerate(cols):
-            elements = _mask_elements(mask)
-            for pos, e in enumerate(elements):
-                smaller = mask & ~(1 << e)
-                drop = matroid.rank[mask] - matroid.rank[smaller]
-                m2 = m + drop
-                if m2 >= n_trunc:
-                    continue
-                sign = 1 if pos % 2 == 0 else -1
-                key = (size - 1, smaller, m2)
-                mat[index[key]][c] += sign
-        boundaries[q] = mat
-    dims = {q: len(v) for q, v in by_degree.items()}
-    return dims, boundaries
-
-
-def du_homology(matroid, u_truncation=None):
+def du_homology(matroid):
     r"""
     Integer homology of the U-extended complex, graded by
     |K| - 2(m + rank K) for the basis element U^m z_K.
 
-    U is truncated internally at max(u_truncation, 2n + 6), far enough
-    that every reported degree, -(2n + 4) and above, is exact; the
-    computation is repeated with two more U powers and any difference
-    in the reported window raises ConsistencyError.
+    The boundary sends U^m z_K to a signed sum of
+    U^(m + rank K - rank(K - e)) z_(K - e), so it keeps the weight
+    w = m + rank K.  The complex splits by weight: the piece of weight
+    w is the augmented simplicial complex of the subsets K with
+    rank K <= w, under the plain subset boundary, in degree |K| - 2w.
+    From w = full rank on that piece is the whole augmented simplex,
+    which is acyclic when the matroid has an element.  The generators
+    (K, w) with rank K <= w < full rank therefore carry all of the
+    homology, which comes out exactly, with no truncation of U.
 
-    Parameters
-    ----------
-    matroid : Matroid
-    u_truncation : int, optional
-        Requested truncation, at least n + 2 when given.
+    Raises ValueError on a matroid with no elements, whose homology is
+    the infinite tower Z[U].
 
     Returns
     -------
     GradedGroup
     """
-    n = matroid.n
-    if u_truncation is not None and u_truncation < n + 2:
-        raise ValueError("u_truncation must be at least n + 2")
-    floor = -(2 * n + 4)
-    n_trunc = max(u_truncation or 0, 2 * n + 6)
-
-    def run(nt):
-        dims, boundaries = _du_basis_and_boundaries(matroid, nt)
-        full = homology_from_boundaries(dims, boundaries)
-        return GradedGroup({q: grp for q, grp in full.groups.items()
-                            if q >= floor})
-
-    first = run(n_trunc)
-    second = run(n_trunc + 2)
-    if first != second:
-        raise ConsistencyError(
-            "U-truncated homology changed between truncations %d and %d"
-            % (n_trunc, n_trunc + 2))
-    return first
+    if matroid.n == 0:
+        raise ValueError("U-extended homology needs at least one element")
+    by_degree = {}
+    for w in range(matroid.full_rank()):
+        for mask in range(1 << matroid.n):
+            if matroid.rank[mask] <= w:
+                q = mask.bit_count() - 2 * w
+                by_degree.setdefault(q, []).append((w, mask))
+    boundaries = {}
+    for q, cols in by_degree.items():
+        index = {key: i for i, key in enumerate(by_degree.get(q - 1, []))}
+        mat = [[0] * len(cols) for _ in index]
+        for c, (w, mask) in enumerate(cols):
+            for pos, e in enumerate(_mask_elements(mask)):
+                mat[index[w, mask & ~(1 << e)]][c] += (-1) ** pos
+        boundaries[q] = mat
+    dims = {q: len(cols) for q, cols in by_degree.items()}
+    return homology_from_boundaries(dims, boundaries)
 
 
 def d0_structure_checks(matroid):

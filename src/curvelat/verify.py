@@ -73,7 +73,7 @@ def run(curve, deep=False):
 
     Yields ("ok", stage) or ("skip", "stage (reason)") as each stage
     finishes; a failing check raises, usually ConsistencyError.  deep
-    widens every box by 4 instead of 2, raises the U-truncation, and
+    builds the tables over the conductor plus 4 instead of plus 2 and
     checks more sublevel complexes.
     """
     margin = 4 if deep else 2
@@ -103,8 +103,7 @@ def run(curve, deep=False):
         yield ("skip", "restriction (single branch)")
     euler_check(table)
     yield ("ok", "euler")
-    u_truncation = 4 * curve.r + 12 if deep else None
-    pieces = {v: grv_homology(table, v, u_truncation=u_truncation)
+    pieces = {v: grv_homology(table, v)
               for v in box_points(tuple(c + 2 for c in inv.conductor))}
     yield ("ok", "graded-homology")
     zero = (0,) * curve.r

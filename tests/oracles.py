@@ -351,3 +351,66 @@ def cubical_homology_brute(cubes, h_values, weight_cap):
         if free or torsion:
             result[q] = (free, torsion)
     return result
+
+
+# ---------------------------------------------------------------------------
+# U-extended matroid homology by the literal U-truncated complex
+
+
+def du_homology_truncated(n, rank):
+    r"""
+    Homology of the U-extended complex of a matroid, truncated in U.
+
+    The basis is U^m z_K for every subset K of {0, .., n-1} (a bitmask)
+    and every m < 2n + 6, in degree |K| - 2(m + rank K).  The boundary
+    sends U^m z_K to the sum over the i-th smallest element e of K of
+    (-1)^i U^(m + rank K - rank(K - e)) z_(K - e); a term whose U power
+    reaches 2n + 6 is dropped.  Only degrees -(2n + 4) and above are
+    reported, since the truncation shows below them.
+
+    Parameters
+    ----------
+    n : int, the number of elements
+    rank : mapping from bitmask to int
+
+    Returns
+    -------
+    dict mapping degree q to (rank, torsion list)
+    """
+    cap = 2 * n + 6
+    by_degree = {}
+    for mask in range(1 << n):
+        size = bin(mask).count("1")
+        for m in range(cap):
+            q = size - 2 * (m + rank[mask])
+            by_degree.setdefault(q, []).append((mask, m))
+
+    def boundary_matrix(q):
+        # rows: generators of degree q-1, cols: generators of degree q
+        lower = {g: i for i, g in enumerate(by_degree.get(q - 1, []))}
+        upper = by_degree[q]
+        rows = [[0] * len(upper) for _ in lower]
+        for col, (mask, m) in enumerate(upper):
+            elements = [e for e in range(n) if mask >> e & 1]
+            for pos, e in enumerate(elements):
+                smaller = mask & ~(1 << e)
+                power = m + rank[mask] - rank[smaller]
+                if power < cap:
+                    sign = 1 if pos % 2 == 0 else -1
+                    rows[lower[(smaller, power)]][col] += sign
+        return rows
+
+    snf = {}
+    for q in by_degree:
+        mat = boundary_matrix(q)
+        snf[q] = _snf_rank_and_torsion(mat) if mat else (0, [])
+    result = {}
+    for q, gens in by_degree.items():
+        if q < -(2 * n + 4):
+            continue
+        out_rank = snf[q][0]
+        in_rank, torsion = snf.get(q + 1, (0, []))
+        free = len(gens) - out_rank - in_rank
+        if free or torsion:
+            result[q] = (free, torsion)
+    return result

@@ -207,6 +207,17 @@ def test_verify_passes_whole_corpus(capsys):
         assert "ok graded-homology" in out
 
 
+@pytest.mark.parametrize("name", ["cusp", "d5", "triple"])
+def test_verify_deep_passes_with_the_same_stages(capsys, name):
+    code, plain, _ = _run(capsys, ["verify", corpus_path(name)])
+    assert code == 0
+    code, deep, _ = _run(capsys, ["verify", "--deep", corpus_path(name)])
+    assert code == 0
+    assert deep == plain
+    assert len(deep.splitlines()) == 15
+    assert deep.splitlines()[-1] == "all checks passed"
+
+
 def _rebind(monkeypatch, original, replacement):
     # every curvelat module that imported original gets the replacement
     for module in list(sys.modules.values()):

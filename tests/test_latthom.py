@@ -83,14 +83,6 @@ def test_grv_mismatch_raises(monkeypatch):
         grv_homology(table, (2,))
 
 
-def test_grv_truncation_passthrough():
-    table = _table("a3")
-    with pytest.raises(ValueError):
-        grv_homology_direct(table, (1, 1), u_truncation=2)
-    small = grv_homology_direct(table, (1, 1), u_truncation=4)
-    assert small == grv_homology_direct(table, (1, 1))
-
-
 def test_euler_check_corpus():
     for name in CORPUS:
         assert euler_check(_table(name)) is True
@@ -169,6 +161,16 @@ def test_sk_box_guards():
         sk_homology(table, (2, 2), 3, box=(1, 3))
     wide = sk_homology(table, (0, 0), 2, box=(5, 5))
     assert wide == sk_homology(table, (0, 0), 2)
+
+
+def test_sk_box_length_guard():
+    # a box needs one coordinate per branch, like the base point
+    table = _table("d5")
+    assert sk_homology(table, (0, 0), 2, box=(6, 6)) == GradedGroup(
+        {0: (1, ())})
+    for box in [(6, 6, 99), (6,)]:
+        with pytest.raises(ValueError):
+            sk_homology(table, (0, 0), 2, box=box)
 
 
 def test_r1_structure_line():

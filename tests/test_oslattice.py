@@ -1,11 +1,15 @@
 """Matroid complexes: plain and U-extended homology."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import corpus_curve
+from conftest import CORPUS, corpus_curve
+from oracles import du_homology_truncated, gauss_rank
 
+import curvelat.oslattice as oslattice
 from curvelat.errors import ConsistencyError
-from curvelat.hilbert import build_table, local_matroid
+from curvelat.hilbert import box_points, build_table, local_matroid
 from curvelat.latthom import grv_homology
 from curvelat.oslattice import (GradedGroup, Matroid, OSComplex,
                                 arrangement_poincare, d0_structure_checks,
@@ -204,21 +208,90 @@ def test_du_matches_projective_polynomial():
                 Matroid.uniform(4, 2), _loop_matroid()]
     matroids += _corpus_local_matroids()
     for m in matroids:
-        h = du_homology(m)
         proj = projective_poincare(m)
-        floor = -(2 * m.n + 4)
-        for q in range(floor, 1):
-            expected = proj[-q] if 0 <= -q < len(proj) else 0
-            assert h.rank(q) == expected
-            assert h.torsion(q) == ()
-        assert all(q >= floor for q in h.degrees())
+        expected = GradedGroup({-k: (c, ()) for k, c in enumerate(proj)})
+        assert du_homology(m) == expected, m.rank
 
 
-def test_du_truncation_guard():
+def test_du_rejects_empty_matroid():
+    # with no elements the homology is the infinite tower Z[U]
     with pytest.raises(ValueError):
-        du_homology(Matroid.boolean(2), u_truncation=2)
-    default = du_homology(Matroid.boolean(2))
-    assert du_homology(Matroid.boolean(2), u_truncation=4) == default
+        du_homology(Matroid(0, {0: 0}))
+
+
+def _reference(m):
+    groups = du_homology_truncated(m.n, m.rank)
+    return GradedGroup({q: (rank, tuple(torsion))
+                        for q, (rank, torsion) in groups.items()})
+
+
+def _gf2_matroid(vectors):
+    # rank over GF(2) of vectors given as bitmasks
+    def rank(mask):
+        basis = []
+        for i, v in enumerate(vectors):
+            if mask >> i & 1:
+                for b in basis:
+                    v = min(v, v ^ b)
+                if v:
+                    basis.append(v)
+        return len(basis)
+    n = len(vectors)
+    return Matroid(n, {m: rank(m) for m in range(1 << n)})
+
+
+def test_du_matches_truncated_reference_on_corpus():
+    seen = {}
+    for name in CORPUS:
+        table = build_table(corpus_curve(name))
+        box = tuple(c + 2 for c in table.invariants.conductor)
+        for v in box_points(box):
+            m = local_matroid(table, v)
+            seen.setdefault((m.n, tuple(sorted(m.rank.items()))), m)
+    for m in seen.values():
+        assert du_homology(m) == _reference(m), m.rank
+
+
+def test_du_matches_truncated_reference_on_fano():
+    fano = _gf2_matroid(list(range(1, 8)))
+    assert fano.full_rank() == 3
+    assert du_homology(fano) == _reference(fano)
+    assert du_homology(fano) == GradedGroup(
+        {0: (1, ()), -1: (6, ()), -2: (8, ())})
+
+
+_vectors = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                       min_size=1, max_size=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_vectors)
+def test_du_matches_truncated_reference_on_vector_matroids(vectors):
+    # zero vectors are loops; repeated or proportional ones are parallel
+    n = len(vectors)
+    rank = {m: gauss_rank([vectors[i] for i in range(n) if m >> i & 1])
+            for m in range(1 << n)}
+    m = Matroid(n, rank)
+    assert du_homology(m) == _reference(m)
+
+
+def test_du_builds_one_complex(monkeypatch):
+    # one call of homology_from_boundaries on the generators (K, w)
+    # with rank K <= w < full rank: sum over K of (full rank - rank K)
+    real = oslattice.homology_from_boundaries
+    calls = []
+
+    def counting(dims, boundaries):
+        calls.append(sum(dims.values()))
+        return real(dims, boundaries)
+
+    monkeypatch.setattr(oslattice, "homology_from_boundaries", counting)
+    for m, generators in [(Matroid.boolean(3), 12),
+                          (Matroid.uniform(4, 2), 6), (_loop_matroid(), 2)]:
+        calls.clear()
+        du_homology(m)
+        assert calls == [generators]
 
 
 def test_d0_structure_checks_pass():
