@@ -115,6 +115,8 @@ class HilbertTable:
 
     def step(self, v, i):
         r"""h(v + e_i) - h(v), always 0 or 1."""
+        if not 0 <= i < len(v):
+            raise ValueError("direction %d is not in range(%d)" % (i, len(v)))
         ahead = [c + 1 if j == i else c for j, c in enumerate(v)]
         return self.value(ahead) - self.value(v)
 
@@ -125,8 +127,7 @@ class HilbertTable:
 
     def in_semigroup(self, v):
         r"""True when every coordinate step at v equals 1."""
-        if any(c < 0 for c in v):
-            return False
+        # a negative v_i clamps v and v + e_i to the same point
         h = self.value(v)
         return all(self.value([c + 1 if j == i else c
                                for j, c in enumerate(v)]) == h + 1
@@ -199,19 +200,26 @@ def _fill_to_conductor(curve, l):
 
 
 def _step_rule_sweep(table, bound):
-    # second route: a step is 1 exactly when a semigroup witness agrees
-    # in that coordinate and dominates elsewhere; witnesses may be
-    # capped at max(conductor, v) componentwise because the semigroup
-    # is closed under componentwise minima with its far region
+    # second route: the direction-i step at v is 1 exactly when the
+    # witness box B(v, i) of the u with u_i = v_i and v_j <= u_j <=
+    # max(l_j, v_j) for j != i holds a semigroup point (l the conductor,
+    # bound >= l).  For j != i with v_j < l_j, B(v + e_j, i) is the part
+    # of B(v, i) with u_j > v_j; for v_j >= l_j the j range is {v_j}.
+    # So B(v, i) is {v} plus those B(v + e_j, i), all in [0, bound]: a
+    # reverse lexicographic walk meets v + e_j before v, reads each
+    # membership once and ORs each witness from at most r - 1 neighbours.
     l = table.invariants.conductor
     r = len(l)
-    for v in box_points(bound):
+    witnessed = {}  # bit i set when B(v, i) holds a member
+    for v in product(*(range(b, -1, -1) for b in bound)):
+        found = (1 << r) - 1 if table.in_semigroup(v) else 0
+        for j in range(r):
+            if v[j] < l[j]:
+                ahead = v[:j] + (v[j] + 1,) + v[j + 1:]
+                found |= witnessed[ahead] & ~(1 << j)
+        witnessed[v] = found
         for i in range(r):
-            cap = [max(l[j], v[j]) for j in range(r)]
-            ranges = [range(v[j], cap[j] + 1) if j != i
-                      else range(v[i], v[i] + 1) for j in range(r)]
-            witness = any(table.in_semigroup(u) for u in product(*ranges))
-            if table.step(v, i) != (1 if witness else 0):
+            if table.step(v, i) != found >> i & 1:
                 raise ConsistencyError(
                     "step rule fails at %s direction %d" % (v, i))
 
@@ -227,14 +235,16 @@ def build_table(curve, box=None):
     h.  Every other cell is filled in lexicographic order as its
     neighbor's value plus 1, one step back in the first direction i
     with v_i > l_i.  A sample of cells is then recomputed by h_oracle,
-    a full Bareiss rank, and the step rule is checked over the box.
+    a full Bareiss rank, and the step rule is checked on [0, max(box,
+    l)] by one walk that reads each point's semigroup membership once.
 
     Parameters
     ----------
     curve : Curve
     box : tuple of ints, optional
-        Requested box; the stored corner is max(box, conductor) + 2
-        in every coordinate.  Defaults to the conductor.
+        Requested box of r coordinates (otherwise ValueError); the
+        stored corner is max(box, conductor) + 2 in every coordinate.
+        Defaults to the conductor.
 
     Returns
     -------
@@ -245,6 +255,8 @@ def build_table(curve, box=None):
     l = inv.conductor
     if box is None:
         box = l
+    if len(box) != r:
+        raise ValueError("expected %d coordinates, got %d" % (r, len(box)))
     box = tuple(max(index(b), 0) for b in box)
     bound = tuple(max(b, c) for b, c in zip(box, l))
     corner = tuple(b + 2 for b in bound)

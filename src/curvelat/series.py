@@ -77,10 +77,6 @@ def canonical_str(series):
     return " ".join(parts)
 
 
-def _shift(v, mask):
-    return tuple(c + (1 if mask >> i & 1 else 0) for i, c in enumerate(v))
-
-
 def hilbert_series(table, box):
     r"""Sum of h(v) t^v over the box."""
     coeffs = {(v, 0): table.value(v) for v in box_points(box)}
@@ -128,9 +124,8 @@ def hilbert_from_poincare(poincares, v):
         if any(u < 0 for u in upper):
             continue
         p = poincares[mask]
-        for b, u in zip(p.box, upper):
-            if b < u:
-                raise ValueError("subcurve series box is too small")
+        if any(b < u for b, u in zip(p.box, upper)):
+            raise ValueError("subcurve series box is too small")
         part = sum(c for (w, m), c in p.coeffs.items()
                    if m == 0 and all(a <= b for a, b in zip(w, upper)))
         total += (-1) ** (len(idx) - 1) * part
@@ -205,7 +200,7 @@ def motivic_normalized(table):
     for (v, m), c in g.coeffs.items():
         for mask in range(1 << r):
             size = mask.bit_count()
-            w = _shift(v, mask)
+            w = tuple(a + (mask >> i & 1) for i, a in enumerate(v))
             if all(a <= b for a, b in zip(w, wide)):
                 key = (w, m + size)
                 coeffs[key] = coeffs.get(key, 0) + (-1) ** size * c
@@ -266,18 +261,16 @@ def alexander(table):
     return BoxSeries(r, tuple(c - 1 for c in l), coeffs)
 
 
-def torres_restriction_check(table, sub_tables):
+def torres_restriction_check(table, poincares):
     r"""
     Verify the restriction identity for every branch rho: the full pi
-    series evaluated at t_rho = 1, multiplied by the geometric series
-    in the single monomial whose exponent on each remaining branch j
-    is the intersection of branch rho with branch j, equals the pi
-    series of the curve without branch rho, on the comparison box (that
-    subcurve's conductor plus 2).
-
-    Both sides are read off the given tables: the full series once off
-    table, and sub_tables[rho] must be the table of the curve without
-    branch rho, otherwise ValueError is raised.
+    series at t_rho = 1 equals the pi series of the curve without
+    branch rho times 1 - t^s, s_j the intersection number of branches
+    rho and j, on the whole box of the latter.  Both are read from
+    poincares, the bitmask -> pi series dict of hilbert_from_poincare;
+    the table gives the invariants.  The full series is a polynomial in
+    [0, l - 1] (l the conductor), so a full box below l - 1, or a
+    missing mask, raises ValueError.
 
     Returns True, or raises ConsistencyError.
     """
@@ -285,29 +278,25 @@ def torres_restriction_check(table, sub_tables):
     r = inv.r
     if r < 2:
         raise ValueError("restriction needs at least two branches")
-    branches = table.curve.branches
-    if ([sub.curve.branches for sub in sub_tables]
-            != [branches[:i] + branches[i + 1:] for i in range(r)]):
-        raise ValueError("sub_tables[rho] must be the table of the curve "
-                         "without branch rho")
-    full = alexander(table)
-    for remove, sub in enumerate(sub_tables):
-        keep = [i for i in range(r) if i != remove]
-        box = tuple(c + 2 for c in sub.invariants.conductor)
-        lhs = poincare_from_hilbert(sub, box)
+    every = (1 << r) - 1
+    missing = {every, *(every ^ 1 << i for i in range(r))} - set(poincares)
+    if missing:
+        raise ValueError("no pi series for bitmask %d" % min(missing))
+    full = poincares[every]
+    if any(b < c - 1 for b, c in zip(full.box, inv.conductor)):
+        raise ValueError("full series box %s is below l - 1" % (full.box,))
+    for rho in range(r):
+        sub = poincares[every ^ 1 << rho]
         collapsed = {}
         for (v, _m), c in full.coeffs.items():
-            w = tuple(v[i] for i in keep)
+            w = v[:rho] + v[rho + 1:]
             collapsed[w] = collapsed.get(w, 0) + c
-        values = {w: collapsed.get(w, 0) for w in box_points(box)}
-        shift = tuple(inv.pairwise[remove][j] for j in keep)
-        for w in sorted(values, key=sum):
+        shift = inv.pairwise[rho][:rho] + inv.pairwise[rho][rho + 1:]
+        for w in box_points(sub.box):
             prev = tuple(a - s for a, s in zip(w, shift))
-            if all(a >= 0 for a in prev):
-                values[w] += values[prev]
-        for w in box_points(box):
-            if values[w] != lhs.coefficient(w):
+            expected = sub.coefficient(w) - sub.coefficient(prev)
+            if collapsed.get(w, 0) != expected:
                 raise ConsistencyError(
                     "restriction identity fails at %s: %d vs %d"
-                    % (w, values[w], lhs.coefficient(w)))
+                    % (w, collapsed.get(w, 0), expected))
     return True

@@ -148,6 +148,31 @@ def alexander_r1_from_semigroup(semigroup_members, conductor):
     return coeffs
 
 
+def step_rule_mismatches(table, bound):
+    r"""
+    Every (v, i) with v in [0, bound] whose step disagrees with a direct
+    witness search: the direction-i step of the table at v should be 1
+    exactly when some semigroup point u has u_i = v_i and
+    v_j <= u_j <= max(l_j, v_j) for every j != i (l the conductor).
+    Each witness box is searched point by point as a product of
+    ranges.  Only table.in_semigroup, table.step and the conductor are
+    read.
+    """
+    l = table.invariants.conductor
+    r = len(l)
+    found = set()
+    for v in itertools.product(*(range(b + 1) for b in bound)):
+        for i in range(r):
+            ranges = [range(v[i], v[i] + 1) if j == i
+                      else range(v[j], max(l[j], v[j]) + 1)
+                      for j in range(r)]
+            witness = any(table.in_semigroup(u)
+                          for u in itertools.product(*ranges))
+            if table.step(v, i) != (1 if witness else 0):
+                found.add((v, i))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # closed-form Hilbert values for the reference curves
 

@@ -12,6 +12,7 @@ from conftest import CORPUS, corpus_path
 
 import curvelat.hilbert
 import curvelat.latthom
+import curvelat.series
 from curvelat.cli import load_curve, main
 from curvelat.errors import CurveSchemaError
 
@@ -259,6 +260,23 @@ def test_verify_computes_each_graded_piece_once(capsys, monkeypatch):
     code, _, _ = _run(capsys, ["verify", corpus_path("d5")])
     assert code == 0
     assert len(points) == len(set(points)) == 35
+
+
+def test_verify_reads_each_series_once(capsys, monkeypatch):
+    # the round trip's 7 pi series feed the restriction check as well,
+    # and the Alexander polynomial is computed by its own stage only
+    calls = {"alexander": 0, "poincare_from_hilbert": 0}
+    for name in calls:
+        original = getattr(curvelat.series, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        _rebind(monkeypatch, original, counting)
+    code, _, _ = _run(capsys, ["verify", corpus_path("triple")])
+    assert code == 0
+    assert calls == {"alexander": 1, "poincare_from_hilbert": 7}
 
 
 def test_missing_file(capsys):

@@ -1,3 +1,6 @@
+import ast
+import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -33,6 +36,7 @@ from oracles import (
     REFERENCE_D5_SEMIGROUP,
     h_a_odd,
     numerical_semigroup,
+    step_rule_mismatches,
 )
 
 
@@ -354,6 +358,120 @@ def test_cube_bit_j_adds_e_j(name):
         for bits in product((0, 1), repeat=r):
             mask = sum(b << j for j, b in enumerate(bits))
             assert cube[mask] == t.value([c + b for c, b in zip(v, bits)])
+
+
+def test_build_table_rejects_wrong_length_boxes():
+    # (3,) must not fail inside the fill, and (3, 3, 99) must not be
+    # read as (3, 3)
+    curve = corpus_curve("d5")
+    for box, n in [((3,), 1), ((3, 3, 99), 3)]:
+        with pytest.raises(ValueError,
+                           match="expected 2 coordinates, got %d" % n):
+            build_table(curve, box)
+
+
+def test_step_rejects_directions_outside_range():
+    t = build_table(corpus_curve("d5"))
+    assert [t.step((1, 1), i) for i in range(2)] == [1, 0]
+    for i in [2, 5, -1]:
+        with pytest.raises(ValueError, match="direction"):
+            t.step((1, 1), i)
+
+
+# ---------------------------------------------------------------------------
+# the step-rule sweep
+
+
+def _bound(table):
+    return tuple(c - 2 for c in table.corner)
+
+
+def _flipped(table, point):
+    original = table.in_semigroup
+    return lambda v: (not original(v)) if tuple(v) == point else original(v)
+
+
+@pytest.mark.parametrize("name", ["d5", "triple"])
+def test_flipped_semigroup_bit_raises(name, monkeypatch):
+    # a gap turned into a member, or a point beyond the conductor turned
+    # into a gap, always breaks the step rule somewhere in [0, bound]
+    curve = corpus_curve(name)
+    table = build_table(curve, (5,) * curve.r)
+    l = table.invariants.conductor
+    bound = _bound(table)
+    flips = [v for v in box_points(bound)
+             if not table.in_semigroup(v)
+             or all(a >= b for a, b in zip(v, l))]
+    assert len(flips) > 20
+    for v in flips:
+        with monkeypatch.context() as m:
+            m.setattr(table, "in_semigroup", _flipped(table, v))
+            with pytest.raises(ConsistencyError, match="step rule"):
+                hilbert_module._step_rule_sweep(table, bound)
+
+
+def _sweep_failure(table, bound):
+    # the (v, i) named by the sweep's ConsistencyError, or None
+    try:
+        hilbert_module._step_rule_sweep(table, bound)
+    except ConsistencyError as exc:
+        found = re.fullmatch(r"step rule fails at (\(.*\)) direction (\d+)",
+                             str(exc))
+        return ast.literal_eval(found.group(1)), int(found.group(2))
+    return None
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_sweep_agrees_with_the_witness_search_on_the_corpus(name):
+    curve = corpus_curve(name)
+    l = invariants(curve).conductor
+    for box in [l, tuple(c + 2 for c in l)]:
+        table = build_table(curve, box)
+        assert step_rule_mismatches(table, _bound(table)) == set()
+        assert _sweep_failure(table, _bound(table)) is None
+
+
+def test_sweep_raises_exactly_when_the_witness_search_does(monkeypatch):
+    # seeded corruptions of one table value or one membership bit; the
+    # sweep must raise iff the search finds a mismatch, and name one
+    rng = random.Random(20131)
+    tables = [build_table(corpus_curve(name),
+                          tuple(c + 1 for c in
+                                invariants(corpus_curve(name)).conductor))
+              for name in ["cusp", "t2t5", "a3", "d5", "triple"]]
+    raised = 0
+    for trial in range(240):
+        table = rng.choice(tables)
+        bound = _bound(table)
+        with monkeypatch.context() as m:
+            if trial % 2:
+                v = tuple(rng.randint(0, b + 1) for b in bound)
+                m.setitem(table.values, v,
+                          table.values[v] + rng.choice((-1, 1)))
+            else:
+                v = tuple(rng.randint(0, b) for b in bound)
+                m.setattr(table, "in_semigroup", _flipped(table, v))
+            expected = step_rule_mismatches(table, bound)
+            failure = _sweep_failure(table, bound)
+        assert (failure is None) == (not expected), (trial, v)
+        assert failure is None or failure in expected
+        raised += failure is not None
+    assert 100 < raised < 240, raised
+
+
+def test_build_table_reads_each_membership_once(monkeypatch):
+    original = hilbert_module.HilbertTable.in_semigroup
+    for name, box in [("d5", None), ("triple", (4, 3, 5))]:
+        calls = []
+
+        def counting(self, v):
+            calls.append(tuple(v))
+            return original(self, v)
+
+        with monkeypatch.context() as m:
+            m.setattr(hilbert_module.HilbertTable, "in_semigroup", counting)
+            table = build_table(corpus_curve(name), box)
+        assert sorted(calls) == sorted(box_points(_bound(table)))
 
 
 def test_symmetry_detects_corruption():

@@ -1,7 +1,7 @@
 import pytest
 
 from curvelat.errors import ConsistencyError, SupportViolation
-from curvelat.hilbert import build_table, invariants
+from curvelat.hilbert import box_points, build_table, invariants
 from curvelat.series import (
     BoxSeries,
     alexander,
@@ -295,41 +295,65 @@ def test_alexander_support_guard():
 # restriction identity
 
 
-def _without_each_branch(table):
-    # sub_tables[rho] is the table of the curve without branch rho
-    r = table.curve.r
-    return [build_table(table.curve.subcurve([i for i in range(r)
-                                              if i != rho]))
-            for rho in range(r)]
+def _restriction_inputs(name, margin=2):
+    # the table and the series of every branch subset over the conductor
+    # plus margin, as verify hands them to the check
+    curve = corpus_curve(name)
+    box = tuple(c + margin for c in invariants(curve).conductor)
+    return build_table(curve, box), subset_poincares(curve, box)
 
 
 def test_restriction_all_corpus_pairs():
     for name in ["a3", "a5", "a7", "d5", "triple"]:
-        table = _table(name)
-        sub_tables = _without_each_branch(table)
-        assert torres_restriction_check(table, sub_tables) is True
+        for margin in [-1, 2, 5]:
+            table, poincares = _restriction_inputs(name, margin)
+            assert torres_restriction_check(table, poincares) is True
 
 
 def test_restriction_rejects_single_branch():
     with pytest.raises(ValueError):
-        torres_restriction_check(_table("cusp"), [])
+        torres_restriction_check(_table("cusp"), {})
 
 
-def test_restriction_rejects_mismatched_sub_tables():
-    table = _table("triple")
-    sub_tables = _without_each_branch(table)
-    other = build_table(corpus_curve("triple"))
-    # swapped, missing, or of equal but not the same branches
-    for bad_table, bad_subs in [(table, [sub_tables[i] for i in (0, 2, 1)]),
-                                (table, sub_tables[:2]),
-                                (other, sub_tables)]:
-        with pytest.raises(ValueError, match="without branch rho"):
-            torres_restriction_check(bad_table, bad_subs)
+def test_restriction_rejects_missing_series_and_small_boxes():
+    table, poincares = _restriction_inputs("triple")
+    for mask in [7, 6, 5, 3]:
+        partial = {k: p for k, p in poincares.items() if k != mask}
+        with pytest.raises(ValueError, match="bitmask %d" % mask):
+            torres_restriction_check(table, partial)
+    # the full series is supported in [0, l - 1] = [0, (1, 1, 1)]
+    full = poincares[7]
+    for box, ok in [((1, 1, 1), True), ((1, 0, 1), False)]:
+        cut = BoxSeries(3, box, {(v, m): c for (v, m), c in full.coeffs.items()
+                                 if all(a <= b for a, b in zip(v, box))})
+        if ok:
+            assert torres_restriction_check(table, {**poincares, 7: cut})
+        else:
+            with pytest.raises(ValueError, match="below l - 1"):
+                torres_restriction_check(table, {**poincares, 7: cut})
 
 
 def test_restriction_detects_a_wrong_sub_table_value():
-    table = _table("d5")
-    sub_tables = _without_each_branch(table)
-    sub_tables[0].values[(1,)] += 1
+    # d5 without branch 0 is branch 1 alone, bitmask 2
+    table, poincares = _restriction_inputs("d5")
+    box = poincares[2].box
+    sub = build_table(corpus_curve("d5").subcurve([1]), box)
+    sub.values[(1,)] += 1
+    poincares[2] = poincare_from_hilbert(sub, box)
     with pytest.raises(ConsistencyError, match="restriction identity"):
-        torres_restriction_check(table, sub_tables)
+        torres_restriction_check(table, poincares)
+
+
+@pytest.mark.parametrize("name", ["d5", "triple"])
+def test_restriction_detects_a_wrong_sub_series_coefficient(name):
+    # +1 on any one coefficient of any series without one branch
+    table, poincares = _restriction_inputs(name)
+    r = table.invariants.r
+    for mask in [(1 << r) - 1 ^ 1 << rho for rho in range(r)]:
+        sub = poincares[mask]
+        for w in box_points(sub.box):
+            bad = BoxSeries(sub.r, sub.box,
+                            {**sub.coeffs,
+                             (w, 0): sub.coefficient(w) + 1})
+            with pytest.raises(ConsistencyError, match="restriction identity"):
+                torres_restriction_check(table, {**poincares, mask: bad})
