@@ -92,6 +92,21 @@ def _point_key(v):
     return ",".join(str(a) for a in v)
 
 
+def _print_grid(box, cells):
+    # cells maps every point of [0, box] to its text: one row for one
+    # branch, rows from the top for two, one line per point otherwise
+    if len(box) == 1:
+        print(" ".join(cells[(a,)] for a in range(box[0] + 1)))
+    elif len(box) == 2:
+        width = max(len(text) for text in cells.values())
+        for b in range(box[1], -1, -1):
+            print(" ".join(cells[(a, b)].rjust(width)
+                           for a in range(box[0] + 1)))
+    else:
+        for v in box_points(box):
+            print("%s: %s" % (_point_key(v), cells[v]))
+
+
 def _print_json(payload):
     payload["schema"] = 1
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -181,17 +196,7 @@ def _cmd_hilbert(args):
                      "values": {_point_key(v): n
                                 for v, n in values.items()}})
         return 0
-    if curve.r == 1:
-        print(" ".join(str(values[(a,)]) for a in range(box[0] + 1)))
-    elif curve.r == 2:
-        width = max(len(str(n)) for n in values.values())
-        for b in range(box[1], -1, -1):
-            row = [str(values[(a, b)]).rjust(width)
-                   for a in range(box[0] + 1)]
-            print(" ".join(row))
-    else:
-        for v in sorted(values):
-            print("%s: %d" % (_point_key(v), values[v]))
+    _print_grid(box, {v: str(n) for v, n in values.items()})
     return 0
 
 
@@ -209,17 +214,8 @@ def _cmd_semigroup(args):
                      "members": [list(v) for v in members]})
         return 0
     member_set = set(members)
-    if curve.r == 1:
-        print(" ".join("*" if (a,) in member_set else "."
-                       for a in range(box[0] + 1)))
-    elif curve.r == 2:
-        for b in range(box[1], -1, -1):
-            print(" ".join("*" if (a, b) in member_set else "."
-                           for a in range(box[0] + 1)))
-    else:
-        for v in box_points(box):
-            print("%s: %s" % (_point_key(v),
-                              "*" if v in member_set else "."))
+    _print_grid(box, {v: "*" if v in member_set else "."
+                      for v in box_points(box)})
     print("conductor: %s" % " ".join(str(c) for c in inv.conductor))
     return 0
 

@@ -9,11 +9,13 @@ at least v_i; everything else in the package is derived from it.  This
 module computes h(v) directly as the rank of a matrix of monomial jet
 coefficients, with no recursion, so it can serve as the ground-truth
 route against which faster routes are checked.  Each branch caches the
-integer jet of every monomial it has composed (``jet``) and its delta
-and conductor (``branch_delta``); h itself is never cached.  Branch
-deltas and intersection numbers are read off h values too; the second
-route for an intersection number is a local check at one lattice
-point, so nothing global about the polynomial curves enters.
+integer jet of every monomial it has composed (``jet``), its delta
+and conductor (``branch_delta``) and its accepted intersection number
+with each other branch (``intersection_multiplicity``); h itself is
+never cached.  Branch deltas and intersection numbers are read off h
+values too; the second route for an intersection number is a local
+check at one lattice point, so nothing global about the polynomial
+curves enters.
 """
 
 from fractions import Fraction
@@ -275,6 +277,8 @@ def intersection_multiplicity(curve, i, j):
     Second route: three h values of the pair at (k, m) and (k, m + 1)
     certify the scan's value m (see _local_intersection_check); this
     needs max(k, m + 1) series terms, up to m_a - 1 more than the scan.
+    The accepted number is kept on both branches, so each pair is
+    scanned once in whichever order and in whichever (sub)curve.
 
     Raises
     ------
@@ -289,6 +293,9 @@ def intersection_multiplicity(curve, i, j):
     if i == j:
         raise ValueError("intersection of a branch with itself")
     bi, bj = curve.branches[i], curve.branches[j]
+    pairs = bi.__dict__.setdefault("_pairs", {})
+    if bj in pairs:
+        return pairs[bj]
     pair = Curve([bi, bj])
     di, ci = branch_delta(bi)
     dj, cj = branch_delta(bj)
@@ -311,4 +318,5 @@ def intersection_multiplicity(curve, i, j):
             "intersection scan did not stabilize within truncation %d"
             % curve.truncation)
     _local_intersection_check(bi, ci, bj, cj, accepted)
+    pairs[bj] = bj.__dict__.setdefault("_pairs", {})[bi] = accepted
     return accepted

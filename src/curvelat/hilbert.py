@@ -90,11 +90,10 @@ def box_points(box):
 
 class HilbertTable:
     r"""
-    Filled box of h values with total evaluation.
-
-    Lookups outside the stored box walk back to the box corner: beyond
-    the conductor every unit step raises h by exactly 1, and the corner
-    dominates the conductor by construction.
+    h on [0, l] (l the conductor) with total evaluation: beyond l every
+    unit step raises h by exactly 1, so ``value`` clips to l.  ``corner``
+    is the box the build checked: the spot check sampled [0, corner] and
+    the step rule held on [0, corner - 2].
     """
 
     def __init__(self, curve, corner, values, inv):
@@ -105,13 +104,13 @@ class HilbertTable:
 
     def value(self, v):
         r"""h at an integer vector of length r (negatives clamp to 0)."""
-        if len(v) != len(self.corner):
+        l = self.invariants.conductor
+        if len(v) != len(l):
             raise ValueError("expected %d coordinates, got %d"
-                             % (len(self.corner), len(v)))
-        v = tuple(max(index(c), 0) for c in v)
-        clipped = tuple(min(c, m) for c, m in zip(v, self.corner))
-        extra = sum(c - m for c, m in zip(v, clipped))
-        return self.values[clipped] + extra
+                             % (len(l), len(v)))
+        v = [max(index(c), 0) for c in v]
+        clipped = tuple(map(min, v, l))
+        return self.values[clipped] + sum(v) - sum(clipped)
 
     def step(self, v, i):
         r"""h(v + e_i) - h(v), always 0 or 1."""
@@ -134,14 +133,15 @@ class HilbertTable:
                    for i in range(len(v)))
 
 
-def _spot_check(curve, values, corner):
-    # re-derive a deterministic ~10% of cells from the matrix rank route
-    for v, h in values.items():
+def _spot_check(table):
+    # re-derive a deterministic ~10% of [0, corner] by the matrix rank route
+    for v in box_points(table.corner):
         acc = 0
         for c in v:
             acc = (acc * 1000003 + c) % 2147483648
-        if acc % 10 == 0 and max(v) <= curve.truncation:
-            direct = h_oracle(curve, v)
+        if acc % 10 == 0 and max(v) <= table.curve.truncation:
+            h = table.value(v)
+            direct = h_oracle(table.curve, v)
             if direct != h:
                 raise ConsistencyError(
                     "table value %d at %s but direct rank is %d"
@@ -226,15 +226,14 @@ def _step_rule_sweep(table, bound):
 
 def build_table(curve, box=None):
     r"""
-    Fill h over [0, corner] and run both consistency routes.
+    Fill h over [0, l] and check it by both routes over the box.
 
     Cells of [0, l] (l the conductor) are prefix ranks of integer jet
     columns: for each point of the first r - 1 coordinates, an echelon
     basis of that prefix's columns is extended by the last branch's
     columns one at a time, and the rank after each column is the next
-    h.  Every other cell is filled in lexicographic order as its
-    neighbor's value plus 1, one step back in the first direction i
-    with v_i > l_i.  A sample of cells is then recomputed by h_oracle,
+    h.  Beyond l every unit step adds 1 (see HilbertTable.value).  A
+    sample of the cells of [0, corner] is then recomputed by h_oracle,
     a full Bareiss rank, and the step rule is checked on [0, max(box,
     l)] by one walk that reads each point's semigroup membership once.
 
@@ -243,7 +242,7 @@ def build_table(curve, box=None):
     curve : Curve
     box : tuple of ints, optional
         Requested box of r coordinates (otherwise ValueError); the
-        stored corner is max(box, conductor) + 2 in every coordinate.
+        checked corner is max(box, conductor) + 2 in every coordinate.
         Defaults to the conductor.
 
     Returns
@@ -260,17 +259,8 @@ def build_table(curve, box=None):
     box = tuple(max(index(b), 0) for b in box)
     bound = tuple(max(b, c) for b, c in zip(box, l))
     corner = tuple(b + 2 for b in bound)
-    below = _fill_to_conductor(curve, l)
-    values = {}
-    for v in box_points(corner):
-        for i in range(r):
-            if v[i] - 1 >= l[i]:
-                values[v] = values[v[:i] + (v[i] - 1,) + v[i + 1:]] + 1
-                break
-        else:
-            values[v] = below[v]
-    table = HilbertTable(curve, corner, values, inv)
-    _spot_check(curve, values, corner)
+    table = HilbertTable(curve, corner, _fill_to_conductor(curve, l), inv)
+    _spot_check(table)
     _step_rule_sweep(table, bound)
     return table
 

@@ -174,24 +174,27 @@ R1Structure = namedtuple("R1Structure",
                           "e2_a", "e2_alpha"])
 
 
-def r1_structure(table):
+def r1_structure(table, pieces):
     r"""
     Full structural record for a one-branch curve, read off its
-    HilbertTable: the graded pieces, the U-action ranks between
+    HilbertTable and its graded pieces: the U-action ranks between
     consecutive points, and the second page of the spectral sequence
     of the U = 0 complex.
 
     Every statement is verified internally: the graded pieces against
-    both computation routes and the closed form (nonzero exactly on
-    semigroup members, one copy of Z in degree -2 h(v)); the second
-    page by an explicit matrix computation against its closed form;
-    the signed second-page counts against the one-variable polynomial
-    invariant; the endpoint sets against their reflection symmetries;
-    and the exactness ranks linking the U-action to the second page.
+    the closed form (nonzero exactly on semigroup members, one copy of
+    Z in degree -2 h(v)); the second page by an explicit matrix
+    computation against its closed form; the signed second-page counts
+    against the one-variable polynomial invariant; the endpoint sets
+    against their reflection symmetries; and the exactness ranks
+    linking the U-action to the second page.
 
     Parameters
     ----------
     table : HilbertTable of a one-branch curve
+    pieces : dict
+        The graded piece (see grv_homology) at every point (v,) with
+        0 <= v <= mu + 2; a missing point raises ValueError.
 
     Returns
     -------
@@ -211,7 +214,9 @@ def r1_structure(table):
 
     hl = {}
     for v in range(bound + 1):
-        groups = grv_homology(table, (v,))
+        if (v,) not in pieces:
+            raise ValueError("no graded piece at %d" % v)
+        groups = pieces[(v,)]
         if v in member_set:
             expected = GradedGroup({-2 * table.value((v,)): (1, ())})
         else:

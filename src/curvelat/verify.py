@@ -116,7 +116,7 @@ def run(curve, deep=False):
                 "sublevel complex at level %d is not contractible" % k)
     yield ("ok", "sublevel-contractible")
     if curve.r == 1:
-        r1_structure(table)
+        r1_structure(table, pieces)
         yield ("ok", "branch-structure")
     elif curve.r == 2:
         for v, groups in pieces.items():

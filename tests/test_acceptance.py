@@ -240,7 +240,8 @@ def test_criterion_10_r1_structure():
         curve = corpus_curve(name)
         table = build_table(curve)
         mu = table.invariants.mu
-        record = r1_structure(table)
+        record = r1_structure(table, {(v,): grv_homology(table, (v,))
+                                      for v in range(mu + 3)})
         # homology supported exactly on semigroup members, one copy in
         # degree -2 h(v)
         for v, groups in record.hl.items():

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import CORPUS, corpus_path
 
+import curvelat.curve
 import curvelat.hilbert
 import curvelat.latthom
 import curvelat.series
@@ -231,7 +232,7 @@ def _rebind(monkeypatch, original, replacement):
 @pytest.mark.parametrize("name, distinct", [("triple", 7), ("d5", 3)])
 def test_verify_builds_each_table_once(capsys, monkeypatch, name, distinct):
     # one table per nonempty branch subset, identified by its branch
-    # objects and its stored corner
+    # objects and its checked corner
     original = curvelat.hilbert.build_table
     keys = []
 
@@ -246,9 +247,12 @@ def test_verify_builds_each_table_once(capsys, monkeypatch, name, distinct):
     assert len(keys) == len(set(keys)) == distinct
 
 
-def test_verify_computes_each_graded_piece_once(capsys, monkeypatch):
-    # d5 has conductor (2, 4): one grv_homology call per point of the
-    # 5 x 7 box up to conductor + 2, shared by the two-branch cases
+@pytest.mark.parametrize("name, pieces", [("cusp", 5), ("d5", 35)])
+def test_verify_computes_each_graded_piece_once(capsys, monkeypatch, name,
+                                                pieces):
+    # one grv_homology call per point of the box up to conductor + 2,
+    # shared by the branch-structure stage: cusp has conductor 2 (5
+    # points), d5 has conductor (2, 4) (a 5 x 7 box)
     original = curvelat.latthom.grv_homology
     points = []
 
@@ -257,9 +261,26 @@ def test_verify_computes_each_graded_piece_once(capsys, monkeypatch):
         return original(table, v, *args, **kwargs)
 
     _rebind(monkeypatch, original, counting)
-    code, _, _ = _run(capsys, ["verify", corpus_path("d5")])
+    code, _, _ = _run(capsys, ["verify", corpus_path(name)])
     assert code == 0
-    assert len(points) == len(set(points)) == 35
+    assert len(points) == len(set(points)) == pieces
+
+
+def test_verify_checks_each_branch_pair_once(capsys, monkeypatch):
+    # the round trip's and the restriction check's subcurves share the
+    # branch objects, so triple's 3 pairs are scanned and checked once
+    original = curvelat.curve._local_intersection_check
+    checks = []
+
+    def counting(*args):
+        checks.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(curvelat.curve, "_local_intersection_check",
+                        counting)
+    code, _, _ = _run(capsys, ["verify", corpus_path("triple")])
+    assert code == 0
+    assert checks == [1, 1, 1]
 
 
 def test_verify_reads_each_series_once(capsys, monkeypatch):

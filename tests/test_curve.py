@@ -257,6 +257,12 @@ def test_branch_delta_needs_enough_terms():
 # intersection multiplicities
 
 
+def _fresh(c):
+    # the same germ with new branch objects, which hold no pair number,
+    # so the reverse order runs its own scan and local check
+    return Curve([BranchParametrization(b.x, b.y) for b in c.branches])
+
+
 def test_intersection_tangential_pairs():
     assert intersection_multiplicity(corpus_curve("a3"), 0, 1) == 2
     assert intersection_multiplicity(corpus_curve("a5"), 0, 1) == 3
@@ -266,7 +272,7 @@ def test_intersection_tangential_pairs():
 def test_intersection_line_with_cusp():
     c = corpus_curve("d5")
     assert intersection_multiplicity(c, 0, 1) == 2
-    assert intersection_multiplicity(c, 1, 0) == 2
+    assert intersection_multiplicity(_fresh(c), 1, 0) == 2
 
 
 def test_intersection_transverse_lines():
@@ -274,7 +280,26 @@ def test_intersection_transverse_lines():
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert intersection_multiplicity(c, i, j) == 1
+                assert intersection_multiplicity(_fresh(c), i, j) == 1
+
+
+def test_intersection_is_scanned_once_per_pair(monkeypatch):
+    # the number (0, 1) accepted is what (1, 0) and any subcurve with
+    # the same branch objects read, with no second scan or check
+    c = corpus_curve("d5")
+    checks = []
+    original = curve_module._local_intersection_check
+
+    def counting(*args):
+        checks.append(args[-1])
+        original(*args)
+
+    monkeypatch.setattr(curve_module, "_local_intersection_check", counting)
+    assert intersection_multiplicity(c, 0, 1) == 2
+    monkeypatch.setattr(curve_module, "h_oracle", None)
+    assert intersection_multiplicity(c, 1, 0) == 2
+    assert intersection_multiplicity(c.subcurve([1, 0]), 0, 1) == 2
+    assert checks == [2]
 
 
 def test_intersection_rejects_same_index():
@@ -297,7 +322,7 @@ def test_intersection_with_curve_through_origin_twice():
     b2 = BranchParametrization.from_strings("t", "0", 16)
     c = Curve([b1, b2])
     assert intersection_multiplicity(c, 0, 1) == 2
-    assert intersection_multiplicity(c, 1, 0) == 2
+    assert intersection_multiplicity(_fresh(c), 1, 0) == 2
     assert invariants(c).pairwise == [[0, 2], [2, 0]]
 
 
@@ -308,7 +333,7 @@ def test_intersection_with_doubly_covered_parametrization():
     b2 = BranchParametrization.from_strings("t", "0", 16)
     c = Curve([b1, b2])
     assert intersection_multiplicity(c, 0, 1) == 3
-    assert intersection_multiplicity(c, 1, 0) == 3
+    assert intersection_multiplicity(_fresh(c), 1, 0) == 3
     assert invariants(c).pairwise == [[0, 3], [3, 0]]
 
 
@@ -384,7 +409,7 @@ def test_intersection_tangent_smooth_branches(k, a, b, twist):
         b = a + 4
     c = _pair(((1, 1), (a, k)), ((1, 1), (b, k)), k + 2, twist)
     assert intersection_multiplicity(c, 0, 1) == k
-    assert intersection_multiplicity(c, 1, 0) == k
+    assert intersection_multiplicity(_fresh(c), 1, 0) == k
 
 
 @settings(max_examples=12, deadline=None)
@@ -394,7 +419,7 @@ def test_intersection_line_with_monomial_branch(pq, twist):
     c = _pair(((1, 1), (0, 1)), ((1, p), (1, q)),
               (p - 1) * (q - 1) + q + 2, twist)
     assert intersection_multiplicity(c, 0, 1) == q
-    assert intersection_multiplicity(c, 1, 0) == q
+    assert intersection_multiplicity(_fresh(c), 1, 0) == q
 
 
 @settings(max_examples=12, deadline=None)

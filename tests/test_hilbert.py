@@ -75,6 +75,22 @@ def test_invariants_triple_point():
                for i in range(3) for j in range(3) if i != j)
 
 
+@pytest.mark.parametrize("shift, message", [
+    (1, "h at the conductor is 5, expected delta = 4"),
+    (-1, "h one below the conductor in direction 1 is 1, expected "
+         "delta = 2"),
+])
+def test_conductor_check_rejects_a_wrong_pair_number(monkeypatch, shift,
+                                                     message):
+    # d5's pair number is 2; one off moves delta and the conductor, and
+    # the direct ranks at and below the conductor disagree
+    original = hilbert_module.intersection_multiplicity
+    monkeypatch.setattr(hilbert_module, "intersection_multiplicity",
+                        lambda curve, i, j: original(curve, i, j) + shift)
+    with pytest.raises(ConsistencyError, match="^%s$" % message):
+        invariants(corpus_curve("d5"))
+
+
 def test_invariants_milnor_relation():
     for name in CORPUS:
         inv = invariants(corpus_curve(name))
@@ -194,8 +210,17 @@ def test_fill_calls_h_oracle_only_for_the_spot_check(name, monkeypatch):
 
     monkeypatch.setattr(hilbert_module, "h_oracle", recorded)
     t = build_table(c)
-    assert cells == [v for v in t.values if _spot_checked(v, c.truncation)]
-    assert 0 < len(cells) < len(t.values)
+    checked = list(box_points(t.corner))
+    assert cells == [v for v in checked if _spot_checked(v, c.truncation)]
+    assert 0 < len(cells) < len(checked)
+
+
+@pytest.mark.parametrize("name", ["d5", "triple"])
+def test_table_stores_exactly_the_conductor_box(name):
+    c = corpus_curve(name)
+    l = invariants(c).conductor
+    for box in [None, l, tuple(a + 2 for a in l), (9,) * c.r]:
+        assert set(build_table(c, box).values) == set(box_points(l)), box
 
 
 def test_spot_check_catches_a_wrong_fill_value(monkeypatch):
@@ -391,6 +416,12 @@ def _flipped(table, point):
     return lambda v: (not original(v)) if tuple(v) == point else original(v)
 
 
+def _shifted(table, point, d):
+    # h + d at point only, wherever the table reads h
+    original = table.value
+    return lambda v: original(v) + (d if tuple(v) == point else 0)
+
+
 @pytest.mark.parametrize("name", ["d5", "triple"])
 def test_flipped_semigroup_bit_raises(name, monkeypatch):
     # a gap turned into a member, or a point beyond the conductor turned
@@ -446,8 +477,8 @@ def test_sweep_raises_exactly_when_the_witness_search_does(monkeypatch):
         with monkeypatch.context() as m:
             if trial % 2:
                 v = tuple(rng.randint(0, b + 1) for b in bound)
-                m.setitem(table.values, v,
-                          table.values[v] + rng.choice((-1, 1)))
+                m.setattr(table, "value",
+                          _shifted(table, v, rng.choice((-1, 1))))
             else:
                 v = tuple(rng.randint(0, b) for b in bound)
                 m.setattr(table, "in_semigroup", _flipped(table, v))

@@ -173,8 +173,16 @@ def test_sk_box_length_guard():
             sk_homology(table, (0, 0), 2, box=box)
 
 
+def _r1(name):
+    # the record over the graded pieces that verify hands it
+    table = _table(name)
+    bound = table.invariants.mu + 2
+    return r1_structure(table, {(v,): grv_homology(table, (v,))
+                                for v in range(bound + 1)})
+
+
 def test_r1_structure_line():
-    rec = r1_structure(_table("line"))
+    rec = _r1("line")
     assert rec.e2_a == {0: 0}
     assert rec.e2_alpha == {}
     assert rec.members[:3] == (0, 1, 2)
@@ -182,7 +190,7 @@ def test_r1_structure_line():
 
 
 def test_r1_structure_cusp():
-    rec = r1_structure(_table("cusp"))
+    rec = _r1("cusp")
     assert rec.e2_a == {0: 0, 2: -2}
     assert rec.e2_alpha == {0: -1}
     assert rec.u_ranks[0] == 0
@@ -192,7 +200,7 @@ def test_r1_structure_cusp():
 
 
 def test_r1_structure_t2t5():
-    rec = r1_structure(_table("t2t5"))
+    rec = _r1("t2t5")
     assert rec.e2_a == {0: 0, 2: -2, 4: -4}
     assert rec.e2_alpha == {0: -1, 2: -3}
     assert rec.members[:5] == (0, 2, 4, 5, 6)
@@ -201,7 +209,16 @@ def test_r1_structure_t2t5():
 
 def test_r1_structure_rejects_multibranch():
     with pytest.raises(ValueError):
-        r1_structure(_table("a3"))
+        r1_structure(_table("a3"), {})
+
+
+def test_r1_structure_needs_every_piece_up_to_mu_plus_2():
+    table = _table("cusp")
+    pieces = {(v,): grv_homology(table, (v,)) for v in range(5)}
+    assert r1_structure(table, pieces).bound == 4
+    del pieces[(4,)]
+    with pytest.raises(ValueError, match="no graded piece at 4"):
+        r1_structure(table, pieces)
 
 
 def _classify(table, v):

@@ -285,8 +285,10 @@ def test_alexander_reflection_multibranch():
 
 
 def test_alexander_support_guard():
+    # (3, 3) lies beyond the conductor (2, 2), so no stored cell holds it
     table = build_table(corpus_curve("a3"), (4, 4))
-    table.values[(3, 3)] += 1
+    original = table.value
+    table.value = lambda v: original(v) + (tuple(v) == (3, 3))
     with pytest.raises(SupportViolation):
         alexander(table)
 
