@@ -152,6 +152,13 @@ def h_oracle(curve, v):
     BranchParametrization.jet), and h(v) is the rank.  Negative
     coordinates are clamped to zero first.
 
+    Only the rows that are not zero are built.  On a branch, x^a y^b
+    has order exactly a ord(x) + b ord(y), and it is zero when a zero
+    coordinate has a positive exponent (a zero coordinate's order is
+    taken as the truncation, which no v_i exceeds; a nonzero one has
+    order >= 1).  So a monomial has a row exactly when that order is
+    below v_i on some branch, and then a + b is below max(v).
+
     Parameters
     ----------
     curve : Curve
@@ -179,14 +186,17 @@ def h_oracle(curve, v):
         raise InsufficientTruncation(
             "need %d series terms but only %d are kept"
             % (m, curve.truncation))
-    monomials = [(a, total - a) for total in range(m)
-                 for a in range(total + 1)]
+    t = curve.truncation
+    orders = [(b.x.order() or t, b.y.order() or t) for b in curve.branches]
     rows = []
-    for a, b in monomials:
-        row = []
-        for branch, n in zip(curve.branches, v):
-            row.extend(branch.jet(a, b)[:n])
-        rows.append(row)
+    for a in range(m):
+        # x^a y^b has a row while b ord(y) < v_i - a ord(x) on some branch
+        stop = max(-((a * ox - n) // oy) for (ox, oy), n in zip(orders, v))
+        for b in range(stop):
+            row = []
+            for branch, n in zip(curve.branches, v):
+                row.extend(branch.jet(a, b)[:n])
+            rows.append(row)
     return rank_rational(rows)
 
 

@@ -1,7 +1,8 @@
 r"""
 Exact scalar and linear algebra: truncated power series over the
-rationals, a parser for polynomial input strings, fraction-free rank,
-and Smith normal form over the integers.
+rationals, a parser for polynomial input strings, rank by staircase
+elimination over the integers, and Smith normal form over the
+integers.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction``,
 matrices are plain lists of lists.
@@ -9,7 +10,7 @@ matrices are plain lists of lists.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PolySyntaxError
 
@@ -219,8 +220,14 @@ def rank_rational(rows):
     ``numerator`` and ``denominator`` attributes that ints and Fractions
     both have, so an integer row (such as a row of jets) is copied as it
     is and never becomes Fractions.  Zero rows, which add nothing to
-    the rank, are dropped.  The rank is then computed by fraction-free
-    (Bareiss) elimination over the integers.
+    the rank, are dropped.  The rank is then computed by staircase
+    elimination over the integers: column by column, the first
+    remaining row that is nonzero there becomes a pivot and leaves the
+    matrix, and only the rows with an entry f != 0 in that column are
+    rewritten, as (p/g) row - (f/g) pivot with p the pivot entry and
+    g = gcd(p, f), then divided by their content.  Each step is an
+    invertible row operation over Q, so the rank is the number of
+    pivots; rows that become zero are dropped.
 
     Parameters
     ----------
@@ -235,29 +242,33 @@ def rank_rational(rows):
         if any(row):
             den = lcm(*[x.denominator for x in row])
             m.append([x.numerator * (den // x.denominator) for x in row])
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    ncols = len(m[0]) if m else 0
     rank = 0
-    prev = 1
     for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[col]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            f = row[col]
-            m[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-        rank += 1
-        if rank == nrows:
+        if not m:
             break
+        for i, top in enumerate(m):
+            if top[col]:
+                break
+        else:
+            continue
+        del m[i]
+        rank += 1
+        p = top[col]
+        rest = []
+        for row in m:
+            f = row[col]
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, top)]
+                c = gcd(*row)
+                if not c:
+                    continue
+                if c > 1:
+                    row = [x // c for x in row]
+            rest.append(row)
+        m = rest
     return rank
 
 

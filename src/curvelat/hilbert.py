@@ -6,7 +6,7 @@ The table builder fills [0, l] (l the conductor) with prefix ranks:
 one integer echelon basis of jet columns per point of the first r - 1
 coordinates, extended by the last branch's columns one at a time.
 Beyond the conductor every unit step adds 1.  It then re-derives a
-sample of cells from scratch with a full Bareiss rank (h_oracle) and
+sample of cells from scratch with a full matrix rank (h_oracle) and
 checks the step recursion (a direction-i step is 1 exactly when some
 semigroup point agrees with v in coordinate i and dominates it
 elsewhere) over the whole box.  Any mismatch raises ConsistencyError.
@@ -63,19 +63,19 @@ def invariants(curve):
     conductor = tuple(mu_branches[i] + sum(pairwise[i][j]
                                            for j in range(r) if j != i)
                       for i in range(r))
-    if h_oracle(curve, conductor) != delta:
+    h = h_oracle(curve, conductor)
+    if h != delta:
         raise ConsistencyError(
-            "h at the conductor is %d, expected delta = %d"
-            % (h_oracle(curve, conductor), delta))
+            "h at the conductor is %d, expected delta = %d" % (h, delta))
     for i in range(r):
         if conductor[i] >= 1:
             lower = list(conductor)
             lower[i] -= 1
-            if h_oracle(curve, tuple(lower)) != delta:
+            h = h_oracle(curve, tuple(lower))
+            if h != delta:
                 raise ConsistencyError(
                     "h one below the conductor in direction %d is %d, "
-                    "expected delta = %d"
-                    % (i, h_oracle(curve, tuple(lower)), delta))
+                    "expected delta = %d" % (i, h, delta))
     result = CurveInvariants(r=r, delta=delta, delta_branches=delta_branches,
                              mu=mu, mu_branches=mu_branches,
                              pairwise=pairwise, conductor=conductor)
@@ -234,7 +234,7 @@ def build_table(curve, box=None):
     columns one at a time, and the rank after each column is the next
     h.  Beyond l every unit step adds 1 (see HilbertTable.value).  A
     sample of the cells of [0, corner] is then recomputed by h_oracle,
-    a full Bareiss rank, and the step rule is checked on [0, max(box,
+    a full matrix rank, and the step rule is checked on [0, max(box,
     l)] by one walk that reads each point's semigroup membership once.
 
     Parameters

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvelat.curve as curve_module
-from curvelat.cli import load_curve
+import curvelat.hilbert as hilbert_module
+from curvelat.cli import load_curve, main
 from curvelat.curve import (
     BranchParametrization,
     Curve,
@@ -23,10 +24,10 @@ from curvelat.errors import (
     NonStabilizing,
     PrimitivityError,
 )
-from curvelat.exactalg import TruncSeries, parse_poly, rank_rational
+from curvelat.exactalg import TruncSeries, parse_poly
 from curvelat.hilbert import invariants
 
-from conftest import CORPUS, corpus_curve
+from conftest import CORPUS, corpus_curve, corpus_path
 from oracles import (
     REFERENCE_A3,
     REFERENCE_D5,
@@ -106,11 +107,12 @@ def _curve(pairs, truncation):
                   for x, y in pairs])
 
 
-def _fraction_rows(curve, v):
-    # the defining matrix with the rational coefficients themselves
+def _fraction_rows(curve, v, extra=0):
+    # the defining matrix with the rational coefficients themselves, one
+    # row per monomial with a + b < max(v) + extra, zero rows included
     return [[branch.monomial(a, total - a).coefficient(e)
              for branch, n in zip(curve.branches, v) for e in range(n)]
-            for total in range(max(v)) for a in range(total + 1)]
+            for total in range(max(v) + extra) for a in range(total + 1)]
 
 
 @pytest.mark.parametrize("pairs", [
@@ -195,20 +197,67 @@ def test_h_monotone_and_submodular():
             assert h1 + h2 >= h + h12
 
 
+def _assert_cutoff(c, points):
+    # three more degrees of monomials, zero rows included, add no rank
+    for v in points:
+        assert h_oracle(c, v) == gauss_rank(_fraction_rows(c, v, 3)), v
+
+
 def test_h_monomial_cutoff():
-    # enlarging the monomial row set must not change the rank
-    for name, v in [("cusp", (6,)), ("a3", (3, 4)), ("d5", (4, 3))]:
+    for name in CORPUS:
         c = corpus_curve(name)
-        m = max(v)
-        rows = []
-        for total in range(m + 3):
-            for a in range(total + 1):
-                row = []
-                for i, b in enumerate(c.branches):
-                    s = b.monomial(a, total - a)
-                    row.extend(s.coefficient(e) for e in range(v[i]))
-                rows.append(row)
-        assert rank_rational(rows) == h_oracle(c, v)
+        l = invariants(c).conductor
+        _assert_cutoff(c, product(*(range(a + 3) for a in l)))
+
+
+@pytest.mark.parametrize("pairs, points", [
+    # five lines: on (t, 0) and (0, t) every monomial with a positive
+    # exponent on the zero coordinate is zero
+    ([("t", "0"), ("0", "t"), ("t", "t"), ("t", "-1*t"), ("t", "2*t")],
+     [(6, 0, 0, 0, 0), (0, 6, 0, 0, 0), (0, 0, 6, 0, 0), (4, 4, 4, 4, 4),
+      (5, 0, 3, 6, 1), (0, 6, 2, 0, 5), (1, 1, 7, 0, 0)]),
+    # ord x > ord y on the first branch, and a rational coefficient
+    ([("t^3 + t^4", "t^2"), ("t", "1/2*t^5")],
+     list(product(range(0, 11, 2), repeat=2))),
+], ids=["five-lines", "ord-x-above-ord-y"])
+def test_h_monomial_cutoff_generated(pairs, points):
+    _assert_cutoff(_curve(pairs, 16), points)
+
+
+@pytest.mark.parametrize("args, calls, rows", [
+    # of the 3253 rows of every monomial with a + b < max(v), 1503 are
+    # zero and are not built
+    (["--box", "16,16", corpus_path("a3")], 52, 1750),
+    # (t, 0) and (0, t): 576 rows, 177 of them zero
+    ([corpus_path("triple")], 68, 399),
+], ids=["a3-box-16", "triple"])
+def test_h_oracle_builds_one_row_per_nonzero_monomial(monkeypatch, args,
+                                                      calls, rows):
+    # every rank of a whole hilbert command gets exactly the nonzero
+    # rows of the monomial jets
+    pending = []
+    sizes = []
+    original_h = curve_module.h_oracle
+    original_rank = curve_module.rank_rational
+
+    def recorded_h(curve, v):
+        pending.append((curve, [max(c, 0) for c in v]))
+        return original_h(curve, v)
+
+    def checked_rank(rows):
+        curve, v = pending[-1]
+        every = [[x for branch, n in zip(curve.branches, v)
+                  for x in branch.jet(a, total - a)[:n]]
+                 for total in range(max(v)) for a in range(total + 1)]
+        assert sorted(rows) == sorted(row for row in every if any(row))
+        sizes.append(len(rows))
+        return original_rank(rows)
+
+    monkeypatch.setattr(curve_module, "h_oracle", recorded_h)
+    monkeypatch.setattr(hilbert_module, "h_oracle", recorded_h)
+    monkeypatch.setattr(curve_module, "rank_rational", checked_rank)
+    assert main(["hilbert"] + args) == 0
+    assert (len(sizes), sum(sizes)) == (calls, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,47 @@ def test_rank_low_rank_products():
         assert rank_rational(rows) == gauss_rank(rows)
 
 
+_BIG = 2 ** 64
+
+
+@st.composite
+def _sparse_matrices(draw):
+    # a sparse integer or Fraction matrix of any shape, with some zero
+    # columns, then duplicates and combinations of its rows inserted
+    # anywhere; returns (matrix, the rows before the insertions)
+    integral = draw(st.booleans())
+    scalar = st.integers(-_BIG, _BIG)
+    if not integral:
+        scalar = st.one_of(scalar, st.builds(Fraction, scalar,
+                                             st.integers(1, _BIG)))
+    entry = st.one_of(st.just(0), st.just(0), scalar)
+    nrows = draw(st.integers(1, 10))
+    ncols = draw(st.integers(1, 10))
+    dead = draw(st.sets(st.integers(0, ncols - 1)))
+    base = [[0 if j in dead else draw(entry) for j in range(ncols)]
+            for _ in range(nrows)]
+    coefficient = st.sampled_from([0, 0, 1, -1, 2, -3] if integral else
+                                  [0, 0, 1, -1, Fraction(1, 3), _BIG])
+    rows = [list(row) for row in base]
+    for _ in range(draw(st.integers(0, 4))):
+        weights = [draw(coefficient) for _ in base]
+        combined = [sum(w * row[j] for w, row in zip(weights, base))
+                    for j in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), combined)
+    return rows, base
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_rank_of_sparse_matrices_against_gaussian_oracle(drawn):
+    # dependent rows, which become zero during elimination, add nothing
+    rows, base = drawn
+    copy = [list(row) for row in rows]
+    rank = rank_rational(rows)
+    assert rank == gauss_rank(rows) == rank_rational(base)
+    assert rows == copy
+
+
 # ---------------------------------------------------------------------------
 # smith normal form
 

@@ -269,7 +269,7 @@ _curves = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(_curves)
 def test_fill_matches_h_oracle_on_random_curves(c):
-    # every cell the prefix ranks fill agrees with a full Bareiss rank
+    # every cell the prefix ranks fill agrees with a full matrix rank
     try:
         t = build_table(c)
     except (NonStabilizing, InsufficientTruncation):
