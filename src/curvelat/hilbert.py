@@ -5,16 +5,19 @@ numeric invariants of a curve germ.
 The table builder fills [0, l] (l the conductor) with prefix ranks:
 one integer echelon basis of jet columns per point of the first r - 1
 coordinates, extended by the last branch's columns one at a time.
-Beyond the conductor every unit step adds 1.  It then re-derives a
-sample of cells from scratch with a full matrix rank (h_oracle) and
-checks the step recursion (a direction-i step is 1 exactly when some
-semigroup point agrees with v in coordinate i and dominates it
-elsewhere) over the whole box.  Any mismatch raises ConsistencyError.
+Beyond the conductor every unit step adds 1.  The ranks are kept as one
+flat list in lexicographic order, so every read of h is an index
+computed from strides, plus the excess beyond l.  The builder then
+re-derives a sample of cells from scratch with a full matrix rank
+(h_oracle) and checks the step recursion (a direction-i step is 1
+exactly when some semigroup point agrees with v in coordinate i and
+dominates it elsewhere) over the whole box.  Any mismatch raises
+ConsistencyError.
 """
 
 from collections import namedtuple
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import index
 
 from .curve import branch_delta, h_oracle, intersection_multiplicity
@@ -91,9 +94,13 @@ def box_points(box):
 class HilbertTable:
     r"""
     h on [0, l] (l the conductor) with total evaluation: beyond l every
-    unit step raises h by exactly 1, so ``value`` clips to l.  ``corner``
-    is the box the build checked: the spot check sampled [0, corner] and
-    the step rule held on [0, corner - 2].
+    unit step raises h by exactly 1, so a read clips to l and adds the
+    excess.  ``values`` is h on [0, l] as one list in lexicographic
+    order (the last coordinate fastest), and h(v) for v in [0, l] is
+    ``values[sum(v_i * strides[i])]``, where ``strides[i]`` is the
+    product of l_j + 1 over j > i.  ``corner`` is the box the build
+    checked: the spot check sampled [0, corner] and the step rule held
+    on [0, corner - 2].
     """
 
     def __init__(self, curve, corner, values, inv):
@@ -101,16 +108,28 @@ class HilbertTable:
         self.corner = corner
         self.values = values
         self.invariants = inv
+        l = inv.conductor
+        self.strides = tuple(prod(top + 1 for top in l[i + 1:])
+                             for i in range(len(l)))
+
+    def _check_length(self, v):
+        if len(v) != len(self.strides):
+            raise ValueError("expected %d coordinates, got %d"
+                             % (len(self.strides), len(v)))
 
     def value(self, v):
         r"""h at an integer vector of length r (negatives clamp to 0)."""
-        l = self.invariants.conductor
-        if len(v) != len(l):
-            raise ValueError("expected %d coordinates, got %d"
-                             % (len(l), len(v)))
-        v = [max(index(c), 0) for c in v]
-        clipped = tuple(map(min, v, l))
-        return self.values[clipped] + sum(v) - sum(clipped)
+        self._check_length(v)
+        offset = past = 0
+        for c, top, stride in zip(v, self.invariants.conductor,
+                                  self.strides):
+            c = index(c)
+            if c > top:
+                offset += top * stride
+                past += c - top
+            elif c > 0:
+                offset += c * stride
+        return self.values[offset] + past
 
     def step(self, v, i):
         r"""h(v + e_i) - h(v), always 0 or 1."""
@@ -120,9 +139,32 @@ class HilbertTable:
         return self.value(ahead) - self.value(v)
 
     def cube(self, v):
-        r"""h(v + e_K) for every bitmask K, where bit j adds e_j."""
-        return [self.value([c + (mask >> j & 1) for j, c in enumerate(v)])
-                for mask in range(1 << len(v))]
+        r"""
+        h(v + e_K) for every bitmask K, where bit j adds e_j.
+
+        Each v + e_K is read as values[offset] + past, the offset of its
+        clip to [0, l] and its excess beyond l.  The pairs are built one
+        direction at a time: a unit step in direction j adds stride_j to
+        the offset while v_j < l_j, adds 1 to past once v_j >= l_j, and
+        changes nothing while v_j < 0 (both ends clamp to 0).
+        """
+        self._check_length(v)
+        offset = past = 0
+        steps = [(0, 0)]  # (offset, past) of each e_K, relative to v
+        for c, top, stride in zip(v, self.invariants.conductor,
+                                  self.strides):
+            c = index(c)
+            if c >= top:
+                offset += top * stride
+                past += c - top
+                steps += [(o, p + 1) for o, p in steps]
+            elif c >= 0:
+                offset += c * stride
+                steps += [(o + stride, p) for o, p in steps]
+            else:
+                steps += steps
+        values = self.values
+        return [values[offset + o] + past + p for o, p in steps]
 
     def in_semigroup(self, v):
         r"""True when every coordinate step at v equals 1."""
@@ -167,12 +209,12 @@ def _echelon_insert(basis, column):
 
 
 def _fill_to_conductor(curve, l):
-    # h on [0, l] as ranks of jet columns, in lexicographic order.  h(v)
-    # needs the monomials of degree < max(v); those of degree >= max(v)
-    # vanish in every column e < v_i, so the monomials of degree
-    # < max(l) serve the whole box, and rows zero in every column of
-    # the box are dropped.  invariants() has evaluated h at l, so the
-    # truncation covers every column.
+    # h on [0, l] as ranks of jet columns, one flat list in lexicographic
+    # order (see HilbertTable).  h(v) needs the monomials of degree
+    # < max(v); those of degree >= max(v) vanish in every column e < v_i,
+    # so the monomials of degree < max(l) serve the whole box, and rows
+    # zero in every column of the box are dropped.  invariants() has
+    # evaluated h at l, so the truncation covers every column.
     top = max(l)
     monomials = [(a, total - a) for total in range(top)
                  for a in range(total + 1)]
@@ -182,20 +224,20 @@ def _fill_to_conductor(curve, l):
     live = [k for k in range(len(monomials))
             if any(col[k] for cols in columns for col in cols)]
     columns = [[[col[k] for k in live] for col in cols] for cols in columns]
-    values = {}
+    values = []
 
-    def sweep(prefix, basis):
-        # basis spans the columns e < prefix_j of each branch j
-        if len(prefix) == len(columns):
-            values[prefix] = len(basis)
+    def sweep(depth, basis):
+        # basis spans the columns e < v_j of each branch j < depth, and
+        # the walk visits [0, l] in lexicographic order
+        if depth == len(columns):
+            values.append(len(basis))
             return
-        cols = columns[len(prefix)]
-        for e, col in enumerate(cols):
-            sweep(prefix + (e,), basis)
+        for col in columns[depth]:
+            sweep(depth + 1, basis)
             basis = _echelon_insert(basis, col)
-        sweep(prefix + (len(cols),), basis)
+        sweep(depth + 1, basis)
 
-    sweep((), {})
+    sweep(0, {})
     return values
 
 

@@ -9,9 +9,23 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
 
 CORPUS = ["line", "cusp", "t2t5", "a3", "a5", "a7", "d5", "triple"]
 
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                         "curves")
+
 
 def corpus_path(name):
     return os.path.join(DATA_DIR, name + ".json")
+
+
+def bench_curve(name):
+    from curvelat.cli import load_curve
+
+    return load_curve(os.path.join(BENCH_DIR, name + ".json"))
+
+
+def cell(table, v):
+    r"""The index of the point v of [0, l] in the flat list table.values."""
+    return sum(c * stride for c, stride in zip(v, table.strides))
 
 
 def corpus_curve(name):

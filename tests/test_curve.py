@@ -1,4 +1,3 @@
-import os
 from itertools import product
 from math import comb
 
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 import curvelat.curve as curve_module
 import curvelat.hilbert as hilbert_module
-from curvelat.cli import load_curve, main
+from curvelat.cli import main
 from curvelat.curve import (
     BranchParametrization,
     Curve,
@@ -27,7 +26,7 @@ from curvelat.errors import (
 from curvelat.exactalg import TruncSeries, parse_poly
 from curvelat.hilbert import invariants
 
-from conftest import CORPUS, corpus_curve, corpus_path
+from conftest import CORPUS, bench_curve, corpus_curve, corpus_path
 from oracles import (
     REFERENCE_A3,
     REFERENCE_D5,
@@ -284,7 +283,7 @@ def test_invariants_scans_each_branch_once(monkeypatch):
         return original(curve, v)
 
     monkeypatch.setattr(curve_module, "h_oracle", counted)
-    c = _bench_curve("four")
+    c = bench_curve("four")
     invariants(c)
     assert len(calls) == 34
     calls.clear()
@@ -398,21 +397,13 @@ def test_intersection_needs_enough_terms():
     assert intersection_multiplicity(c, 0, 1) == 6
 
 
-BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                         "curves")
-
-
-def _bench_curve(name):
-    return load_curve(os.path.join(BENCH_DIR, name + ".json"))
-
-
 @pytest.mark.parametrize("name, expected", [
     ("a3", 2), ("a5", 3), ("a7", 4), ("d5", 2), ("triple", 1),
     ("tacnode3", 2), ("a31", 16), ("four", 1),
 ])
 def test_local_check_accepts_only_the_true_value(name, expected):
     # every branch pair of these curves has the same intersection number
-    c = corpus_curve(name) if name in CORPUS else _bench_curve(name)
+    c = corpus_curve(name) if name in CORPUS else bench_curve(name)
     conductors = [branch_delta(b)[1] for b in c.branches]
     for i in range(c.r):
         for j in range(i + 1, c.r):

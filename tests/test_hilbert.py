@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, reject, settings
@@ -28,7 +28,7 @@ from curvelat.hilbert import (
     symmetry_check,
 )
 
-from conftest import CORPUS, corpus_curve
+from conftest import CORPUS, bench_curve, cell, corpus_curve
 from oracles import (
     REFERENCE_A3,
     REFERENCE_A3_SEMIGROUP,
@@ -220,7 +220,7 @@ def test_table_stores_exactly_the_conductor_box(name):
     c = corpus_curve(name)
     l = invariants(c).conductor
     for box in [None, l, tuple(a + 2 for a in l), (9,) * c.r]:
-        assert set(build_table(c, box).values) == set(box_points(l)), box
+        assert len(build_table(c, box).values) == prod(a + 1 for a in l), box
 
 
 def test_spot_check_catches_a_wrong_fill_value(monkeypatch):
@@ -229,11 +229,12 @@ def test_spot_check_catches_a_wrong_fill_value(monkeypatch):
     wrong = max((v for v in box_points(l) if _spot_checked(v, c.truncation)),
                 key=sum)
     assert sum(wrong) > 0
+    offset = cell(build_table(c), wrong)
     original = hilbert_module._fill_to_conductor
 
     def off_by_one(curve, conductor):
         values = original(curve, conductor)
-        values[wrong] += 1
+        values[offset] += 1
         return values
 
     monkeypatch.setattr(hilbert_module, "_fill_to_conductor", off_by_one)
@@ -274,8 +275,9 @@ def test_fill_matches_h_oracle_on_random_curves(c):
         t = build_table(c)
     except (NonStabilizing, InsufficientTruncation):
         reject()
-    for v in box_points(t.invariants.conductor):
-        assert t.values[v] == h_oracle(c, v)
+    for v, h in zip(box_points(t.invariants.conductor), t.values,
+                    strict=True):
+        assert h == h_oracle(c, v)
 
 
 def test_table_extends_beyond_corner():
@@ -353,6 +355,8 @@ def test_value_rejects_wrong_length_points():
     for v in [(1, 3, 7), (1,)]:
         with pytest.raises(ValueError, match="expected 2 coordinates"):
             t.value(v)
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            t.cube(v)
 
 
 def test_non_integer_coordinates_are_refused():
@@ -362,6 +366,8 @@ def test_non_integer_coordinates_are_refused():
     for v in [(1.9, 3.9), (Fraction(3, 2), 3)]:
         with pytest.raises(TypeError):
             t.value(v)
+        with pytest.raises(TypeError):
+            t.cube(v)
         with pytest.raises(TypeError):
             h_oracle(curve, v)
     with pytest.raises(TypeError):
@@ -383,6 +389,56 @@ def test_cube_bit_j_adds_e_j(name):
         for bits in product((0, 1), repeat=r):
             mask = sum(b << j for j, b in enumerate(bits))
             assert cube[mask] == t.value([c + b for c, b in zip(v, bits)])
+
+
+_READER_CURVES = ["cusp", "d5", "triple", "four"]  # r = 1, 2, 3, 4
+
+
+@pytest.fixture(scope="module")
+def reader_tables():
+    return {name: build_table(bench_curve(name) if name == "four"
+                              else corpus_curve(name))
+            for name in _READER_CURVES}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_READER_CURVES), st.data())
+def test_readers_agree_with_h_oracle_around_the_conductor_box(
+        reader_tables, name, data):
+    # value is h_oracle at the clip of v to [0, l] plus the excess past
+    # l; cube, step and in_semigroup agree with value
+    t = reader_tables[name]
+    l = t.invariants.conductor
+    v = tuple(data.draw(st.integers(-2, c + 3)) for c in l)
+    clip = tuple(min(max(c, 0), top) for c, top in zip(v, l))
+    past = sum(max(c - top, 0) for c, top in zip(v, l))
+    h = t.value(v)
+    assert h == h_oracle(t.curve, clip) + past
+    ahead = [t.value([c + (j == i) for j, c in enumerate(v)])
+             for i in range(len(v))]
+    for mask, got in enumerate(t.cube(v)):
+        assert got == t.value([c + (mask >> j & 1)
+                               for j, c in enumerate(v)]), mask
+    assert [t.step(v, i) for i in range(len(v))] == [a - h for a in ahead]
+    assert t.in_semigroup(v) == all(a == h + 1 for a in ahead)
+
+
+def test_cube_never_reads_value(monkeypatch):
+    # one path: every cube is read off the flat list, with no fallback
+    # to value anywhere around the conductor box
+    t = build_table(bench_curve("four"))
+    calls = []
+    original = hilbert_module.HilbertTable.value
+
+    def counting(self, v):
+        calls.append(tuple(v))
+        return original(self, v)
+
+    monkeypatch.setattr(hilbert_module.HilbertTable, "value", counting)
+    box = tuple(c + 2 for c in t.invariants.conductor)
+    cubes = [t.cube(v) for v in box_points(box)]
+    assert len(cubes) == 6 ** 4
+    assert calls == []
 
 
 def test_build_table_rejects_wrong_length_boxes():
@@ -507,7 +563,7 @@ def test_build_table_reads_each_membership_once(monkeypatch):
 
 def test_symmetry_detects_corruption():
     t = build_table(corpus_curve("a3"), (2, 2))
-    t.values[(1, 0)] += 1
+    t.values[cell(t, (1, 0))] += 1
     with pytest.raises(ConsistencyError):
         symmetry_check(t)
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS, corpus_curve
+from conftest import CORPUS, cell, corpus_curve
 from oracles import cubical_homology_brute
 
 import curvelat.latthom as latthom
@@ -269,7 +269,7 @@ def test_r2_classify_rejects_wrong_branch_count():
 def test_r2_unclassifiable_pattern():
     # h jumping by 3 across one unit square is no admissible shape
     table = _table("a3")
-    table.values[(1, 1)] = 3
+    table.values[cell(table, (1, 1))] = 3
     with pytest.raises(UnclassifiablePattern):
         r2_classify(table, (0, 0), GradedGroup({}))
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, corpus_curve
+from conftest import CORPUS, cell, corpus_curve
 from oracles import du_homology_truncated, gauss_rank
 
 import curvelat.oslattice as oslattice
@@ -97,7 +97,7 @@ def test_corrupted_table_breaks_the_local_matroid():
     # h rising by 2 in one unit step is no matroid rank: the axiom
     # check in Matroid surfaces as a ConsistencyError naming the point
     table = build_table(corpus_curve("a3"))
-    table.values[(2, 1)] += 1
+    table.values[cell(table, (2, 1))] += 1
     with pytest.raises(ConsistencyError, match=r"local matroid at \(1, 1\)"):
         grv_homology(table, (1, 1))
 

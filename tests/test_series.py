@@ -15,7 +15,7 @@ from curvelat.series import (
     torres_restriction_check,
 )
 
-from conftest import CORPUS, corpus_curve
+from conftest import CORPUS, cell, corpus_curve
 from oracles import alexander_r1_from_semigroup, numerical_semigroup
 
 
@@ -285,10 +285,16 @@ def test_alexander_reflection_multibranch():
 
 
 def test_alexander_support_guard():
-    # (3, 3) lies beyond the conductor (2, 2), so no stored cell holds it
+    # (3, 3) lies beyond the conductor (2, 2), so no stored cell holds
+    # it: shift h there in every cube that reads it
     table = build_table(corpus_curve("a3"), (4, 4))
-    original = table.value
-    table.value = lambda v: original(v) + (tuple(v) == (3, 3))
+    original = table.cube
+
+    def shifted(v):
+        return [h + ((v[0] + (mask & 1), v[1] + (mask >> 1)) == (3, 3))
+                for mask, h in enumerate(original(v))]
+
+    table.cube = shifted
     with pytest.raises(SupportViolation):
         alexander(table)
 
@@ -340,7 +346,7 @@ def test_restriction_detects_a_wrong_sub_table_value():
     table, poincares = _restriction_inputs("d5")
     box = poincares[2].box
     sub = build_table(corpus_curve("d5").subcurve([1]), box)
-    sub.values[(1,)] += 1
+    sub.values[cell(sub, (1,))] += 1
     poincares[2] = poincare_from_hilbert(sub, box)
     with pytest.raises(ConsistencyError, match="restriction identity"):
         torres_restriction_check(table, poincares)
