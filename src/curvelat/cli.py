@@ -227,10 +227,9 @@ def _cmd_series(args):
     else:
         box = tuple(c + 2 for c in invariants(curve).conductor)
         table = build_table(curve, box)
-        if args.kind == "poincare":
-            series = poincare_from_hilbert(table, box)
-        else:
-            series = alexander(table)
+        series = poincare_from_hilbert(table, box)
+        if args.kind == "alexander":
+            series = alexander(table, series)
     if args.format == "json":
         payload = _series_payload(series)
         payload["kind"] = args.kind

@@ -7,12 +7,12 @@ one integer echelon basis of jet columns per point of the first r - 1
 coordinates, extended by the last branch's columns one at a time.
 Beyond the conductor every unit step adds 1.  The ranks are kept as one
 flat list in lexicographic order, so every read of h is an index
-computed from strides, plus the excess beyond l.  The builder then
-re-derives a sample of cells from scratch with a full matrix rank
-(h_oracle) and checks the step recursion (a direction-i step is 1
-exactly when some semigroup point agrees with v in coordinate i and
-dominates it elsewhere) over the whole box.  Any mismatch raises
-ConsistencyError.
+computed from strides, plus the excess beyond l; membership and the
+unit steps at v are views of its unit cube.  The builder re-derives a
+sample of cells from scratch with a full matrix rank (h_oracle) and
+checks the step recursion (a direction-i step is 1 exactly when some
+semigroup point agrees with v in coordinate i and dominates it
+elsewhere) over the whole box.  Any mismatch raises ConsistencyError.
 """
 
 from collections import namedtuple
@@ -131,13 +131,6 @@ class HilbertTable:
                 offset += c * stride
         return self.values[offset] + past
 
-    def step(self, v, i):
-        r"""h(v + e_i) - h(v), always 0 or 1."""
-        if not 0 <= i < len(v):
-            raise ValueError("direction %d is not in range(%d)" % (i, len(v)))
-        ahead = [c + 1 if j == i else c for j, c in enumerate(v)]
-        return self.value(ahead) - self.value(v)
-
     def cube(self, v):
         r"""
         h(v + e_K) for every bitmask K, where bit j adds e_j.
@@ -169,10 +162,8 @@ class HilbertTable:
     def in_semigroup(self, v):
         r"""True when every coordinate step at v equals 1."""
         # a negative v_i clamps v and v + e_i to the same point
-        h = self.value(v)
-        return all(self.value([c + 1 if j == i else c
-                               for j, c in enumerate(v)]) == h + 1
-                   for i in range(len(v)))
+        h, *ahead = self.cube(v)
+        return all(ahead[(1 << i) - 1] == h + 1 for i in range(len(v)))
 
 
 def _spot_check(table):
@@ -248,20 +239,22 @@ def _step_rule_sweep(table, bound):
     # bound >= l).  For j != i with v_j < l_j, B(v + e_j, i) is the part
     # of B(v, i) with u_j > v_j; for v_j >= l_j the j range is {v_j}.
     # So B(v, i) is {v} plus those B(v + e_j, i), all in [0, bound]: a
-    # reverse lexicographic walk meets v + e_j before v, reads each
-    # membership once and ORs each witness from at most r - 1 neighbours.
+    # reverse lexicographic walk meets v + e_j before v, reads each cube
+    # once and ORs each witness from at most r - 1 neighbours.
     l = table.invariants.conductor
     r = len(l)
     witnessed = {}  # bit i set when B(v, i) holds a member
     for v in product(*(range(b, -1, -1) for b in bound)):
-        found = (1 << r) - 1 if table.in_semigroup(v) else 0
+        h, *ahead = table.cube(v)
+        steps = [ahead[(1 << i) - 1] - h for i in range(r)]
+        found = (1 << r) - 1 if all(s == 1 for s in steps) else 0
         for j in range(r):
             if v[j] < l[j]:
-                ahead = v[:j] + (v[j] + 1,) + v[j + 1:]
-                found |= witnessed[ahead] & ~(1 << j)
+                near = v[:j] + (v[j] + 1,) + v[j + 1:]
+                found |= witnessed[near] & ~(1 << j)
         witnessed[v] = found
         for i in range(r):
-            if table.step(v, i) != found >> i & 1:
+            if steps[i] != found >> i & 1:
                 raise ConsistencyError(
                     "step rule fails at %s direction %d" % (v, i))
 
@@ -277,7 +270,7 @@ def build_table(curve, box=None):
     h.  Beyond l every unit step adds 1 (see HilbertTable.value).  A
     sample of the cells of [0, corner] is then recomputed by h_oracle,
     a full matrix rank, and the step rule is checked on [0, max(box,
-    l)] by one walk that reads each point's semigroup membership once.
+    l)] by one walk that reads each point's unit cube once.
 
     Parameters
     ----------

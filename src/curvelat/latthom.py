@@ -17,7 +17,7 @@ from .errors import (BoxTooSmall, ConsistencyError, UnclassifiablePattern)
 from .exactalg import rank_rational
 from .hilbert import box_points, local_matroid
 from .oslattice import GradedGroup, du_homology, homology_from_boundaries
-from .series import alexander, hv_polynomial, pi_value
+from .series import hv_polynomial
 
 
 def grv_homology_direct(table, v):
@@ -84,18 +84,22 @@ def grv_homology(table, v):
     return direct
 
 
-def euler_check(table):
+def euler_check(table, poincare):
     r"""
     Verify that the Euler characteristic of the graded piece at every
-    point of [0, conductor + 1] equals the signed count from the table.
+    point of [0, conductor + 1] equals the coefficient of poincare, the
+    table's pi series; a series box below conductor + 1 raises ValueError.
 
     Returns True, or raises ConsistencyError.
     """
-    for v in box_points(tuple(c + 1 for c in table.invariants.conductor)):
+    wide = tuple(c + 1 for c in table.invariants.conductor)
+    if any(b < w for b, w in zip(poincare.box, wide)):
+        raise ValueError("series box %s is below l + 1" % (poincare.box,))
+    for v in box_points(wide):
         groups = grv_homology_formula(table, v)
         chi = sum((-1) ** (q % 2) * rank
                   for q, (rank, _) in groups.groups.items())
-        if chi != pi_value(table, v):
+        if chi != poincare.coefficient(v):
             raise ConsistencyError(
                 "Euler characteristic at %s does not match the "
                 "alternating sum" % (v,))
@@ -174,7 +178,7 @@ R1Structure = namedtuple("R1Structure",
                           "e2_a", "e2_alpha"])
 
 
-def r1_structure(table, pieces):
+def r1_structure(table, pieces, poly):
     r"""
     Full structural record for a one-branch curve, read off its
     HilbertTable and its graded pieces: the U-action ranks between
@@ -195,6 +199,7 @@ def r1_structure(table, pieces):
     pieces : dict
         The graded piece (see grv_homology) at every point (v,) with
         0 <= v <= mu + 2; a missing point raises ValueError.
+    poly : BoxSeries, the polynomial invariant (see alexander)
 
     Returns
     -------
@@ -280,7 +285,6 @@ def r1_structure(table, pieces):
         signed[v] = signed.get(v, 0) + 1
     for v in e2_alpha:
         signed[v + 1] = signed.get(v + 1, 0) - 1
-    poly = alexander(table)
     for e in range(mu + 1):
         if signed.get(e, 0) != poly.coefficient((e,)):
             raise ConsistencyError(

@@ -1,9 +1,10 @@
 r"""
 Generating series built from the Hilbert table: the Hilbert series
-itself, the alternating-sum series pi, the q-refined series and its
-normalized polynomial form, the one- and multi-variable annihilating
-polynomials, and the restriction identity relating a curve's series to
-the series of the curve with one branch removed.
+itself, the alternating-sum series pi and h rebuilt from it, the
+q-refined series and its normalized polynomial form, and, read off pi
+series already computed, the annihilating polynomials and the
+restriction identity relating a curve's series to the series of the
+curve with one branch removed.
 
 A BoxSeries stores finitely many terms c * t^v * q^m with v inside a
 box; series in the t variables alone keep m = 0 everywhere.
@@ -98,38 +99,47 @@ def poincare_from_hilbert(table, box):
     return BoxSeries(len(box), box, coeffs)
 
 
-def hilbert_from_poincare(poincares, v):
+def hilbert_from_poincare(poincares, box):
     r"""
-    Rebuild h(v) from the pi series of every nonempty branch subset:
-    sum over nonempty K of (-1)^(|K|-1) times the sum of the K-subcurve
-    pi values over the box from 0 to v restricted to K minus 1.
+    Rebuild h on [0, box] from the pi series of every nonempty branch
+    subset: h(v) is the sum over nonempty K of (-1)^(|K|-1) times the
+    sum of the K-subcurve pi values over the box from 0 to v restricted
+    to K minus 1, read off running sums of each series built one axis
+    at a time.
 
     Parameters
     ----------
     poincares : dict mapping bitmask to BoxSeries
         The series for the subcurve with the masked branches, indexed
-        in increasing branch order; every box must reach v - 1 on its
-        coordinates.
-    v : tuple of ints
+        in increasing branch order; every box must reach box - 1 on its
+        coordinates, and a missing bitmask raises ValueError.
+    box : tuple of ints
 
     Returns
     -------
-    int
+    dict mapping every point of [0, box] to h there
     """
-    r = len(v)
-    total = 0
+    r = len(box)
+    sums = []  # (branches of K, signed running sums of its series)
     for mask in range(1, 1 << r):
+        if mask not in poincares:
+            raise ValueError("no pi series for bitmask %d" % mask)
         idx = [i for i in range(r) if mask >> i & 1]
-        upper = [v[i] - 1 for i in idx]
-        if any(u < 0 for u in upper):
-            continue
+        upper = tuple(box[i] - 1 for i in idx)
         p = poincares[mask]
         if any(b < u for b, u in zip(p.box, upper)):
             raise ValueError("subcurve series box is too small")
-        part = sum(c for (w, m), c in p.coeffs.items()
-                   if m == 0 and all(a <= b for a, b in zip(w, upper)))
-        total += (-1) ** (len(idx) - 1) * part
-    return total
+        sign = 1 if len(idx) % 2 else -1
+        acc = {w: sign * p.coefficient(w) for w in box_points(upper)}
+        for axis in range(len(upper)):
+            for w in box_points(upper):
+                if w[axis]:
+                    acc[w] += acc[w[:axis] + (w[axis] - 1,) + w[axis + 1:]]
+        sums.append((idx, acc))
+    # a point with some v_i = 0, i in K, reads no K term
+    return {v: sum(acc.get(tuple(v[i] - 1 for i in idx), 0)
+                   for idx, acc in sums)
+            for v in box_points(box)}
 
 
 def hv_polynomial(table, v):
@@ -219,28 +229,28 @@ def motivic_normalized(table):
     return BoxSeries(r, l, result)
 
 
-def alexander(table):
+def alexander(table, poincare):
     r"""
-    The annihilating polynomial of the curve, read off the given
-    HilbertTable.
+    The annihilating polynomial of the curve, read off poincare, the pi
+    series of the given HilbertTable, over [0, l + 2] (l the conductor);
+    a series box below l + 2 raises ValueError.
 
     For one branch this is the pi series times (1 - t): supported in
-    [0, mu], palindromic, and it is checked to vanish for two steps
-    beyond mu.  For several branches it is the pi series itself, which
-    is a polynomial supported in [0, conductor - 1]; the support check
-    runs two steps past the conductor.  Violations raise
-    SupportViolation.
+    [0, mu] (mu = l), palindromic, and it is checked to vanish for two
+    steps beyond mu.  For several branches it is the pi series itself,
+    a polynomial supported in [0, l - 1], checked two steps past l.
+    Violations raise SupportViolation.
     """
     inv = table.invariants
     l = inv.conductor
-    r = inv.r
-    if r == 1:
+    wide = tuple(c + 2 for c in l)
+    if any(b < w for b, w in zip(poincare.box, wide)):
+        raise ValueError("series box %s is below l + 2" % (poincare.box,))
+    if inv.r == 1:
         mu = inv.mu
-        wide = mu + 2
-        pis = [pi_value(table, (v,)) for v in range(wide + 1)]
         coeffs = {}
-        for k in range(wide + 1):
-            c = pis[k] - (pis[k - 1] if k else 0)
+        for k in range(wide[0] + 1):
+            c = poincare.coefficient((k,)) - poincare.coefficient((k - 1,))
             if c:
                 if k > mu:
                     raise SupportViolation(
@@ -248,17 +258,16 @@ def alexander(table):
                         "past mu = %d" % (k, mu))
                 coeffs[((k,), 0)] = c
         return BoxSeries(1, (mu,), coeffs)
-    wide = tuple(c + 2 for c in l)
     coeffs = {}
     for v in box_points(wide):
-        c = pi_value(table, v)
+        c = poincare.coefficient(v)
         if c:
             if any(a > b - 1 for a, b in zip(v, l)):
                 raise SupportViolation(
                     "polynomial has a term at %s outside the open "
                     "conductor box" % (v,))
             coeffs[(v, 0)] = c
-    return BoxSeries(r, tuple(c - 1 for c in l), coeffs)
+    return BoxSeries(inv.r, tuple(c - 1 for c in l), coeffs)
 
 
 def torres_restriction_check(table, poincares):

@@ -31,8 +31,9 @@ def _verify_round_trip(table, box):
         sub = (table if mask == full
                else build_table(curve.subcurve(idx), sub_box))
         poincares[mask] = poincare_from_hilbert(sub, sub_box)
-    for v in box_points(table.invariants.conductor):
-        if hilbert_from_poincare(poincares, v) != table.value(v):
+    rebuilt = hilbert_from_poincare(poincares, table.invariants.conductor)
+    for v, h in rebuilt.items():
+        if h != table.value(v):
             raise ConsistencyError(
                 "series round trip fails at %s" % (v,))
     return poincares
@@ -49,9 +50,8 @@ def _verify_motivic(table):
                 % (v,))
 
 
-def _verify_alexander(table):
+def _verify_alexander(table, poly):
     inv = table.invariants
-    poly = alexander(table)
     if inv.r == 1:
         for k in range(inv.mu + 1):
             if poly.coefficient((k,)) != poly.coefficient((inv.mu - k,)):
@@ -72,9 +72,10 @@ def run(curve, deep=False):
     Run the self-verification battery on a curve.
 
     Yields ("ok", stage) or ("skip", "stage (reason)") as each stage
-    finishes; a failing check raises, usually ConsistencyError.  deep
-    builds the tables over the conductor plus 4 instead of plus 2 and
-    checks more sublevel complexes.
+    finishes; a failing check raises, usually ConsistencyError.  The
+    tables and the graded pieces cover the conductor plus 2, or plus 4
+    when deep is set, which also checks more sublevel complexes; the
+    Euler check stays on the conductor plus 1.
     """
     margin = 4 if deep else 2
     inv = invariants(curve)
@@ -92,17 +93,18 @@ def run(curve, deep=False):
     yield ("ok", "series-round-trip")
     _verify_motivic(table)
     yield ("ok", "motivic")
-    _verify_alexander(table)
+    poincare = poincares[(1 << curve.r) - 1]
+    poly = alexander(table, poincare)
+    _verify_alexander(table, poly)
     yield ("ok", "alexander")
     if curve.r >= 2:
         torres_restriction_check(table, poincares)
         yield ("ok", "restriction")
     else:
         yield ("skip", "restriction (single branch)")
-    euler_check(table)
+    euler_check(table, poincare)
     yield ("ok", "euler")
-    pieces = {v: grv_homology(table, v)
-              for v in box_points(tuple(c + 2 for c in inv.conductor))}
+    pieces = {v: grv_homology(table, v) for v in box_points(box)}
     yield ("ok", "graded-homology")
     zero = (0,) * curve.r
     mid = tuple(c // 2 for c in inv.conductor)
@@ -116,7 +118,7 @@ def run(curve, deep=False):
                 "sublevel complex at level %d is not contractible" % k)
     yield ("ok", "sublevel-contractible")
     if curve.r == 1:
-        r1_structure(table, pieces)
+        r1_structure(table, pieces, poly)
         yield ("ok", "branch-structure")
     elif curve.r == 2:
         for v, groups in pieces.items():

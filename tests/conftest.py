@@ -28,6 +28,14 @@ def cell(table, v):
     return sum(c * stride for c, stride in zip(v, table.strides))
 
 
+def full_series(table):
+    r"""The pi series of the table over [0, l + 2] (l the conductor)."""
+    from curvelat.series import poincare_from_hilbert
+
+    return poincare_from_hilbert(
+        table, tuple(c + 2 for c in table.invariants.conductor))
+
+
 def corpus_curve(name):
     from curvelat.curve import BranchParametrization, Curve
 

@@ -155,20 +155,27 @@ def step_rule_mismatches(table, bound):
     exactly when some semigroup point u has u_i = v_i and
     v_j <= u_j <= max(l_j, v_j) for every j != i (l the conductor).
     Each witness box is searched point by point as a product of
-    ranges.  Only table.in_semigroup, table.step and the conductor are
-    read.
+    ranges.  Only table.cube and the conductor are read: the steps at v
+    are its singleton entries minus h(v), and v is a member when every
+    step is 1.
     """
     l = table.invariants.conductor
     r = len(l)
+
+    def steps(v):
+        h, *ahead = table.cube(v)
+        return [ahead[(1 << i) - 1] - h for i in range(r)]
+
     found = set()
     for v in itertools.product(*(range(b + 1) for b in bound)):
+        here = steps(v)
         for i in range(r):
             ranges = [range(v[i], v[i] + 1) if j == i
                       else range(v[j], max(l[j], v[j]) + 1)
                       for j in range(r)]
-            witness = any(table.in_semigroup(u)
+            witness = any(all(s == 1 for s in steps(u))
                           for u in itertools.product(*ranges))
-            if table.step(v, i) != (1 if witness else 0):
+            if here[i] != (1 if witness else 0):
                 found.add((v, i))
     return found
 

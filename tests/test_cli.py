@@ -300,6 +300,31 @@ def test_verify_reads_each_series_once(capsys, monkeypatch):
     assert calls == {"alexander": 1, "poincare_from_hilbert": 7}
 
 
+@pytest.mark.parametrize("name, pairs", [("cusp", 5), ("d5", 35 + 5 + 7),
+                                         ("triple", 125 + 3 * 25 + 3 * 5)])
+def test_verify_reads_each_pi_value_once(capsys, monkeypatch, name, pairs):
+    # the round trip's series serve the alexander, restriction and euler
+    # stages, so pi is evaluated once per (table, point) of the verify
+    # box, and the polynomial is computed once
+    reads, alexanders = [], []
+    pi_value, alexander = curvelat.series.pi_value, curvelat.series.alexander
+
+    def counting_pi(table, v):
+        reads.append((id(table), tuple(v)))
+        return pi_value(table, v)
+
+    def counting_alexander(*args):
+        alexanders.append(args)
+        return alexander(*args)
+
+    _rebind(monkeypatch, pi_value, counting_pi)
+    _rebind(monkeypatch, alexander, counting_alexander)
+    code, _, _ = _run(capsys, ["verify", corpus_path(name)])
+    assert code == 0
+    assert len(reads) == len(set(reads)) == pairs
+    assert len(alexanders) == 1
+
+
 def test_missing_file(capsys):
     code, _, err = _run(capsys, ["value", "/nonexistent/c.json",
                                  "--at", "1"])

@@ -54,6 +54,7 @@ def _cases():
             for a in (1, 3):
                 yield ["homology", path, "--at", point(a)] + f
         yield ["verify", path]
+        yield ["verify", "--deep", path]
 
 
 def _argv(tokens):

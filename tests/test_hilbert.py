@@ -295,8 +295,10 @@ def test_table_clamps_negatives():
 
 def test_table_steps_and_membership():
     t = build_table(corpus_curve("a3"), (4, 4))
-    assert t.step((1, 1), 0) == 1
-    assert t.step((1, 0), 1) == 0
+    h, *ahead = t.cube((1, 1))
+    assert ahead[0] - h == 1
+    h, *ahead = t.cube((1, 0))
+    assert ahead[1] - h == 0
     assert t.in_semigroup((1, 1))
     assert not t.in_semigroup((1, 0))
     assert not t.in_semigroup((-1, 0))
@@ -406,7 +408,7 @@ def reader_tables():
 def test_readers_agree_with_h_oracle_around_the_conductor_box(
         reader_tables, name, data):
     # value is h_oracle at the clip of v to [0, l] plus the excess past
-    # l; cube, step and in_semigroup agree with value
+    # l; cube and in_semigroup agree with value
     t = reader_tables[name]
     l = t.invariants.conductor
     v = tuple(data.draw(st.integers(-2, c + 3)) for c in l)
@@ -419,7 +421,6 @@ def test_readers_agree_with_h_oracle_around_the_conductor_box(
     for mask, got in enumerate(t.cube(v)):
         assert got == t.value([c + (mask >> j & 1)
                                for j, c in enumerate(v)]), mask
-    assert [t.step(v, i) for i in range(len(v))] == [a - h for a in ahead]
     assert t.in_semigroup(v) == all(a == h + 1 for a in ahead)
 
 
@@ -451,14 +452,6 @@ def test_build_table_rejects_wrong_length_boxes():
             build_table(curve, box)
 
 
-def test_step_rejects_directions_outside_range():
-    t = build_table(corpus_curve("d5"))
-    assert [t.step((1, 1), i) for i in range(2)] == [1, 0]
-    for i in [2, 5, -1]:
-        with pytest.raises(ValueError, match="direction"):
-            t.step((1, 1), i)
-
-
 # ---------------------------------------------------------------------------
 # the step-rule sweep
 
@@ -467,34 +460,15 @@ def _bound(table):
     return tuple(c - 2 for c in table.corner)
 
 
-def _flipped(table, point):
-    original = table.in_semigroup
-    return lambda v: (not original(v)) if tuple(v) == point else original(v)
-
-
 def _shifted(table, point, d):
-    # h + d at point only, wherever the table reads h
-    original = table.value
-    return lambda v: original(v) + (d if tuple(v) == point else 0)
+    # h + d at point only, in every cube that reads it
+    original = table.cube
 
-
-@pytest.mark.parametrize("name", ["d5", "triple"])
-def test_flipped_semigroup_bit_raises(name, monkeypatch):
-    # a gap turned into a member, or a point beyond the conductor turned
-    # into a gap, always breaks the step rule somewhere in [0, bound]
-    curve = corpus_curve(name)
-    table = build_table(curve, (5,) * curve.r)
-    l = table.invariants.conductor
-    bound = _bound(table)
-    flips = [v for v in box_points(bound)
-             if not table.in_semigroup(v)
-             or all(a >= b for a, b in zip(v, l))]
-    assert len(flips) > 20
-    for v in flips:
-        with monkeypatch.context() as m:
-            m.setattr(table, "in_semigroup", _flipped(table, v))
-            with pytest.raises(ConsistencyError, match="step rule"):
-                hilbert_module._step_rule_sweep(table, bound)
+    def cube(v):
+        return [h + (d if tuple(c + (mask >> j & 1)
+                                for j, c in enumerate(v)) == point else 0)
+                for mask, h in enumerate(original(v))]
+    return cube
 
 
 def _sweep_failure(table, bound):
@@ -519,8 +493,10 @@ def test_sweep_agrees_with_the_witness_search_on_the_corpus(name):
 
 
 def test_sweep_raises_exactly_when_the_witness_search_does(monkeypatch):
-    # seeded corruptions of one table value or one membership bit; the
-    # sweep must raise iff the search finds a mismatch, and name one
+    # seeded corruptions of one table value, seen by every cube that
+    # reads it, on [0, bound] (where memberships are read) or on
+    # [0, bound + 1]; the sweep must raise iff the search finds a
+    # mismatch, and name one
     rng = random.Random(20131)
     tables = [build_table(corpus_curve(name),
                           tuple(c + 1 for c in
@@ -531,23 +507,20 @@ def test_sweep_raises_exactly_when_the_witness_search_does(monkeypatch):
         table = rng.choice(tables)
         bound = _bound(table)
         with monkeypatch.context() as m:
-            if trial % 2:
-                v = tuple(rng.randint(0, b + 1) for b in bound)
-                m.setattr(table, "value",
-                          _shifted(table, v, rng.choice((-1, 1))))
-            else:
-                v = tuple(rng.randint(0, b) for b in bound)
-                m.setattr(table, "in_semigroup", _flipped(table, v))
+            v = tuple(rng.randint(0, b + trial % 2) for b in bound)
+            m.setattr(table, "cube", _shifted(table, v, rng.choice((-1, 1))))
             expected = step_rule_mismatches(table, bound)
             failure = _sweep_failure(table, bound)
         assert (failure is None) == (not expected), (trial, v)
         assert failure is None or failure in expected
         raised += failure is not None
-    assert 100 < raised < 240, raised
+    # 191 of the 240 seeded shifts break the step rule
+    assert 180 < raised < 240, raised
 
 
 def test_build_table_reads_each_membership_once(monkeypatch):
-    original = hilbert_module.HilbertTable.in_semigroup
+    # the memberships come from the sweep's cubes, one per point
+    original = hilbert_module.HilbertTable.cube
     for name, box in [("d5", None), ("triple", (4, 3, 5))]:
         calls = []
 
@@ -556,9 +529,28 @@ def test_build_table_reads_each_membership_once(monkeypatch):
             return original(self, v)
 
         with monkeypatch.context() as m:
-            m.setattr(hilbert_module.HilbertTable, "in_semigroup", counting)
+            m.setattr(hilbert_module.HilbertTable, "cube", counting)
             table = build_table(corpus_curve(name), box)
         assert sorted(calls) == sorted(box_points(_bound(table)))
+
+
+def test_sweep_reads_one_cube_per_point_and_nothing_else(monkeypatch):
+    # membership and every step at v come from one cube: no value and
+    # no in_semigroup call
+    table = build_table(bench_curve("four"))
+    bound = _bound(table)
+    calls = {"cube": [], "value": [], "in_semigroup": []}
+    for name in calls:
+        original = getattr(hilbert_module.HilbertTable, name)
+
+        def counting(self, v, _name=name, _original=original):
+            calls[_name].append(tuple(v))
+            return _original(self, v)
+
+        monkeypatch.setattr(hilbert_module.HilbertTable, name, counting)
+    hilbert_module._step_rule_sweep(table, bound)
+    assert sorted(calls["cube"]) == sorted(box_points(bound))
+    assert calls["value"] == calls["in_semigroup"] == []
 
 
 def test_symmetry_detects_corruption():

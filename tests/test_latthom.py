@@ -4,13 +4,14 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS, cell, corpus_curve
+from conftest import CORPUS, cell, corpus_curve, full_series
 from oracles import cubical_homology_brute
 
 import curvelat.latthom as latthom
 from curvelat.errors import (BoxTooSmall, ConsistencyError,
                              UnclassifiablePattern)
 from curvelat.hilbert import build_table
+from curvelat.series import alexander, poincare_from_hilbert
 from curvelat.latthom import (GradedGroup, euler_check, grv_homology,
                               grv_homology_direct, grv_homology_formula,
                               r1_structure, r2_classify, sk_homology)
@@ -85,14 +86,24 @@ def test_grv_mismatch_raises(monkeypatch):
 
 def test_euler_check_corpus():
     for name in CORPUS:
-        assert euler_check(_table(name)) is True
+        table = _table(name)
+        assert euler_check(table, full_series(table)) is True
 
 
-def test_euler_check_detects_corruption(monkeypatch):
+def test_euler_check_detects_corruption():
+    # one coefficient of the series, inside [0, l + 1], off by one
     table = _table("a3")
-    monkeypatch.setattr(latthom, "pi_value", lambda t, v: 99)
-    with pytest.raises(ConsistencyError):
-        euler_check(table)
+    series = full_series(table)
+    series.coeffs[((1, 2), 0)] = series.coefficient((1, 2)) + 1
+    with pytest.raises(ConsistencyError, match=r"\(1, 2\)"):
+        euler_check(table, series)
+
+
+def test_euler_check_needs_the_series_up_to_l_plus_1():
+    table = _table("a3")
+    assert euler_check(table, poincare_from_hilbert(table, (3, 3))) is True
+    with pytest.raises(ValueError, match="below l \\+ 1"):
+        euler_check(table, poincare_from_hilbert(table, (3, 2)))
 
 
 def test_sk_contractible_at_origin():
@@ -173,12 +184,17 @@ def test_sk_box_length_guard():
             sk_homology(table, (0, 0), 2, box=box)
 
 
+def _poly(table):
+    return alexander(table, full_series(table))
+
+
 def _r1(name):
-    # the record over the graded pieces that verify hands it
+    # the record over the graded pieces and the polynomial that verify
+    # hands it
     table = _table(name)
     bound = table.invariants.mu + 2
     return r1_structure(table, {(v,): grv_homology(table, (v,))
-                                for v in range(bound + 1)})
+                                for v in range(bound + 1)}, _poly(table))
 
 
 def test_r1_structure_line():
@@ -208,17 +224,19 @@ def test_r1_structure_t2t5():
 
 
 def test_r1_structure_rejects_multibranch():
+    table = _table("a3")
     with pytest.raises(ValueError):
-        r1_structure(_table("a3"), {})
+        r1_structure(table, {}, _poly(table))
 
 
 def test_r1_structure_needs_every_piece_up_to_mu_plus_2():
     table = _table("cusp")
     pieces = {(v,): grv_homology(table, (v,)) for v in range(5)}
-    assert r1_structure(table, pieces).bound == 4
+    poly = _poly(table)
+    assert r1_structure(table, pieces, poly).bound == 4
     del pieces[(4,)]
     with pytest.raises(ValueError, match="no graded piece at 4"):
-        r1_structure(table, pieces)
+        r1_structure(table, pieces, poly)
 
 
 def _classify(table, v):

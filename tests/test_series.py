@@ -1,5 +1,6 @@
 import pytest
 
+import curvelat.verify as verify
 from curvelat.errors import ConsistencyError, SupportViolation
 from curvelat.hilbert import box_points, build_table, invariants
 from curvelat.series import (
@@ -15,12 +16,16 @@ from curvelat.series import (
     torres_restriction_check,
 )
 
-from conftest import CORPUS, cell, corpus_curve
+from conftest import CORPUS, cell, corpus_curve, full_series
 from oracles import alexander_r1_from_semigroup, numerical_semigroup
 
 
 def _table(name):
     return build_table(corpus_curve(name))
+
+
+def _alexander(table):
+    return alexander(table, full_series(table))
 
 
 def poincare(name, box):
@@ -122,9 +127,10 @@ def test_round_trip_reconstructs_h():
         c = corpus_curve(name)
         table = build_table(c, box)
         ps = subset_poincares(c, box)
-        for (v, _m) in hilbert_series(table, box).coeffs:
-            assert hilbert_from_poincare(ps, v) == table.value(v)
-        assert hilbert_from_poincare(ps, tuple(0 for _ in box)) == 0
+        assert hilbert_from_poincare(ps, box) == {
+            v: table.value(v) for v in box_points(box)}
+        zero = tuple(0 for _ in box)
+        assert hilbert_from_poincare(ps, zero) == {zero: 0}
 
 
 def test_round_trip_needs_big_enough_box():
@@ -132,6 +138,25 @@ def test_round_trip_needs_big_enough_box():
     ps = subset_poincares(c, (2, 2))
     with pytest.raises(ValueError):
         hilbert_from_poincare(ps, (4, 4))
+
+
+def test_round_trip_names_a_missing_bitmask():
+    ps = subset_poincares(corpus_curve("triple"), (3, 3, 3))
+    del ps[5]
+    with pytest.raises(ValueError, match="no pi series for bitmask 5"):
+        hilbert_from_poincare(ps, (3, 3, 3))
+
+
+def test_round_trip_stage_catches_a_wrong_face_cell():
+    # the proper subsets' tables are built apart from the full one, so a
+    # wrong cell on a face of the full table shows in the rebuilt h
+    curve = corpus_curve("d5")
+    box = tuple(c + 2 for c in invariants(curve).conductor)
+    table = build_table(curve, box)
+    table.values[cell(table, (1, 0))] += 1
+    with pytest.raises(ConsistencyError,
+                       match=r"series round trip fails at \(1, 0\)"):
+        verify._verify_round_trip(table, box)
 
 
 def test_poincare_from_h_as_series_product():
@@ -231,11 +256,11 @@ def test_motivic_normalized_reflection():
 
 
 def test_alexander_single_branches():
-    a = alexander(_table("line"))
+    a = _alexander(_table("line"))
     assert a.coeffs == {((0,), 0): 1}
-    a = alexander(_table("cusp"))
+    a = _alexander(_table("cusp"))
     assert canonical_str(a) == "1 - t + t^2"
-    a = alexander(_table("t2t5"))
+    a = _alexander(_table("t2t5"))
     assert canonical_str(a) == "1 - t + t^2 - t^3 + t^4"
 
 
@@ -245,7 +270,7 @@ def test_alexander_matches_semigroup_oracle():
         inv = invariants(c)
         members = numerical_semigroup(gens, 2 * inv.conductor[0] + 2)
         expected = alexander_r1_from_semigroup(members, inv.conductor[0])
-        a = alexander(build_table(c))
+        a = _alexander(build_table(c))
         for k, coeff in enumerate(expected):
             assert a.coefficient((k,)) == coeff
 
@@ -254,20 +279,20 @@ def test_alexander_palindromic_one_branch():
     for name in ["line", "cusp", "t2t5"]:
         c = corpus_curve(name)
         mu = invariants(c).mu
-        a = alexander(build_table(c))
+        a = _alexander(build_table(c))
         for k in range(mu + 1):
             assert a.coefficient((k,)) == a.coefficient((mu - k,))
 
 
 def test_alexander_two_branches():
-    assert canonical_str(alexander(_table("a3"))) == "1 + t1*t2"
-    assert canonical_str(alexander(_table("d5"))) == "1 + t1*t2^3"
-    a = alexander(_table("a5"))
+    assert canonical_str(_alexander(_table("a3"))) == "1 + t1*t2"
+    assert canonical_str(_alexander(_table("d5"))) == "1 + t1*t2^3"
+    a = _alexander(_table("a5"))
     assert a.coeffs == {((0, 0), 0): 1, ((1, 1), 0): 1, ((2, 2), 0): 1}
 
 
 def test_alexander_triple_point():
-    a = alexander(_table("triple"))
+    a = _alexander(_table("triple"))
     assert a.coeffs == {((0, 0, 0), 0): 1, ((1, 1, 1), 0): -1}
 
 
@@ -276,7 +301,7 @@ def test_alexander_reflection_multibranch():
     for name in ["a3", "a5", "a7", "d5", "triple"]:
         c = corpus_curve(name)
         inv = invariants(c)
-        a = alexander(build_table(c))
+        a = _alexander(build_table(c))
         sign = (-1) ** inv.r
         top = tuple(x - 1 for x in inv.conductor)
         for v in [key for (key, m) in a.coeffs]:
@@ -296,7 +321,14 @@ def test_alexander_support_guard():
 
     table.cube = shifted
     with pytest.raises(SupportViolation):
-        alexander(table)
+        _alexander(table)
+
+
+def test_alexander_needs_the_series_up_to_l_plus_2():
+    for name, short in [("cusp", (3,)), ("a3", (4, 3))]:
+        table = _table(name)
+        with pytest.raises(ValueError, match="below l \\+ 2"):
+            alexander(table, poincare_from_hilbert(table, short))
 
 
 # ---------------------------------------------------------------------------
