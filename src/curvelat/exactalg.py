@@ -1,8 +1,8 @@
 r"""
 Exact scalar and linear algebra: truncated power series over the
-rationals, a parser for polynomial input strings, rank by staircase
-elimination over the integers, and Smith normal form over the
-integers.
+rationals, a parser for polynomial input strings, the one integer
+elimination kernel (echelon_insert) and the rank built on it, and Smith
+normal form over the integers.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction``,
 matrices are plain lists of lists.
@@ -10,7 +10,9 @@ matrices are plain lists of lists.
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
+from operator import index
 
 from .errors import PolySyntaxError
 
@@ -212,6 +214,35 @@ def parse_poly(text, truncation):
 # exact linear algebra
 
 
+def echelon_insert(basis, vector):
+    r"""
+    Insert an integer vector into an echelon basis, a dict mapping each
+    pivot k to a primitive vector whose first nonzero entry is at k.
+
+    The vector is reduced at its leading entry against the basis vector
+    with its pivot there, as (p/g) w - (f/g) b with f, p the two leading
+    entries and g = gcd(f, p), and divided by its content, until that
+    entry is at no pivot.  Neither argument is changed: the result is
+    ``basis`` itself when the vector is in its span, else a new dict
+    with one more pivot, whose vector may be ``vector`` itself.
+    """
+    w = vector
+    k = next(compress(count(), w), None)
+    while k in basis:
+        b = basis[k]
+        g = gcd(w[k], b[k])
+        f, p = w[k] // g, b[k] // g
+        w = [p * x - f * y for x, y in zip(w, b)]
+        c = gcd(*w)
+        if c > 1:
+            w = [x // c for x in w]
+        k = next(compress(count(k + 1), w[k + 1:]), None)
+    if k is None:
+        return basis
+    c = gcd(*w)
+    return {**basis, k: [x // c for x in w] if c > 1 else w}
+
+
 def rank_rational(rows):
     r"""
     Rank of a matrix with integer or Rational entries.
@@ -220,14 +251,11 @@ def rank_rational(rows):
     ``numerator`` and ``denominator`` attributes that ints and Fractions
     both have, so an integer row (such as a row of jets) is copied as it
     is and never becomes Fractions.  Zero rows, which add nothing to
-    the rank, are dropped.  The rank is then computed by staircase
-    elimination over the integers: column by column, the first
-    remaining row that is nonzero there becomes a pivot and leaves the
-    matrix, and only the rows with an entry f != 0 in that column are
-    rewritten, as (p/g) row - (f/g) pivot with p the pivot entry and
-    g = gcd(p, f), then divided by their content.  Each step is an
-    invertible row operation over Q, so the rank is the number of
-    pivots; rows that become zero are dropped.
+    the rank, are dropped.  The rank is the number of pivots of the
+    echelon basis that ``echelon_insert`` builds from the rows, one row
+    at a time, starting from an empty basis.  Rows of different lengths
+    raise ValueError, and an entry that is not an int or a Fraction
+    raises TypeError.
 
     Parameters
     ----------
@@ -237,39 +265,18 @@ def rank_rational(rows):
     -------
     int
     """
-    m = []
+    basis = {}
     for row in rows:
-        if any(row):
+        if len(row) != len(rows[0]):
+            raise ValueError("rows of different lengths")
+        try:
             den = lcm(*[x.denominator for x in row])
-            m.append([x.numerator * (den // x.denominator) for x in row])
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        if not m:
-            break
-        for i, top in enumerate(m):
-            if top[col]:
-                break
-        else:
-            continue
-        del m[i]
-        rank += 1
-        p = top[col]
-        rest = []
-        for row in m:
-            f = row[col]
-            if f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(row, top)]
-                c = gcd(*row)
-                if not c:
-                    continue
-                if c > 1:
-                    row = [x // c for x in row]
-            rest.append(row)
-        m = rest
-    return rank
+            w = [x.numerator * (den // x.denominator) for x in row]
+        except AttributeError:
+            raise TypeError("entries must be ints or Fractions") from None
+        if any(w):
+            basis = echelon_insert(basis, w)
+    return len(basis)
 
 
 SNFResult = namedtuple("SNFResult", ["divisors", "rank"])
@@ -288,10 +295,15 @@ def smith_normal_form(rows):
     SNFResult
         divisors is the full invariant factor chain (1s included), each
         positive and dividing the next; rank is its length.
+
+    Rows of different lengths raise ValueError, and an entry that is
+    not an int (a Fraction or a float) raises TypeError.
     """
-    m = [[int(x) for x in row] for row in rows]
+    m = [[index(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("rows of different lengths")
     divisors = []
     top = 0
     while top < min(nrows, ncols):

@@ -4,7 +4,8 @@ numeric invariants of a curve germ.
 
 The table builder fills [0, l] (l the conductor) with prefix ranks:
 one integer echelon basis of jet columns per point of the first r - 1
-coordinates, extended by the last branch's columns one at a time.
+coordinates, extended by the last branch's columns one at a time with
+exactalg.echelon_insert, the same kernel that ranks h_oracle's rows.
 Beyond the conductor every unit step adds 1.  The ranks are kept as one
 flat list in lexicographic order, so every read of h is an index
 computed from strides, plus the excess beyond l; membership and the
@@ -17,11 +18,12 @@ elsewhere) over the whole box.  Any mismatch raises ConsistencyError.
 
 from collections import namedtuple
 from itertools import product
-from math import gcd, prod
+from math import prod
 from operator import index
 
 from .curve import branch_delta, h_oracle, intersection_multiplicity
 from .errors import ConsistencyError
+from .exactalg import echelon_insert
 from .oslattice import Matroid, arrangement_poincare
 
 CurveInvariants = namedtuple("CurveInvariants", [
@@ -181,24 +183,6 @@ def _spot_check(table):
                     % (h, v, direct))
 
 
-def _echelon_insert(basis, column):
-    # basis maps a pivot k to a gcd-normalized integer vector whose
-    # first nonzero entry is at k; returns basis itself when column is
-    # in its span, else a new dict with one more pivot
-    w = column
-    k = next((j for j, x in enumerate(w) if x), None)
-    while k in basis:
-        b = basis[k]
-        g = gcd(w[k], b[k])
-        f, p = w[k] // g, b[k] // g
-        w = [p * x - f * y for x, y in zip(w, b)]
-        k = next((j for j in range(k + 1, len(w)) if w[j]), None)
-    if k is None:
-        return basis
-    g = gcd(*w)
-    return {**basis, k: [x // g for x in w]}
-
-
 def _fill_to_conductor(curve, l):
     # h on [0, l] as ranks of jet columns, one flat list in lexicographic
     # order (see HilbertTable).  h(v) needs the monomials of degree
@@ -225,7 +209,7 @@ def _fill_to_conductor(curve, l):
             return
         for col in columns[depth]:
             sweep(depth + 1, basis)
-            basis = _echelon_insert(basis, col)
+            basis = echelon_insert(basis, col)
         sweep(depth + 1, basis)
 
     sweep(0, {})

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from curvelat.errors import PolySyntaxError
 from curvelat.exactalg import (
     TruncSeries,
+    echelon_insert,
     parse_poly,
     rank_rational,
     series_mul,
@@ -237,6 +239,50 @@ def test_rank_of_sparse_matrices_against_gaussian_oracle(drawn):
     rank = rank_rational(rows)
     assert rank == gauss_rank(rows) == rank_rational(base)
     assert rows == copy
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_echelon_insert_contract(drawn):
+    # folding the kernel over the rows and over the columns both give the
+    # rank; it never changes its arguments, stores primitive vectors led
+    # at their pivot, and returns the basis it was given for a vector in
+    # its span
+    rows, _ = drawn
+    ints = [[(x * lcm(*[y.denominator for y in row])).numerator
+             for x in row] for row in rows]
+    for vectors in (ints, [list(col) for col in zip(*ints)]):
+        basis = {}
+        for w in vectors:
+            before = {k: list(b) for k, b in basis.items()}
+            w_before = list(w)
+            grown = echelon_insert(basis, w)
+            assert basis == before and w == w_before
+            assert grown is basis or (len(grown) == len(basis) + 1
+                                      and grown.items() >= basis.items())
+            basis = grown
+        for k, b in basis.items():
+            assert b[k] and not any(b[:k]) and gcd(*b) == 1
+        assert len(basis) == gauss_rank(vectors)
+        for w in vectors:
+            assert echelon_insert(basis, w) is basis
+
+
+def test_ragged_rows_raise():
+    for rows in ([[1], [1, 1]], [[1, 1], [1]], [[0], [0, 0]]):
+        with pytest.raises(ValueError):
+            rank_rational(rows)
+        with pytest.raises(ValueError):
+            smith_normal_form(rows)
+
+
+def test_non_integer_entries_raise():
+    for rows in ([[Fraction(1, 2)]], [[0.5, 1.0], [2.0, 2.0]]):
+        with pytest.raises(TypeError):
+            smith_normal_form(rows)
+    for rows in ([[0.5, 1.0], [2.0, 2.0]], [[1, 0.0]]):
+        with pytest.raises(TypeError):
+            rank_rational(rows)
 
 
 # ---------------------------------------------------------------------------
