@@ -49,7 +49,8 @@ class BranchParametrization:
                 "coordinate truncations differ: %d vs %d"
                 % (x.truncation, y.truncation))
         if x.is_zero() and y.is_zero():
-            raise InvalidParametrization("both coordinates are zero")
+            raise InvalidParametrization(
+                "both coordinates are zero modulo t^%d" % x.truncation)
         exps = sorted(set(x.coeffs) | set(y.coeffs))
         if exps[0] == 0:
             raise InvalidParametrization(

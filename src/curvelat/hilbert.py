@@ -24,7 +24,7 @@ from operator import index
 from .curve import branch_delta, h_oracle, intersection_multiplicity
 from .errors import ConsistencyError
 from .exactalg import echelon_insert
-from .oslattice import Matroid, arrangement_poincare
+from .oslattice import Matroid, signed_rank_count
 
 CurveInvariants = namedtuple("CurveInvariants", [
     "r", "delta", "delta_branches", "mu", "mu_branches",
@@ -382,7 +382,4 @@ def char_poly(table, v):
 
     Zero whenever v is outside the value semigroup.
     """
-    # the coefficient of t^(full - k) is (-1)^k times the coefficient of
-    # t^k in the arrangement polynomial sum (-1)^|K| (-t)^rank(K)
-    poincare = arrangement_poincare(local_matroid(table, v))
-    return tuple((-1) ** k * c for k, c in enumerate(poincare))[::-1]
+    return tuple(signed_rank_count(local_matroid(table, v).rank))[::-1]

@@ -106,21 +106,22 @@ def euler_check(table, poincare):
     return True
 
 
-def sk_homology(table, u, k, box=None):
+def sk_homology(table, u, k):
     r"""
     Integer homology of the sublevel cubical complex at base point u
     and level k: the union of the cubes [w, w + e_K] with w >= u whose
     top corner has Hilbert value at most k, graded by dimension.
+
+    The search runs up to the corner max(u_i, k + delta_i) + 1, delta_i
+    the delta invariant of branch i.  Since h(w) >= w_i - delta_i, no
+    point at level k reaches that corner; a table that breaks the bound
+    raises BoxTooSmall.
 
     Parameters
     ----------
     table : HilbertTable
     u : tuple of ints, the base point
     k : int, the level
-    box : tuple of ints, one per branch, optional
-        Absolute corner bounding the search region.  The default is
-        large enough to contain the whole complex; if an explicit box
-        cuts it off, BoxTooSmall is raised.
 
     Returns
     -------
@@ -130,14 +131,7 @@ def sk_homology(table, u, k, box=None):
     if len(u) != r:
         raise ValueError("base point has wrong length")
     deltas = table.invariants.delta_branches
-    if box is None:
-        corner = tuple(max(u[i], k + deltas[i]) + 1 for i in range(r))
-    else:
-        corner = tuple(box)
-        if len(corner) != r:
-            raise ValueError("box has wrong length")
-        if any(c < a for c, a in zip(corner, u)):
-            raise ValueError("box does not contain the base point")
+    corner = tuple(max(u[i], k + deltas[i]) + 1 for i in range(r))
 
     by_dim = {}
     for w in product(*(range(u[i], corner[i] + 1) for i in range(r))):

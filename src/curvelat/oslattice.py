@@ -1,5 +1,7 @@
 r"""
-Matroids, the subset complex with its weighted boundary operators, and
+Matroids, the signed count of a rank function (the sum of (-1)^|K| by
+rank, which the arrangement, projective, characteristic and q-polynomials
+all read), the subset complex with its weighted boundary operators, and
 the two homology theories built from them: the plain degree-zero part,
 whose ranks match the coefficients of the arrangement polynomial, and
 the U-extended complex, whose homology matches the projective
@@ -11,7 +13,7 @@ All homology is computed over the integers; torsion is reported, never
 discarded.
 """
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import ConsistencyError
 from .exactalg import rank_rational, smith_normal_form
@@ -33,6 +35,9 @@ class Matroid:
         for mask in range(1 << n):
             if mask not in self.rank:
                 raise ValueError("rank missing for subset %d" % mask)
+        if len(self.rank) != 1 << n:
+            raise ValueError("rank given for a subset outside %d elements"
+                             % n)
         for mask in range(1 << n):
             for i in range(n):
                 if mask >> i & 1:
@@ -191,34 +196,42 @@ def homology_from_boundaries(dims, boundaries):
     return GradedGroup(groups)
 
 
+def signed_rank_count(ranks):
+    r"""
+    Entry k is the sum of (-1)^|K| over the bitmasks K with ranks[K] = k,
+    for k up to the top rank; ranks is indexed by bitmask, like
+    Matroid.rank or table.cube(v).  The entries sum to 0 when there is
+    an element, so their running sums below the top rank are the exact
+    quotient by 1 - x of the sum of (-1)^|K| x^ranks[K].
+    """
+    masks = range(len(ranks))
+    counts = [0] * (max(ranks[mask] for mask in masks) + 1)
+    for mask in masks:
+        counts[ranks[mask]] += -1 if mask.bit_count() % 2 else 1
+    return counts
+
+
 def arrangement_poincare(matroid):
     r"""
     Topological polynomial of the arrangement: sum over subsets K of
     (-1)^|K| (-t)^rank(K), as a tuple of coefficients by degree.
     """
-    coeffs = [0] * (matroid.full_rank() + 1)
-    for mask in range(1 << matroid.n):
-        size = mask.bit_count()
-        rk = matroid.rank[mask]
-        coeffs[rk] += (-1) ** size * (-1) ** rk
-    return tuple(coeffs)
+    return tuple(-c if k % 2 else c
+                 for k, c in enumerate(signed_rank_count(matroid.rank)))
 
 
 def projective_poincare(matroid):
     r"""
-    The arrangement polynomial divided by 1 + t; the division must be
-    exact, otherwise ConsistencyError is raised.
+    The arrangement polynomial divided by 1 + t: the coefficient of t^w
+    is (-1)^w times the signed count of the ranks up to w.  The division
+    is exact unless the matroid has no elements, which raises
+    ConsistencyError.
     """
-    coeffs = list(arrangement_poincare(matroid))
-    quotient = []
-    carry = 0
-    for c in coeffs:
-        quotient.append(c - carry)
-        carry = quotient[-1]
-    if quotient[-1] != 0:
+    if matroid.n == 0:
         raise ConsistencyError("arrangement polynomial not divisible "
                                "by 1 + t")
-    return tuple(quotient[:-1])
+    running = accumulate(signed_rank_count(matroid.rank)[:-1])
+    return tuple(-c if w % 2 else c for w, c in enumerate(running))
 
 
 def os_homology(matroid):

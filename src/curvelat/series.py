@@ -6,12 +6,18 @@ series already computed, the annihilating polynomials and the
 restriction identity relating a curve's series to the series of the
 curve with one branch removed.
 
+The q-polynomial at a point is the running signed count of h on its
+unit cube; pi there stays its own alternating sum, for the Euler check.
+
 A BoxSeries stores finitely many terms c * t^v * q^m with v inside a
 box; series in the t variables alone keep m = 0 everywhere.
 """
 
+from itertools import accumulate
+
 from .errors import ConsistencyError, PolynomialityViolation, SupportViolation
 from .hilbert import box_points
+from .oslattice import signed_rank_count
 
 
 class BoxSeries:
@@ -147,6 +153,9 @@ def hv_polynomial(table, v):
     The q-polynomial at a single lattice point: the alternating sum
     over subsets K of q^(h(v + e_K)), divided exactly by 1 - q.
 
+    The coefficient of q^m is the signed count of the cube's values up
+    to m (see oslattice.signed_rank_count), read off h itself.
+
     Parameters
     ----------
     table : HilbertTable
@@ -154,34 +163,17 @@ def hv_polynomial(table, v):
 
     Returns
     -------
-    dict mapping q-exponent to nonzero integer coefficient; the
-    division must be exact, otherwise ConsistencyError is raised.
+    dict mapping q-exponent to nonzero integer coefficient
     """
-    num = {}
-    for mask, e in enumerate(table.cube(v)):
-        num[e] = num.get(e, 0) + (-1) ** mask.bit_count()
-    out = {}
-    acc = 0
-    top = max(num)
-    for m in range(top + 1):
-        acc += num.get(m, 0)
-        if m < top:
-            if acc != 0:
-                out[m] = acc
-        elif acc != 0:
-            raise ConsistencyError(
-                "alternating q sum at %s is not divisible by 1 - q"
-                % (v,))
-    return out
+    running = accumulate(signed_rank_count(table.cube(v))[:-1])
+    return {m: c for m, c in enumerate(running) if c}
 
 
 def motivic_series(table, box):
     r"""
     The q-refined series: the coefficient of t^v is the polynomial
-    [sum over subsets K of (-1)^|K| q^(h(v + e_K))] / (1 - q).
-
-    The division must be exact; a nonzero remainder raises
-    ConsistencyError.
+    [sum over subsets K of (-1)^|K| q^(h(v + e_K))] / (1 - q), which
+    hv_polynomial reads at v.
     """
     r = len(box)
     coeffs = {}
@@ -196,15 +188,14 @@ def motivic_normalized(table):
     The q-refined series multiplied by the product of (1 - t_i q),
     which collapses it to a polynomial supported in the conductor box.
 
-    The series is computed two steps past the conductor in every
-    direction and any surviving term outside [0, conductor] raises
-    PolynomialityViolation; the returned polynomial is supported in
-    [0, conductor].
+    The series is computed on [0, l + 1] (l the conductor): a term of
+    the product there is pushed only from points of that box, so it is
+    exact, and any term outside [0, l] raises PolynomialityViolation.
+    The returned polynomial is supported in [0, l].
     """
-    inv = table.invariants
-    l = inv.conductor
+    l = table.invariants.conductor
     r = len(l)
-    wide = tuple(c + 2 for c in l)
+    wide = tuple(c + 1 for c in l)
     g = motivic_series(table, wide)
     coeffs = {}
     for (v, m), c in g.coeffs.items():
@@ -214,12 +205,9 @@ def motivic_normalized(table):
             if all(a <= b for a, b in zip(w, wide)):
                 key = (w, m + size)
                 coeffs[key] = coeffs.get(key, 0) + (-1) ** size * c
-    # terms at the outer rim carry truncation noise from the factors,
-    # so only the band strictly inside the computed box is meaningful
-    trusted = tuple(c + 1 for c in l)
     result = {}
     for (v, m), c in coeffs.items():
-        if c == 0 or any(a > b for a, b in zip(v, trusted)):
+        if c == 0:
             continue
         if any(a > b for a, b in zip(v, l)):
             raise PolynomialityViolation(

@@ -446,3 +446,67 @@ def du_homology_truncated(n, rank):
         if free or torsion:
             result[q] = (free, torsion)
     return result
+
+
+# ---------------------------------------------------------------------------
+# signed rank counts by the sign flips and divisions they replaced
+
+
+def arrangement_poincare_by_signs(n, rank):
+    r"""
+    Sum over subsets K of (-1)^|K| (-t)^rank(K), as a tuple of
+    coefficients by degree up to rank of the full set.
+
+    rank : mapping from bitmask to int, monotone in the subset
+    """
+    coeffs = [0] * (rank[(1 << n) - 1] + 1)
+    for mask in range(1 << n):
+        size = bin(mask).count("1")
+        coeffs[rank[mask]] += (-1) ** size * (-1) ** rank[mask]
+    return tuple(coeffs)
+
+
+def projective_poincare_by_division(n, rank):
+    r"""
+    The arrangement polynomial divided by 1 + t by long division;
+    a nonzero remainder raises ValueError.
+    """
+    quotient = []
+    carry = 0
+    for c in arrangement_poincare_by_signs(n, rank):
+        quotient.append(c - carry)
+        carry = quotient[-1]
+    if quotient[-1] != 0:
+        raise ValueError("not divisible by 1 + t")
+    return tuple(quotient[:-1])
+
+
+def char_poly_by_signs(n, rank):
+    r"""
+    Sum over subsets K of (-1)^|K| t^(rank(full) - rank(K)), as a tuple
+    of coefficients by exponent, read off the arrangement polynomial.
+    """
+    poincare = arrangement_poincare_by_signs(n, rank)
+    return tuple((-1) ** k * c for k, c in enumerate(poincare))[::-1]
+
+
+def q_polynomial_by_division(cube):
+    r"""
+    The sum over bitmasks K of (-1)^|K| q^cube[K], divided by 1 - q by
+    long division, as a dict of nonzero coefficients; a nonzero
+    remainder raises ValueError.
+    """
+    num = {}
+    for mask, e in enumerate(cube):
+        num[e] = num.get(e, 0) + (-1) ** bin(mask).count("1")
+    out = {}
+    acc = 0
+    top = max(num)
+    for m in range(top + 1):
+        acc += num.get(m, 0)
+        if m < top:
+            if acc != 0:
+                out[m] = acc
+        elif acc != 0:
+            raise ValueError("not divisible by 1 - q")
+    return out

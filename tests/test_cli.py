@@ -339,6 +339,15 @@ def test_invalid_json(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def test_zero_branch_names_the_truncation(capsys, tmp_path):
+    path = _write(tmp_path, {"truncation": 2,
+                             "branches": [{"x": "t^2", "y": "t^3"}]})
+    code, _, err = _run(capsys, ["invariants", path])
+    assert code == 1
+    assert err == ("InvalidParametrization: both coordinates are zero "
+                   "modulo t^2\n")
+
+
 def test_schema_errors(tmp_path):
     bad = [
         ([1, 2], "top level"),

@@ -46,6 +46,12 @@ def test_branch_rejects_both_zero():
         BranchParametrization.from_strings("0", "0", 16)
 
 
+def test_branch_names_the_truncation_that_zeroes_it():
+    # t^2 and t^3 are parsed, but both drop at truncation 2
+    with pytest.raises(InvalidParametrization, match=r"modulo t\^2$"):
+        BranchParametrization.from_strings("t^2", "t^3", 2)
+
+
 def test_branch_rejects_nonvanishing_coordinate():
     with pytest.raises(InvalidParametrization):
         BranchParametrization.from_strings("1 + t", "t^2", 16)

@@ -1,5 +1,6 @@
 """Lattice homology: graded pieces, sublevel complexes, structure."""
 
+import copy
 from itertools import product
 
 import pytest
@@ -84,6 +85,18 @@ def test_grv_mismatch_raises(monkeypatch):
         grv_homology(table, (2,))
 
 
+def test_grv_formula_rejects_a_q_coefficient_of_the_wrong_sign(
+        monkeypatch):
+    # at (2, 2) on a3 the q-polynomial gives Z@-4 and Z@-5; flipping its
+    # signs makes both ranks negative
+    table = _table("a3")
+    original = latthom.hv_polynomial
+    monkeypatch.setattr(latthom, "hv_polynomial", lambda table, v: {
+        m: -c for m, c in original(table, v).items()})
+    with pytest.raises(ConsistencyError, match="wrong sign"):
+        grv_homology_formula(table, (2, 2))
+
+
 def test_euler_check_corpus():
     for name in CORPUS:
         table = _table(name)
@@ -164,24 +177,15 @@ def test_sk_matches_brute_oracle():
                 t for t in want_torsion if t > 1)
 
 
-def test_sk_box_guards():
-    table = _table("a3")
+def test_sk_raises_when_a_table_breaks_the_delta_bound():
+    # the search corner max(u_i, k + delta_i) + 1 holds the complex since
+    # h(w) >= w_i - delta_i; with the cusp's delta lowered to 0 the level
+    # 2 set, h <= 2 on [0, 3], reaches the corner 3
+    table = copy.copy(_table("cusp"))
+    assert sk_homology(table, (0,), 2) == GradedGroup({0: (1, ())})
+    table.invariants = table.invariants._replace(delta_branches=[0])
     with pytest.raises(BoxTooSmall):
-        sk_homology(table, (0, 0), 2, box=(2, 2))
-    with pytest.raises(ValueError):
-        sk_homology(table, (2, 2), 3, box=(1, 3))
-    wide = sk_homology(table, (0, 0), 2, box=(5, 5))
-    assert wide == sk_homology(table, (0, 0), 2)
-
-
-def test_sk_box_length_guard():
-    # a box needs one coordinate per branch, like the base point
-    table = _table("d5")
-    assert sk_homology(table, (0, 0), 2, box=(6, 6)) == GradedGroup(
-        {0: (1, ())})
-    for box in [(6, 6, 99), (6,)]:
-        with pytest.raises(ValueError):
-            sk_homology(table, (0, 0), 2, box=box)
+        sk_homology(table, (0,), 2)
 
 
 def _poly(table):

@@ -5,16 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, cell, corpus_curve
-from oracles import du_homology_truncated, gauss_rank
+from oracles import (arrangement_poincare_by_signs, char_poly_by_signs,
+                     du_homology_truncated, gauss_rank,
+                     projective_poincare_by_division,
+                     q_polynomial_by_division)
 
 import curvelat.oslattice as oslattice
 from curvelat.errors import ConsistencyError
-from curvelat.hilbert import box_points, build_table, local_matroid
+from curvelat.hilbert import box_points, build_table, char_poly, local_matroid
 from curvelat.latthom import grv_homology
 from curvelat.oslattice import (GradedGroup, Matroid, OSComplex,
                                 arrangement_poincare, d0_structure_checks,
                                 du_homology, homology_from_boundaries,
                                 os_homology, projective_poincare)
+from curvelat.series import hv_polynomial
 
 
 def _matmul(a, b):
@@ -81,6 +85,9 @@ def test_matroid_validation_rejects_bad_rank_functions():
         Matroid(1, {0: 0, 1: 2})
     with pytest.raises(ValueError):
         Matroid(2, {0: 0, 1: 0, 2: 0, 3: 1})
+    # a subset outside the ground set would be read by the signed count
+    with pytest.raises(ValueError, match="outside 1 elements"):
+        Matroid(1, {0: 0, 1: 1, 5: 3})
 
 
 def test_from_local_matroid_pins():
@@ -121,6 +128,7 @@ def test_projective_poincare_pins():
 
 
 def test_projective_poincare_rejects_inexact_division():
+    # with no elements the signed count is 1, and 1 + t does not divide 1
     with pytest.raises(ConsistencyError):
         projective_poincare(Matroid(0, {0: 0}))
 
@@ -345,3 +353,50 @@ def test_homology_from_boundaries_torsion():
     boundaries = {1: [[2]]}
     h = homology_from_boundaries(dims, boundaries)
     assert h.groups == {0: (0, (2,))}
+
+
+class _CubeTable:
+    # the one reading of a table that char_poly and hv_polynomial make
+    def __init__(self, cube):
+        self._cube = cube
+
+    def cube(self, v):
+        return list(self._cube)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vectors, st.integers(0, 4))
+def test_signed_count_views_match_the_division_oracles(vectors, base):
+    # each view of the one signed rank count against the sign flips and
+    # long divisions it replaced, on matroids with loops and parallel
+    # elements; the cube starts at h(v) = base, not at 0
+    n = len(vectors)
+    rank = {m: gauss_rank([vectors[i] for i in range(n) if m >> i & 1])
+            for m in range(1 << n)}
+    m = Matroid(n, rank)
+    assert arrangement_poincare(m) == arrangement_poincare_by_signs(n, rank)
+    assert projective_poincare(m) == projective_poincare_by_division(n, rank)
+    cube = [base + rank[mask] for mask in range(1 << n)]
+    table = _CubeTable(cube)
+    assert char_poly(table, (0,) * n) == char_poly_by_signs(n, rank)
+    assert hv_polynomial(table, (0,) * n) == q_polynomial_by_division(cube)
+
+
+@st.composite
+def _monotone_cubes(draw):
+    # h(v + e_K) for r <= 4 branches: any start, and each unit step adds
+    # 0, 1 or 2 on top of the largest value below it
+    r = draw(st.integers(1, 4))
+    cube = [draw(st.integers(0, 6))]
+    for mask in range(1, 1 << r):
+        below = max(cube[mask & ~(1 << i)] for i in range(r)
+                    if mask >> i & 1)
+        cube.append(below + draw(st.integers(0, 2)))
+    return cube
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monotone_cubes())
+def test_q_polynomial_matches_the_division_oracle_on_monotone_cubes(cube):
+    v = (0,) * (len(cube).bit_length() - 1)
+    assert hv_polynomial(_CubeTable(cube), v) == q_polynomial_by_division(cube)

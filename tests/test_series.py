@@ -1,7 +1,9 @@
 import pytest
 
+import curvelat.series as series_module
 import curvelat.verify as verify
-from curvelat.errors import ConsistencyError, SupportViolation
+from curvelat.errors import (ConsistencyError, PolynomialityViolation,
+                             SupportViolation)
 from curvelat.hilbert import box_points, build_table, invariants
 from curvelat.series import (
     BoxSeries,
@@ -16,7 +18,7 @@ from curvelat.series import (
     torres_restriction_check,
 )
 
-from conftest import CORPUS, cell, corpus_curve, full_series
+from conftest import CORPUS, bench_curve, cell, corpus_curve, full_series
 from oracles import alexander_r1_from_semigroup, numerical_semigroup
 
 
@@ -251,6 +253,53 @@ def test_motivic_normalized_reflection():
             assert nz.coefficient(w, m + inv.delta - sum(v)) == coeff
 
 
+@pytest.mark.parametrize("name, calls", [("triple", 64), ("tacnode3", 216)])
+def test_motivic_normalized_reads_q_polynomials_up_to_l_plus_1(monkeypatch,
+                                                               name, calls):
+    # every term it keeps or checks lies in [0, l + 1] and is pushed only
+    # from points there, so it reads one q-polynomial per point of that
+    # box: the conductors are (2, 2, 2) and (4, 4, 4)
+    c = bench_curve(name) if name == "tacnode3" else corpus_curve(name)
+    table = build_table(c)
+    original = series_module.hv_polynomial
+    points = []
+
+    def counting(table, v):
+        points.append(v)
+        return original(table, v)
+
+    monkeypatch.setattr(series_module, "hv_polynomial", counting)
+    motivic_normalized(table)
+    assert len(points) == len(set(points)) == calls
+
+
+def test_motivic_normalized_rejects_a_term_past_the_conductor(monkeypatch):
+    # a stray q^9 term at l + 1 = 3 survives the product with 1 - t*q
+    table = build_table(corpus_curve("cusp"))
+    original = series_module.hv_polynomial
+
+    def stray(table, v):
+        poly = original(table, v)
+        if v == (3,):
+            poly[9] = 1
+        return poly
+
+    monkeypatch.setattr(series_module, "hv_polynomial", stray)
+    with pytest.raises(PolynomialityViolation, match=r"\(3,\)"):
+        motivic_normalized(table)
+
+
+def test_verify_motivic_catches_a_broken_reflection(monkeypatch):
+    # cusp: 1 - q*t + q*t^2, where 1 pairs with q*t^2
+    table = build_table(corpus_curve("cusp"))
+    verify._verify_motivic(table)
+    series = motivic_normalized(table)
+    series.coeffs[((0,), 0)] = 2
+    monkeypatch.setattr(verify, "motivic_normalized", lambda table: series)
+    with pytest.raises(ConsistencyError, match="reflection"):
+        verify._verify_motivic(table)
+
+
 # ---------------------------------------------------------------------------
 # annihilating polynomials
 
@@ -307,6 +356,28 @@ def test_alexander_reflection_multibranch():
         for v in [key for (key, m) in a.coeffs]:
             w = tuple(x - y for x, y in zip(top, v))
             assert a.coefficient(v) == sign * a.coefficient(w)
+
+
+def test_verify_alexander_catches_a_non_palindromic_polynomial():
+    # cusp: 1 - t + t^2, with mu = 2
+    table = _table("cusp")
+    poly = _alexander(table)
+    verify._verify_alexander(table, poly)
+    poly.coeffs[((0,), 0)] = 2
+    with pytest.raises(ConsistencyError, match="palindromic"):
+        verify._verify_alexander(table, poly)
+
+
+@pytest.mark.parametrize("name, top", [("d5", (1, 3)), ("triple", (1, 1, 1))])
+def test_verify_alexander_catches_a_broken_reflection(name, top):
+    # d5: 1 + t1*t2^3; triple: 1 - t1*t2*t3, its own reflection up to
+    # the sign (-1)^3; doubling the top term breaks either pairing
+    table = _table(name)
+    poly = _alexander(table)
+    verify._verify_alexander(table, poly)
+    poly.coeffs[(top, 0)] *= 2
+    with pytest.raises(ConsistencyError, match="reflection"):
+        verify._verify_alexander(table, poly)
 
 
 def test_alexander_support_guard():
