@@ -247,13 +247,13 @@ def rank_rational(rows):
     r"""
     Rank of a matrix with integer or Rational entries.
 
-    Each row is scaled by the lcm of its denominators, read through the
+    The rank is the number of pivots of the echelon basis that
+    ``echelon_insert`` builds from the rows, one row at a time, starting
+    from an empty basis.  A row of ints (such as a row of jets) goes
+    into the kernel as it is and is not rescaled; any other row is
+    first scaled by the lcm of its denominators, read through the
     ``numerator`` and ``denominator`` attributes that ints and Fractions
-    both have, so an integer row (such as a row of jets) is copied as it
-    is and never becomes Fractions.  Zero rows, which add nothing to
-    the rank, are dropped.  The rank is the number of pivots of the
-    echelon basis that ``echelon_insert`` builds from the rows, one row
-    at a time, starting from an empty basis.  Rows of different lengths
+    both have.  The rows are not changed.  Rows of different lengths
     raise ValueError, and an entry that is not an int or a Fraction
     raises TypeError.
 
@@ -269,13 +269,13 @@ def rank_rational(rows):
     for row in rows:
         if len(row) != len(rows[0]):
             raise ValueError("rows of different lengths")
-        try:
-            den = lcm(*[x.denominator for x in row])
-            w = [x.numerator * (den // x.denominator) for x in row]
-        except AttributeError:
-            raise TypeError("entries must be ints or Fractions") from None
-        if any(w):
-            basis = echelon_insert(basis, w)
+        if not set(map(type, row)) <= {int}:
+            try:
+                den = lcm(*[x.denominator for x in row])
+                row = [x.numerator * (den // x.denominator) for x in row]
+            except AttributeError:
+                raise TypeError("entries must be ints or Fractions") from None
+        basis = echelon_insert(basis, row)
     return len(basis)
 
 

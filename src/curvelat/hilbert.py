@@ -102,7 +102,9 @@ class HilbertTable:
     ``values[sum(v_i * strides[i])]``, where ``strides[i]`` is the
     product of l_j + 1 over j > i.  ``corner`` is the box the build
     checked: the spot check sampled [0, corner] and the step rule held
-    on [0, corner - 2].
+    on [0, corner - 2].  ``local_homology`` starts empty; the graded
+    pieces (see latthom.grv_homology_direct) keep in it the homology of
+    each local rank vector they have reduced.
     """
 
     def __init__(self, curve, corner, values, inv):
@@ -110,6 +112,7 @@ class HilbertTable:
         self.corner = corner
         self.values = values
         self.invariants = inv
+        self.local_homology = {}
         l = inv.conductor
         self.strides = tuple(prod(top + 1 for top in l[i + 1:])
                              for i in range(len(l)))

@@ -4,7 +4,10 @@ Lattice homology of a curve from its Hilbert table.
 The graded piece at a lattice point v is computed by two independent
 routes: directly, as the homology of the U-extended complex of the
 local rank function at v, shifted by -2 h(v); and by formula, reading
-the ranks off the q-polynomial at v.  Sublevel cubical complexes, the
+the ranks off the q-polynomial at v.  The local complex depends only on
+the local matroid, so it is reduced once per distinct local matroid of
+a table, while the q-polynomial route still runs, and is compared with
+the shifted piece, at every point.  Sublevel cubical complexes, the
 closed-form structure for one branch (including the spectral sequence
 of the U = 0 complex and its Alexander polynomial identity), and the
 five-case classification for two branches are provided on top.
@@ -26,7 +29,9 @@ def grv_homology_direct(table, v):
 
     The rank function of the local jump pattern at v defines a
     U-extended complex; its homology, shifted down by 2 h(v), is the
-    graded piece.
+    graded piece.  The unshifted homology depends on that rank function
+    alone, so it is computed once per distinct relative rank vector
+    h(v + e_K) - h(v) and kept in the table's ``local_homology``.
 
     Parameters
     ----------
@@ -37,8 +42,13 @@ def grv_homology_direct(table, v):
     -------
     GradedGroup
     """
-    base = du_homology(local_matroid(table, v))
-    shift = -2 * table.value(v)
+    cube = table.cube(v)
+    key = tuple(h - cube[0] for h in cube)
+    base = table.local_homology.get(key)
+    if base is None:
+        base = table.local_homology[key] = du_homology(
+            local_matroid(table, v))
+    shift = -2 * cube[0]
     return GradedGroup({q + shift: grp for q, grp in base.groups.items()})
 
 

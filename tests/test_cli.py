@@ -8,11 +8,12 @@ from importlib.metadata import EntryPoint
 
 import pytest
 
-from conftest import CORPUS, corpus_path
+from conftest import BENCH_DIR, CORPUS, corpus_path
 
 import curvelat.curve
 import curvelat.hilbert
 import curvelat.latthom
+import curvelat.oslattice
 import curvelat.series
 from curvelat.cli import load_curve, main
 from curvelat.errors import CurveSchemaError
@@ -264,6 +265,37 @@ def test_verify_computes_each_graded_piece_once(capsys, monkeypatch, name,
     code, _, _ = _run(capsys, ["verify", corpus_path(name)])
     assert code == 0
     assert len(points) == len(set(points)) == pieces
+
+
+@pytest.mark.parametrize("path, reductions, matroids", [
+    (corpus_path("triple"), 12, 15),
+    (corpus_path("d5"), 5, 8),
+    (os.path.join(BENCH_DIR, "tacnode3.json"), 15, 18),
+], ids=["triple", "d5", "tacnode3"])
+def test_verify_reduces_each_local_complex_once(capsys, monkeypatch, path,
+                                                reductions, matroids):
+    # the graded pieces reduce one U-extended complex per distinct local
+    # rank vector of the verify box, and build a matroid only for those;
+    # the other 3 matroids are the arrangement-structure stage's
+    original_du = curvelat.oslattice.du_homology
+    original_matroid = curvelat.oslattice.Matroid
+    ranks, built = [], []
+
+    def counting_du(matroid):
+        ranks.append(tuple(sorted(matroid.rank.items())))
+        return original_du(matroid)
+
+    class CountingMatroid(original_matroid):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    _rebind(monkeypatch, original_du, counting_du)
+    _rebind(monkeypatch, original_matroid, CountingMatroid)
+    code, _, _ = _run(capsys, ["verify", path])
+    assert code == 0
+    assert len(ranks) == len(set(ranks)) == reductions
+    assert len(built) == matroids
 
 
 def test_verify_checks_each_branch_pair_once(capsys, monkeypatch):

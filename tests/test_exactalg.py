@@ -168,6 +168,13 @@ def test_rank_simple():
     assert rank_rational([[0, 0], [0, 0]]) == 0
     assert rank_rational([]) == 0
     assert rank_rational([[], []]) == 0
+    # Fractions with denominator 1 are scaled, bools are ranked as ints
+    assert rank_rational([[Fraction(2, 1), Fraction(4, 1)],
+                          [Fraction(1, 1), Fraction(2, 1)]]) == 1
+    assert rank_rational([[Fraction(3, 1), 0], [0, Fraction(5, 1)]]) == 2
+    assert rank_rational([[True, False], [False, True]]) == 2
+    assert rank_rational([[True, True], [2, 2], [True, 1]]) == 1
+    assert rank_rational([[False, False]]) == 0
 
 
 def test_rank_with_fractions():
@@ -233,11 +240,14 @@ def _sparse_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_matrices())
 def test_rank_of_sparse_matrices_against_gaussian_oracle(drawn):
-    # dependent rows, which become zero during elimination, add nothing
+    # dependent rows, which become zero during elimination, add nothing;
+    # an integer matrix, which is not rescaled, has the rank of the same
+    # matrix written in Fractions, which is
     rows, base = drawn
     copy = [list(row) for row in rows]
     rank = rank_rational(rows)
     assert rank == gauss_rank(rows) == rank_rational(base)
+    assert rank == rank_rational([[Fraction(x) for x in row] for row in rows])
     assert rows == copy
 
 
@@ -266,6 +276,31 @@ def test_echelon_insert_contract(drawn):
         assert len(basis) == gauss_rank(vectors)
         for w in vectors:
             assert echelon_insert(basis, w) is basis
+
+
+def test_rank_mixes_integer_and_fraction_rows():
+    # integer rows go into the kernel as they are and Fraction rows are
+    # scaled first; the two kinds share one basis in either order (the
+    # first and last Fraction rows are in the span of the integer rows)
+    ints = [[2, 4, 0, 6], [0, 3, 3, 0]]
+    fracs = [[Fraction(1, 2), Fraction(1), 0, Fraction(3, 2)],
+             [Fraction(1, 3), Fraction(5, 7), Fraction(1, 4), 0],
+             [Fraction(1), Fraction(5, 2), Fraction(1, 2), Fraction(3)]]
+    for rows in (ints + fracs, fracs + ints, [ints[0], fracs[1], ints[1],
+                                              fracs[0], fracs[2]]):
+        copy = [list(row) for row in rows]
+        assert rank_rational(rows) == gauss_rank(rows) == 3
+        assert rows == copy
+
+
+def test_non_numbers_after_an_integer_basis_raise():
+    # a row of floats or strings is refused even when the integer rows
+    # before it have built pivots its entries would be reduced against
+    base = [[1, 2, 3], [0, 1, 4]]
+    for bad in ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0, 0.5, 1],
+                ["a", "b", "c"], ["", "", ""], [1, 2, "3"]):
+        with pytest.raises(TypeError):
+            rank_rational(base + [bad])
 
 
 def test_ragged_rows_raise():

@@ -11,7 +11,7 @@ from oracles import cubical_homology_brute
 import curvelat.latthom as latthom
 from curvelat.errors import (BoxTooSmall, ConsistencyError,
                              UnclassifiablePattern)
-from curvelat.hilbert import build_table
+from curvelat.hilbert import build_table, local_matroid
 from curvelat.series import alexander, poincare_from_hilbert
 from curvelat.latthom import (GradedGroup, euler_check, grv_homology,
                               grv_homology_direct, grv_homology_formula,
@@ -55,6 +55,55 @@ def test_grv_routes_agree_everywhere():
             direct = grv_homology_direct(table, v)
             formula = grv_homology_formula(table, v)
             assert direct == formula
+
+
+@pytest.mark.parametrize("name", ["triple", "a3"])
+def test_grv_direct_shifts_each_kept_local_homology(monkeypatch, name):
+    # the table keeps the unshifted homology of each relative rank vector:
+    # every point of [0, l + 2] gets a fresh reduction shifted by -2 h(v),
+    # and the local complex is reduced once per distinct rank vector
+    table = _table(name)
+    original = latthom.du_homology
+    reduced = []
+
+    def counting(matroid):
+        reduced.append(tuple(sorted(matroid.rank.items())))
+        return original(matroid)
+
+    monkeypatch.setattr(latthom, "du_homology", counting)
+    box = tuple(c + 2 for c in table.invariants.conductor)
+    vectors = set()
+    for v in _points(box):
+        cube = table.cube(v)
+        vectors.add(tuple(h - cube[0] for h in cube))
+        fresh = original(local_matroid(table, v))
+        shift = -2 * table.value(v)
+        assert grv_homology_direct(table, v) == GradedGroup(
+            {q + shift: grp for q, grp in fresh.groups.items()})
+    assert len(reduced) == len(set(reduced)) == len(vectors) < len(
+        _points(box))
+
+
+@pytest.mark.parametrize("name", ["triple", "d5"])
+def test_grv_catches_a_raised_interior_cell_after_the_box_is_read(name):
+    # the kept homology belongs to a rank vector, not to a point, so +1 on
+    # any interior cell of [0, l] after every piece of the box has been
+    # computed still fails somewhere on the box, as it does on a fresh
+    # table (on a3, whose one interior cell is (1, 1), it fails nowhere)
+    table = _table(name)
+    l = table.invariants.conductor
+    box = tuple(c + 2 for c in l)
+    for v in _points(box):
+        grv_homology(table, v)
+    interior = [v for v in _points(l) if all(0 < c < top
+                                             for c, top in zip(v, l))]
+    assert interior
+    for v in interior:
+        table.values[cell(table, v)] += 1
+        with pytest.raises(ConsistencyError):
+            for w in _points(box):
+                grv_homology(table, w)
+        table.values[cell(table, v)] -= 1
 
 
 def test_grv_nonzero_exactly_on_semigroup():
