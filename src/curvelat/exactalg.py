@@ -2,7 +2,8 @@ r"""
 Exact scalar and linear algebra: truncated power series over the
 rationals, a parser for polynomial input strings, the one integer
 elimination kernel (echelon_insert) and the rank built on it, and Smith
-normal form over the integers.
+normal form over the integers by one elimination loop on sparse rows,
+whose every pass splits off a pivot or leaves an entry smaller than it.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction``,
 matrices are plain lists of lists.
@@ -286,6 +287,16 @@ def smith_normal_form(rows):
     r"""
     Smith normal form of an integer matrix.
 
+    The matrix is kept as sparse rows, dicts mapping a column to its
+    nonzero entry.  Each pass takes an entry p of least absolute value
+    as the pivot and reduces its column by row operations and its row by
+    column operations, leaving remainders of absolute value below |p|.
+    When none is left and p divides every other entry, the pass splits
+    off |p|; otherwise it adds a row with an entry x that p does not
+    divide to the pivot row, whose entry at that column becomes x mod p.
+    So the loop ends: each pass either splits off a pivot or leaves an
+    entry smaller than its pivot.  A unit pivot is split off in one pass.
+
     Parameters
     ----------
     rows : list of lists of ints
@@ -299,61 +310,44 @@ def smith_normal_form(rows):
     Rows of different lengths raise ValueError, and an entry that is
     not an int (a Fraction or a float) raises TypeError.
     """
-    m = [[index(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if any(len(row) != ncols for row in m):
+    live = [{j: x for j, x in enumerate(map(index, row)) if x} for row in rows]
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("rows of different lengths")
     divisors = []
-    top = 0
-    while top < min(nrows, ncols):
-        # smallest nonzero entry of the remaining block becomes the pivot
-        piv = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(top + 1, nrows):
-                if m[i][top] != 0:
-                    q = m[i][top] // m[top][top]
-                    for j in range(ncols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top] != 0:
-                        m[top], m[i] = m[i], m[top]
-                        clean = False
-            for j in range(top + 1, ncols):
-                if m[top][j] != 0:
-                    q = m[top][j] // m[top][top]
-                    for i in range(nrows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j] != 0:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        clean = False
-        # pivot must divide the rest of the block for the divisor chain
-        adjusted = False
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if m[i][j] % m[top][top] != 0:
-                    for jj in range(ncols):
-                        m[top][jj] += m[i][jj]
-                    adjusted = True
-                    break
-            if adjusted:
+    while live := [row for row in live if row]:
+        p = None
+        for row in live:
+            for k, x in row.items():
+                if p is None or abs(x) < abs(p):
+                    pivot, j, p = row, k, x
+            if abs(p) == 1:
                 break
-        if adjusted:
+        for row in live:
+            if row is not pivot and j in row:
+                _add_multiple(row, pivot, -(row[j] // p))
+        steps = {k: x // p for k, x in pivot.items() if k != j}
+        for row in live:
+            if j in row:
+                _add_multiple(row, steps, -row[j])
+        if len(pivot) > 1 or any(j in row for row in live if row is not pivot):
             continue
-        divisors.append(abs(m[top][top]))
-        top += 1
+        bad = next(((row, k) for row in live for k, x in row.items() if x % p),
+                   None)
+        if bad is None:
+            divisors.append(abs(p))
+            pivot.clear()
+        else:
+            row, k = bad
+            pivot.update(row)
+            pivot[k] %= p
     return SNFResult(divisors=divisors, rank=len(divisors))
+
+
+def _add_multiple(row, other, q):
+    # row += q * other, on sparse rows, dropping entries that become 0
+    for k, x in other.items():
+        y = row.get(k, 0) + q * x
+        if y:
+            row[k] = y
+        else:
+            row.pop(k, None)

@@ -98,6 +98,81 @@ def snf_divisors_by_minors(rows):
     return divisors
 
 
+def snf_divisors_dense(rows):
+    r"""
+    Invariant factors of an integer matrix by the dense loop: at each
+    step the entry of least absolute value in the whole remaining block
+    becomes the pivot, its row and column are reduced until clean, and
+    a row is added to the pivot row when the pivot does not divide the
+    rest of the block.
+
+    The entries of the block can grow without bound when no unit entry
+    is left (a 7 x 6 matrix with entries in {0, 2, 3, 4, -6} did not
+    finish in two minutes), so this serves only as an oracle on 0/+-1
+    matrices, such as the boundaries of cube and U-complexes, where it
+    stays fast.
+
+    Returns
+    -------
+    list of positive ints, the divisor chain
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    divisors = []
+    top = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
+                    best = abs(m[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        m[top], m[pi] = m[pi], m[top]
+        for row in m:
+            row[top], row[pj] = row[pj], row[top]
+        done = False
+        while not done:
+            done = True
+            for i in range(top + 1, nrows):
+                if m[i][top] != 0:
+                    q = m[i][top] // m[top][top]
+                    for j in range(ncols):
+                        m[i][j] -= q * m[top][j]
+                    if m[i][top] != 0:
+                        m[top], m[i] = m[i], m[top]
+                        done = False
+            for j in range(top + 1, ncols):
+                if m[top][j] != 0:
+                    q = m[top][j] // m[top][top]
+                    for i in range(nrows):
+                        m[i][j] -= q * m[i][top]
+                    if m[top][j] != 0:
+                        for row in m:
+                            row[top], row[j] = row[j], row[top]
+                        done = False
+        # restore divisibility if some remaining entry is not a multiple
+        fixed = False
+        for i in range(top + 1, nrows):
+            for j in range(top + 1, ncols):
+                if m[i][j] % m[top][top] != 0:
+                    for jj in range(ncols):
+                        m[top][jj] += m[i][jj]
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        divisors.append(abs(m[top][top]))
+        top += 1
+    return divisors
+
+
 # ---------------------------------------------------------------------------
 # numerical semigroup oracles (single branch)
 
@@ -257,61 +332,7 @@ REFERENCE_D5_SEMIGROUP = {
 
 
 def _snf_rank_and_torsion(rows):
-    # minimal integer SNF, independent of the package implementation
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    divisors = []
-    top = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                    best = abs(m[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        done = False
-        while not done:
-            done = True
-            for i in range(top + 1, nrows):
-                if m[i][top] != 0:
-                    q = m[i][top] // m[top][top]
-                    for j in range(ncols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top] != 0:
-                        m[top], m[i] = m[i], m[top]
-                        done = False
-            for j in range(top + 1, ncols):
-                if m[top][j] != 0:
-                    q = m[top][j] // m[top][top]
-                    for i in range(nrows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j] != 0:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        done = False
-        # restore divisibility if some remaining entry is not a multiple
-        fixed = False
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if m[i][j] % m[top][top] != 0:
-                    for jj in range(ncols):
-                        m[top][jj] += m[i][jj]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        divisors.append(abs(m[top][top]))
-        top += 1
+    divisors = snf_divisors_dense(rows)
     return len(divisors), [d for d in divisors if d > 1]
 
 

@@ -1,4 +1,8 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -16,7 +20,9 @@ from curvelat.exactalg import (
     smith_normal_form,
 )
 
-from oracles import gauss_rank, snf_divisors_by_minors
+from oracles import gauss_rank, snf_divisors_by_minors, snf_divisors_dense
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +362,53 @@ def test_snf_divisor_chain_property():
 
 
 def test_snf_against_minor_gcd_oracle():
+    # entries from [-7, 7], then with no unit entry at all, so that
+    # every chain is reached through non-unit pivots and remainders
     rng = random.Random(5)
-    for _ in range(40):
-        nrows = rng.randint(1, 5)
-        ncols = rng.randint(1, 5)
-        rows = [[rng.randint(-7, 7) for _ in range(ncols)]
-                for _ in range(nrows)]
-        res = smith_normal_form(rows)
-        assert res.divisors == snf_divisors_by_minors(rows)
-        assert res.rank == rank_rational(rows)
+    for entries, size in ((range(-7, 8), 5), ((0, 2, 3, 4, -6), 6)):
+        for _ in range(40):
+            nrows = rng.randint(1, size)
+            ncols = rng.randint(1, size)
+            rows = [[rng.choice(entries) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            res = smith_normal_form(rows)
+            assert res.divisors == snf_divisors_by_minors(rows)
+            assert res.rank == rank_rational(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda ncols: st.lists(
+    st.lists(st.sampled_from([0, 0, 1, -1]), min_size=ncols,
+             max_size=ncols), min_size=1, max_size=12)))
+def test_snf_against_dense_loop_on_unit_matrices(rows):
+    # 0/+-1 matrices, the entries of every boundary that homology sends
+    copy = [list(row) for row in rows]
+    res = smith_normal_form(rows)
+    assert res.divisors == snf_divisors_dense(rows)
+    assert res.rank == len(res.divisors) == rank_rational(rows)
+    assert rows == copy
+
+
+def test_snf_without_unit_entries_finishes():
+    # the dense loop grows the entries of this matrix without bound and
+    # did not finish in two minutes; a child process bounds the time,
+    # so a slow loop fails here instead of hanging the suite
+    rows = [[2, 4, 3, 4, 2, 4], [-6, 0, 2, 2, -6, 3], [3, 3, 0, 0, -6, 2],
+            [0, 3, 0, -6, 4, 4], [-6, 0, 0, 2, 2, -6], [-6, 4, 0, 0, -6, 2],
+            [2, 2, 0, 2, -6, -6]]
+    code = ("import time\n"
+            "from curvelat.exactalg import smith_normal_form\n"
+            "start = time.perf_counter()\n"
+            "res = smith_normal_form(%r)\n"
+            "print((res.divisors, res.rank, time.perf_counter() - start))\n"
+            % (rows,))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    divisors, rank, seconds = ast.literal_eval(done.stdout)
+    assert divisors == snf_divisors_by_minors(rows) == [1, 1, 1, 1, 2, 10]
+    assert rank == 6
+    assert seconds < 1

@@ -355,6 +355,14 @@ def test_homology_from_boundaries_torsion():
     assert h.groups == {0: (0, (2,))}
 
 
+def test_homology_from_boundaries_refuses_negative_free_rank():
+    # rank-1 boundaries into and out of a degree of dimension 1
+    dims = {0: 1}
+    boundaries = {1: [[1]], 0: [[1]]}
+    with pytest.raises(ConsistencyError, match="negative free rank"):
+        homology_from_boundaries(dims, boundaries)
+
+
 class _CubeTable:
     # the one reading of a table that char_poly and hv_polynomial make
     def __init__(self, cube):
