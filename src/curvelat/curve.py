@@ -6,10 +6,10 @@ A curve germ is described by its branches, each given parametrically as
 a pair of polynomials (x(t), y(t)).  The fundamental quantity is
 h(v) = codimension of the set of functions whose order on branch i is
 at least v_i; everything else in the package is derived from it.  This
-module computes h(v) directly as the rank of a matrix of monomial jet
-coefficients, with no recursion, so it can serve as the ground-truth
+module computes h(v) directly as the rank of a sparse matrix of monomial
+jet coefficients, with no recursion, so it can serve as the ground-truth
 route against which faster routes are checked.  Each branch caches the
-integer jet of every monomial it has composed (``jet``), its delta
+sparse jet of every monomial it has composed (``jet``), its delta
 and conductor (``branch_delta``) and its accepted intersection number
 with each other branch (``intersection_multiplicity``); h itself is
 never cached.  Branch deltas and intersection numbers are read off h
@@ -29,7 +29,7 @@ from .errors import (
     NonStabilizing,
     PrimitivityError,
 )
-from .exactalg import TruncSeries, parse_poly, rank_rational, series_mul
+from .exactalg import TruncSeries, parse_poly, rank_sparse, series_mul
 
 
 class BranchParametrization:
@@ -41,6 +41,8 @@ class BranchParametrization:
     nonzero coordinate must vanish at t = 0, and the exponents appearing
     across both coordinates must have gcd 1 (otherwise the parametric
     description traverses its image multiple times and is rejected).
+    ``orders`` holds the orders of x and y, that of a zero coordinate
+    taken as the truncation.
     """
 
     def __init__(self, x, y):
@@ -55,15 +57,14 @@ class BranchParametrization:
         if exps[0] == 0:
             raise InvalidParametrization(
                 "coordinate does not vanish at t = 0")
-        g = 0
-        for e in exps:
-            g = gcd(g, e)
+        g = gcd(*exps)
         if g != 1:
             raise PrimitivityError(
                 "exponent gcd is %d, parametrization is not primitive" % g)
         self.x = x
         self.y = y
         self.truncation = x.truncation
+        self.orders = tuple(s.order() or self.truncation for s in (x, y))
         self.scale = lcm(*[c.denominator for s in (x, y)
                            for c in s.coeffs.values()])
 
@@ -75,8 +76,7 @@ class BranchParametrization:
 
     def multiplicity(self):
         r"""Smallest order among the nonzero coordinates."""
-        orders = [s.order() for s in (self.x, self.y) if not s.is_zero()]
-        return min(orders)
+        return min(self.orders)
 
     def monomial(self, a, b):
         r"""The series x(t)^a * y(t)^b."""
@@ -86,9 +86,9 @@ class BranchParametrization:
 
     def jet(self, a, b):
         r"""
-        Integer coefficients of t^0 .. t^(truncation - 1) in
-        (x^a y^b)(q t), where q = ``scale`` is the lcm of the
-        denominators of all coefficients of x and y.
+        The nonzero coefficients of (x^a y^b)(q t) as a tuple of ascending
+        (exponent, int) pairs below the truncation, where q = ``scale``
+        is the lcm of the denominators of all coefficients of x and y.
 
         Every coefficient of x and y has a denominator dividing q and
         both series have order >= 1, so the t^e coefficient of x^a y^b
@@ -97,17 +97,12 @@ class BranchParametrization:
         t -> q t scales column e of any jet matrix by q^e != 0, so it
         changes no rank and no h value.  Each jet is derived once from
         ``monomial`` and cached on the branch.
-
-        Returns
-        -------
-        tuple of ints, of length ``truncation``
         """
         cache = self.__dict__.setdefault("_jets", {})
         if (a, b) not in cache:
-            jet = [0] * self.truncation
-            for e, c in self.monomial(a, b).coeffs.items():
-                jet[e] = c.numerator * self.scale ** e // c.denominator
-            cache[a, b] = tuple(jet)
+            cache[a, b] = tuple(
+                (e, c.numerator * self.scale ** e // c.denominator)
+                for e, c in sorted(self.monomial(a, b).coeffs.items()))
         return cache[a, b]
 
     def _power(self, base, n, slot):
@@ -148,10 +143,10 @@ def h_oracle(curve, v):
     Hilbert value h(v) as a matrix rank, directly from the definition.
 
     Functions are represented by the monomials x^a y^b with a + b below
-    max(v); the matrix row of a monomial lists, branch by branch, the
-    first v_i entries of the monomial's integer jet on the branch (see
-    BranchParametrization.jet), and h(v) is the rank.  Negative
-    coordinates are clamped to zero first.
+    max(v); the sparse row of a monomial holds, branch by branch, the
+    entries below v_i of the monomial's integer jet on the branch (see
+    BranchParametrization.jet), at columns offset by the earlier v_j,
+    and h(v) is its rank.  Negative coordinates are clamped to zero first.
 
     Only the rows that are not zero are built.  On a branch, x^a y^b
     has order exactly a ord(x) + b ord(y), and it is zero when a zero
@@ -187,18 +182,22 @@ def h_oracle(curve, v):
         raise InsufficientTruncation(
             "need %d series terms but only %d are kept"
             % (m, curve.truncation))
-    t = curve.truncation
-    orders = [(b.x.order() or t, b.y.order() or t) for b in curve.branches]
+    spans = [(b.jet, *b.orders, n, sum(v[:i]))
+             for i, (b, n) in enumerate(zip(curve.branches, v))]
     rows = []
     for a in range(m):
         # x^a y^b has a row while b ord(y) < v_i - a ord(x) on some branch
-        stop = max(-((a * ox - n) // oy) for (ox, oy), n in zip(orders, v))
+        stop = max(-((a * ox - n) // oy) for _, ox, oy, n, _ in spans)
         for b in range(stop):
-            row = []
-            for branch, n in zip(curve.branches, v):
-                row.extend(branch.jet(a, b)[:n])
+            row = {}
+            for jet, ox, oy, n, offset in spans:
+                if a * ox + b * oy < n:
+                    for e, x in jet(a, b):
+                        if e >= n:
+                            break
+                        row[offset + e] = x
             rows.append(row)
-    return rank_rational(rows)
+    return rank_sparse(rows)
 
 
 def branch_delta(branch):

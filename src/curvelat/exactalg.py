@@ -1,17 +1,19 @@
 r"""
 Exact scalar and linear algebra: truncated power series over the
 rationals, a parser for polynomial input strings, the one integer
-elimination kernel (echelon_insert) and the rank built on it, and Smith
-normal form over the integers by one elimination loop on sparse rows,
-whose every pass splits off a pivot or leaves an entry smaller than it.
+elimination kernel and the ranks built on it, and Smith normal form
+over the integers by one elimination loop on sparse rows, whose every
+pass splits off a pivot or leaves an entry smaller than it.
 
-All arithmetic is exact.  Rationals are ``fractions.Fraction``,
-matrices are plain lists of lists.
+All arithmetic is exact.  Rationals are ``fractions.Fraction``; the
+kernel's vectors are sparse, dicts mapping an index to a nonzero int,
+with the pivot at the least index.  ``echelon_insert`` extends a basis
+without changing it, and ``rank_sparse`` grows one basis in place.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress
 from math import gcd, lcm
 from operator import index
 
@@ -215,58 +217,57 @@ def parse_poly(text, truncation):
 # exact linear algebra
 
 
-def echelon_insert(basis, vector):
-    r"""
-    Insert an integer vector into an echelon basis, a dict mapping each
-    pivot k to a primitive vector whose first nonzero entry is at k.
-
-    The vector is reduced at its leading entry against the basis vector
-    with its pivot there, as (p/g) w - (f/g) b with f, p the two leading
-    entries and g = gcd(f, p), and divided by its content, until that
-    entry is at no pivot.  Neither argument is changed: the result is
-    ``basis`` itself when the vector is in its span, else a new dict
-    with one more pivot, whose vector may be ``vector`` itself.
-    """
-    w = vector
-    k = next(compress(count(), w), None)
+def _reduce(basis, w):
+    # w reduced at its least index k by the basis vector b led there, as
+    # (p/g) w - (f/g) b (f, p their entries at k, g = gcd(f, p)), until k
+    # is at no pivot; returns k (None in the span) and w made primitive
+    k = min(w) if w else None
     while k in basis:
         b = basis[k]
         g = gcd(w[k], b[k])
         f, p = w[k] // g, b[k] // g
-        w = [p * x - f * y for x, y in zip(w, b)]
-        c = gcd(*w)
-        if c > 1:
-            w = [x // c for x in w]
-        k = next(compress(count(k + 1), w[k + 1:]), None)
-    if k is None:
-        return basis
-    c = gcd(*w)
-    return {**basis, k: [x // c for x in w] if c > 1 else w}
+        w = w.copy() if p == 1 else {j: p * x for j, x in w.items()}
+        _add_multiple(w, b, -f)
+        k = min(w) if w else None
+    c = gcd(*w.values())
+    return k, {j: x // c for j, x in w.items()} if c > 1 else w
+
+
+def echelon_insert(basis, vector):
+    r"""
+    Insert a sparse integer vector into an echelon basis, a dict mapping
+    each pivot k to a primitive sparse vector whose least index is k.
+    The persistent use of the one reduction step: no argument changes,
+    and the result is ``basis`` itself for a vector in its span, else a
+    new dict with one more pivot, whose vector may be ``vector`` itself.
+    """
+    k, w = _reduce(basis, vector)
+    return basis if k is None else {**basis, k: w}
+
+
+def rank_sparse(rows):
+    r"""
+    Rank of sparse integer rows, by the one-shot use of the reduction
+    step: one basis grows in place, and the rows are not changed.
+    """
+    basis = {}
+    for row in rows:
+        k, w = _reduce(basis, row)
+        if k is not None:
+            basis[k] = w
+    return len(basis)
 
 
 def rank_rational(rows):
     r"""
-    Rank of a matrix with integer or Rational entries.
-
-    The rank is the number of pivots of the echelon basis that
-    ``echelon_insert`` builds from the rows, one row at a time, starting
-    from an empty basis.  A row of ints (such as a row of jets) goes
-    into the kernel as it is and is not rescaled; any other row is
-    first scaled by the lcm of its denominators, read through the
-    ``numerator`` and ``denominator`` attributes that ints and Fractions
-    both have.  The rows are not changed.  Rows of different lengths
-    raise ValueError, and an entry that is not an int or a Fraction
-    raises TypeError.
-
-    Parameters
-    ----------
-    rows : list of lists of ints or Fractions
-
-    Returns
-    -------
-    int
+    Rank of a matrix given as dense rows (lists) of ints or Fractions.
+    Each row goes into ``rank_sparse`` as its nonzero entries; a row not
+    all ints is first scaled by the lcm of its entries' ``denominator``
+    (ints and Fractions both have it, and ``numerator``).  The rows are
+    not changed.  Rows of different lengths raise ValueError, and an
+    entry that is not an int or a Fraction raises TypeError.
     """
-    basis = {}
+    sparse = []
     for row in rows:
         if len(row) != len(rows[0]):
             raise ValueError("rows of different lengths")
@@ -276,8 +277,8 @@ def rank_rational(rows):
                 row = [x.numerator * (den // x.denominator) for x in row]
             except AttributeError:
                 raise TypeError("entries must be ints or Fractions") from None
-        basis = echelon_insert(basis, row)
-    return len(basis)
+        sparse.append(dict(compress(enumerate(row), row)))
+    return rank_sparse(sparse)
 
 
 SNFResult = namedtuple("SNFResult", ["divisors", "rank"])

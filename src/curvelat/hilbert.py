@@ -3,7 +3,7 @@ The Hilbert function on a lattice box, the value semigroup, and the
 numeric invariants of a curve germ.
 
 The table builder fills [0, l] (l the conductor) with prefix ranks:
-one integer echelon basis of jet columns per point of the first r - 1
+one echelon basis of sparse jet columns per point of the first r - 1
 coordinates, extended by the last branch's columns one at a time with
 exactalg.echelon_insert, the same kernel that ranks h_oracle's rows.
 Beyond the conductor every unit step adds 1.  The ranks are kept as one
@@ -188,20 +188,20 @@ def _spot_check(table):
 
 def _fill_to_conductor(curve, l):
     # h on [0, l] as ranks of jet columns, one flat list in lexicographic
-    # order (see HilbertTable).  h(v) needs the monomials of degree
-    # < max(v); those of degree >= max(v) vanish in every column e < v_i,
-    # so the monomials of degree < max(l) serve the whole box, and rows
-    # zero in every column of the box are dropped.  invariants() has
-    # evaluated h at l, so the truncation covers every column.
-    top = max(l)
-    monomials = [(a, total - a) for total in range(top)
-                 for a in range(total + 1)]
-    columns = [[[branch.jet(a, b)[e] for a, b in monomials]
-                for e in range(n)]
-               for branch, n in zip(curve.branches, l)]
-    live = [k for k in range(len(monomials))
-            if any(col[k] for cols in columns for col in cols)]
-    columns = [[[col[k] for k in live] for col in cols] for cols in columns]
+    # order (see HilbertTable).  Monomials of degree >= max(l) vanish in
+    # every column e < l_i, so those of degree < max(l), by index k, serve
+    # the box: column e of a branch maps k to the jet's nonzero t^e entry,
+    # and a jet is read only when its order a ord(x) + b ord(y) is below
+    # l_i.  invariants() has evaluated h at l, so the truncation covers it.
+    monomials = ((a, d - a) for d in range(max(l)) for a in range(d + 1))
+    columns = [[{} for _ in range(n)] for n in l]
+    for k, (a, b) in enumerate(monomials):
+        for cols, branch, n in zip(columns, curve.branches, l):
+            if a * branch.orders[0] + b * branch.orders[1] < n:
+                for e, x in branch.jet(a, b):
+                    if e >= n:
+                        break
+                    cols[e][k] = x
     values = []
 
     def sweep(depth, basis):

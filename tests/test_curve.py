@@ -95,15 +95,22 @@ def test_monomial_composition():
 
 
 def test_jet_scales_rational_coefficients():
-    # q = lcm(2, 3) = 6, and q^e clears every denominator at t^e
+    # q = lcm(2, 3) = 6, and q^e clears every denominator at t^e; the
+    # jet holds exactly the nonzero coefficients, as (e, int) pairs in
+    # ascending order of e below the truncation
     b = BranchParametrization.from_strings("1/2*t^2", "1/3*t^3", 16)
     assert b.scale == 6
     for a, c in product(range(4), repeat=2):
         jet = b.jet(a, c)
-        assert len(jet) == 16
-        assert all(type(x) is int for x in jet)
-        for e in range(16):
-            assert jet[e] == 6 ** e * b.monomial(a, c).coefficient(e)
+        monomial = b.monomial(a, c)
+        exponents = [e for e, _ in jet]
+        assert exponents == sorted(set(exponents))
+        assert all(0 <= e < 16 for e in exponents)
+        for e, x in jet:
+            assert type(x) is int and x != 0
+            assert x == 6 ** e * monomial.coefficient(e)
+        assert set(exponents) == {e for e in range(16)
+                                  if monomial.coefficient(e) != 0}
     assert b.jet(2, 1) is b.jet(2, 1)
 
 
@@ -243,24 +250,29 @@ def test_h_oracle_builds_one_row_per_nonzero_monomial(monkeypatch, args,
     pending = []
     sizes = []
     original_h = curve_module.h_oracle
-    original_rank = curve_module.rank_rational
+    original_rank = curve_module.rank_sparse
 
     def recorded_h(curve, v):
         pending.append((curve, [max(c, 0) for c in v]))
         return original_h(curve, v)
 
     def checked_rank(rows):
+        # each row in one canonical form, its (column, entry) pairs in
+        # order, against the nonzero dense rows of the definition
         curve, v = pending[-1]
-        every = [[x for branch, n in zip(curve.branches, v)
-                  for x in branch.jet(a, total - a)[:n]]
+        every = [[branch.monomial(a, total - a).coefficient(e)
+                  * branch.scale ** e
+                  for branch, n in zip(curve.branches, v) for e in range(n)]
                  for total in range(max(v)) for a in range(total + 1)]
-        assert sorted(rows) == sorted(row for row in every if any(row))
+        assert sorted(sorted(row.items()) for row in rows) == sorted(
+            [(j, x) for j, x in enumerate(row) if x]
+            for row in every if any(row))
         sizes.append(len(rows))
         return original_rank(rows)
 
     monkeypatch.setattr(curve_module, "h_oracle", recorded_h)
     monkeypatch.setattr(hilbert_module, "h_oracle", recorded_h)
-    monkeypatch.setattr(curve_module, "rank_rational", checked_rank)
+    monkeypatch.setattr(curve_module, "rank_sparse", checked_rank)
     assert main(["hilbert"] + args) == 0
     assert (len(sizes), sum(sizes)) == (calls, rows)
 

@@ -16,6 +16,7 @@ from curvelat.exactalg import (
     echelon_insert,
     parse_poly,
     rank_rational,
+    rank_sparse,
     series_mul,
     smith_normal_form,
 )
@@ -257,31 +258,62 @@ def test_rank_of_sparse_matrices_against_gaussian_oracle(drawn):
     assert rows == copy
 
 
+def _sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sparse_matrices())
 def test_echelon_insert_contract(drawn):
-    # folding the kernel over the rows and over the columns both give the
-    # rank; it never changes its arguments, stores primitive vectors led
-    # at their pivot, and returns the basis it was given for a vector in
-    # its span
+    # folding the kernel over the rows and over the columns, as sparse
+    # vectors, both give the rank; it never changes its arguments,
+    # stores primitive vectors led at their pivot with no zero entry,
+    # and returns the basis it was given for a vector in its span
     rows, _ = drawn
     ints = [[(x * lcm(*[y.denominator for y in row])).numerator
              for x in row] for row in rows]
-    for vectors in (ints, [list(col) for col in zip(*ints)]):
+    for dense in (ints, [list(col) for col in zip(*ints)]):
         basis = {}
-        for w in vectors:
-            before = {k: list(b) for k, b in basis.items()}
-            w_before = list(w)
+        for w in map(_sparse, dense):
+            before = {k: dict(b) for k, b in basis.items()}
+            w_before = dict(w)
             grown = echelon_insert(basis, w)
             assert basis == before and w == w_before
             assert grown is basis or (len(grown) == len(basis) + 1
                                       and grown.items() >= basis.items())
             basis = grown
         for k, b in basis.items():
-            assert b[k] and not any(b[:k]) and gcd(*b) == 1
-        assert len(basis) == gauss_rank(vectors)
-        for w in vectors:
+            assert min(b) == k and all(b.values())
+            assert gcd(*b.values()) == 1
+        assert len(basis) == gauss_rank(dense)
+        for w in map(_sparse, dense):
             assert echelon_insert(basis, w) is basis
+
+
+@st.composite
+def _cancelling_rows(draw):
+    # sparse integer rows, then sums and differences of pairs of them,
+    # whose reduction cancels entries to zero, in any order
+    ncols = draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, 2 ** 40])
+    rows = [[draw(entry) for _ in range(ncols)]
+            for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 4))):
+        u, w = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        sign = draw(st.sampled_from([1, -1, 2]))
+        rows.append([x + sign * y for x, y in zip(u, w)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cancelling_rows())
+def test_rank_sparse_against_gaussian_oracle(dense):
+    # the one-shot rank, whose basis grows in place, leaves the caller's
+    # rows as they were
+    rows = [_sparse(row) for row in dense]
+    copy = [dict(row) for row in rows]
+    assert rank_sparse(rows) == gauss_rank(dense)
+    assert rows == copy
 
 
 def test_rank_mixes_integer_and_fraction_rows():
