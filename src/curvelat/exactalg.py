@@ -5,15 +5,15 @@ elimination kernel and the ranks built on it, and Smith normal form
 over the integers by one elimination loop on sparse rows, whose every
 pass splits off a pivot or leaves an entry smaller than it.
 
-All arithmetic is exact.  Rationals are ``fractions.Fraction``; the
-kernel's vectors are sparse, dicts mapping an index to a nonzero int,
-with the pivot at the least index.  ``echelon_insert`` extends a basis
-without changing it, and ``rank_sparse`` grows one basis in place.
+All arithmetic is exact.  Rationals are ``fractions.Fraction``.  A
+matrix is a list of sparse rows, dicts mapping an index to its entry;
+the kernel's vectors hold nonzero ints, with the pivot at the least index.
+``echelon_insert`` extends a basis without changing it, and
+``rank_sparse`` grows one basis in place.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from operator import index
 
@@ -260,24 +260,24 @@ def rank_sparse(rows):
 
 def rank_rational(rows):
     r"""
-    Rank of a matrix given as dense rows (lists) of ints or Fractions.
-    Each row goes into ``rank_sparse`` as its nonzero entries; a row not
-    all ints is first scaled by the lcm of its entries' ``denominator``
-    (ints and Fractions both have it, and ``numerator``).  The rows are
-    not changed.  Rows of different lengths raise ValueError, and an
-    entry that is not an int or a Fraction raises TypeError.
+    Rank of a matrix of sparse rows of ints or Fractions.  Each row goes
+    into ``rank_sparse`` as its nonzero entries; a row not all ints is
+    first scaled by the lcm of its entries' ``denominator`` (ints and
+    Fractions both have it, and ``numerator``).  The rows are not
+    changed.  A dense row (a list) or an entry that is not an int or a
+    Fraction raises TypeError.
     """
     sparse = []
     for row in rows:
-        if len(row) != len(rows[0]):
-            raise ValueError("rows of different lengths")
-        if not set(map(type, row)) <= {int}:
+        entries = _entries(row)
+        if not set(map(type, row.values())) <= {int}:
             try:
-                den = lcm(*[x.denominator for x in row])
-                row = [x.numerator * (den // x.denominator) for x in row]
+                den = lcm(*[x.denominator for x in row.values()])
+                entries = [(j, x.numerator * (den // x.denominator))
+                           for j, x in entries]
             except AttributeError:
                 raise TypeError("entries must be ints or Fractions") from None
-        sparse.append(dict(compress(enumerate(row), row)))
+        sparse.append({j: x for j, x in entries if x})
     return rank_sparse(sparse)
 
 
@@ -300,7 +300,7 @@ def smith_normal_form(rows):
 
     Parameters
     ----------
-    rows : list of lists of ints
+    rows : list of sparse rows of ints, which are not changed
 
     Returns
     -------
@@ -308,12 +308,11 @@ def smith_normal_form(rows):
         divisors is the full invariant factor chain (1s included), each
         positive and dividing the next; rank is its length.
 
-    Rows of different lengths raise ValueError, and an entry that is
-    not an int (a Fraction or a float) raises TypeError.
+    A dense row (a list) or an entry that is not an int (a Fraction or
+    a float) raises TypeError.
     """
-    live = [{j: x for j, x in enumerate(map(index, row)) if x} for row in rows]
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("rows of different lengths")
+    live = [{j: y for j, x in _entries(row) if (y := index(x))}
+            for row in rows]
     divisors = []
     while live := [row for row in live if row]:
         p = None
@@ -342,6 +341,15 @@ def smith_normal_form(rows):
             pivot.update(row)
             pivot[k] %= p
     return SNFResult(divisors=divisors, rank=len(divisors))
+
+
+def _entries(row):
+    # the (index, entry) pairs of a sparse row; a dense row raises
+    try:
+        return row.items()
+    except AttributeError:
+        raise TypeError("rows must be sparse, dicts mapping an index to "
+                        "its entry, not %s" % type(row).__name__) from None
 
 
 def _add_multiple(row, other, q):

@@ -97,7 +97,8 @@ def grv_homology(table, v):
 def euler_check(table, poincare):
     r"""
     Verify that the Euler characteristic of the graded piece at every
-    point of [0, conductor + 1] equals the coefficient of poincare, the
+    point of [0, conductor + 1], computed by the local complex (see
+    grv_homology_direct), equals the coefficient of poincare, the
     table's pi series; a series box below conductor + 1 raises ValueError.
 
     Returns True, or raises ConsistencyError.
@@ -106,7 +107,7 @@ def euler_check(table, poincare):
     if any(b < w for b, w in zip(poincare.box, wide)):
         raise ValueError("series box %s is below l + 1" % (poincare.box,))
     for v in box_points(wide):
-        groups = grv_homology_formula(table, v)
+        groups = grv_homology_direct(table, v)
         chi = sum((-1) ** (q % 2) * rank
                   for q, (rank, _) in groups.groups.items())
         if chi != poincare.coefficient(v):
@@ -163,17 +164,17 @@ def sk_homology(table, u, k):
         if q == 0:
             continue
         lower = {c: i for i, c in enumerate(by_dim.get(q - 1, []))}
-        cols = by_dim[q]
-        mat = [[0] * len(cols) for _ in lower]
-        for col, (w, dirs) in enumerate(cols):
+        cols = []
+        for w, dirs in by_dim[q]:
+            col = {}
             for pos, axis in enumerate(dirs):
                 rest = tuple(a for a in dirs if a != axis)
-                far = tuple(w[i] + (1 if i == axis else 0)
-                            for i in range(r))
+                far = tuple(x + (i == axis) for i, x in enumerate(w))
                 s = (-1) ** pos
-                mat[lower[(far, rest)]][col] += s
-                mat[lower[(w, rest)]][col] -= s
-        boundaries[q] = mat
+                col[lower[far, rest]] = s
+                col[lower[w, rest]] = -s
+            cols.append(col)
+        boundaries[q] = cols
     return homology_from_boundaries(dims, boundaries)
 
 
@@ -251,16 +252,13 @@ def r1_structure(table, pieces, poly):
     # members
     a_basis = [v for v in members if v <= bound]
     alpha_basis = [v for v in members if v <= bound - 1]
-    mat = [[0] * len(alpha_basis) for _ in a_basis]
-    a_index = {v: i for i, v in enumerate(a_basis)}
-    for j, v in enumerate(alpha_basis):
-        if v + 1 in member_set:
-            mat[a_index[v + 1]][j] = 1
-    rank = rank_rational(mat)
-    a_survivors = {v for i, v in enumerate(a_basis)
-                   if not any(mat[i][j] for j in range(len(alpha_basis)))}
-    alpha_survivors = {v for j, v in enumerate(alpha_basis)
-                       if not any(row[j] for row in mat)}
+    alpha_index = {v: j for j, v in enumerate(alpha_basis)}
+    rows = [{alpha_index[v - 1]: 1} if v - 1 in alpha_index else {}
+            for v in a_basis]
+    rank = rank_rational(rows)
+    a_survivors = {v for v, row in zip(a_basis, rows) if not row}
+    alpha_survivors = set(alpha_basis) - {alpha_basis[j] for row in rows
+                                          for j in row}
     if len(a_survivors) != len(a_basis) - rank:
         raise ConsistencyError("second-page a count disagrees with "
                                "the matrix rank")

@@ -9,6 +9,7 @@ arrangement polynomial in negated degrees.  The U-extended complex
 splits by weight into finite subset complexes, so its homology is
 computed exactly, with no truncation of U.
 
+Every boundary is built straight from its face rule as sparse columns.
 All homology is computed over the integers; torsion is reported, never
 discarded.
 """
@@ -16,7 +17,7 @@ discarded.
 from itertools import accumulate, combinations
 
 from .errors import ConsistencyError
-from .exactalg import rank_rational, smith_normal_form
+from .exactalg import SNFResult, rank_rational, smith_normal_form
 
 
 class Matroid:
@@ -125,6 +126,8 @@ class OSComplex:
     Removing the i-th smallest element of K carries sign (-1)^(i-1)
     and U-weight rank(K) - rank(K minus that element); the weight-0
     part and the weight-1 part of the boundary are exposed separately.
+    A boundary from size k is one sparse column per subset of size k,
+    mapping the index of each face in basis(k - 1) to its coefficient.
     """
 
     def __init__(self, matroid):
@@ -138,20 +141,19 @@ class OSComplex:
         return _subsets_of_size(self.n, k)
 
     def _boundary(self, k, keep):
-        # keep(drop) selects terms by their rank drop (0 or 1)
-        rows = self.basis(k - 1)
-        cols = self.basis(k)
-        index = {m: i for i, m in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for c, mask in enumerate(cols):
-            elements = _mask_elements(mask)
-            for pos, e in enumerate(elements):
+        # one sparse column per subset of size k, mapping the index of
+        # each face whose rank drop (0 or 1) keep selects to its sign
+        index = {m: i for i, m in enumerate(self.basis(k - 1))}
+        rank = self.matroid.rank
+        cols = []
+        for mask in self.basis(k):
+            col = {}
+            for pos, e in enumerate(_mask_elements(mask)):
                 smaller = mask & ~(1 << e)
-                drop = self.matroid.rank[mask] - self.matroid.rank[smaller]
-                if keep(drop):
-                    sign = 1 if pos % 2 == 0 else -1
-                    mat[index[smaller]][c] += sign
-        return mat
+                if keep(rank[mask] - rank[smaller]):
+                    col[index[smaller]] = -1 if pos % 2 else 1
+            cols.append(col)
+        return cols
 
     def boundary_full(self, k):
         r"""Unweighted boundary from size k to size k-1."""
@@ -173,26 +175,25 @@ def homology_from_boundaries(dims, boundaries):
     Parameters
     ----------
     dims : dict mapping degree q to the dimension of the chain group
-    boundaries : dict mapping degree q to the matrix of the boundary
-        from degree q into degree q-1 (rows indexed by degree q-1)
+    boundaries : dict mapping degree q to the boundary from degree q
+        into degree q-1, as sparse columns: one dict per cell of degree
+        q, mapping the index of a cell of degree q-1 to its coefficient
 
     Returns
     -------
     GradedGroup
     """
-    ranks = {}
-    torsions = {}
-    for q, mat in boundaries.items():
-        snf = smith_normal_form(mat)
-        ranks[q] = snf.rank
-        torsions[q] = tuple(d for d in snf.divisors if d > 1)
+    # the columns of a boundary are the rows of its transpose, which has
+    # the same invariant factors, so they go to the Smith normal form as such
+    snfs = {q: smith_normal_form(cols) for q, cols in boundaries.items()}
+    zero = SNFResult(divisors=[], rank=0)
     groups = {}
     for q, dim in dims.items():
-        free = dim - ranks.get(q, 0) - ranks.get(q + 1, 0)
-        tor = torsions.get(q + 1, ())
+        above = snfs.get(q + 1, zero)
+        free = dim - snfs.get(q, zero).rank - above.rank
         if free < 0:
             raise ConsistencyError("negative free rank in homology")
-        groups[q] = (free, tor)
+        groups[q] = (free, above.divisors)
     return GradedGroup(groups)
 
 
@@ -279,14 +280,12 @@ def du_homology(matroid):
                 q = mask.bit_count() - 2 * w
                 by_degree.setdefault(q, []).append((w, mask))
     boundaries = {}
-    for q, cols in by_degree.items():
+    for q, cells in by_degree.items():
         index = {key: i for i, key in enumerate(by_degree.get(q - 1, []))}
-        mat = [[0] * len(cols) for _ in index]
-        for c, (w, mask) in enumerate(cols):
-            for pos, e in enumerate(_mask_elements(mask)):
-                mat[index[w, mask & ~(1 << e)]][c] += (-1) ** pos
-        boundaries[q] = mat
-    dims = {q: len(cols) for q, cols in by_degree.items()}
+        boundaries[q] = [{index[w, mask & ~(1 << e)]: (-1) ** pos
+                          for pos, e in enumerate(_mask_elements(mask))}
+                         for w, mask in cells]
+    dims = {q: len(cells) for q, cells in by_degree.items()}
     return homology_from_boundaries(dims, boundaries)
 
 
@@ -312,73 +311,48 @@ def d0_structure_checks(matroid):
         raise ValueError("structure checks are limited to 8 elements")
     cx = OSComplex(matroid)
     poincare = arrangement_poincare(matroid)
+    d0 = [cx.boundary_d0(k) for k in range(n + 2)]
     for k in range(n + 1):
         basis = cx.basis(k)
         dim = len(basis)
-        dep_rows = [i for i, m in enumerate(basis)
-                    if not matroid.is_independent(m)]
-        indep_rows = [i for i, m in enumerate(basis)
-                      if matroid.is_independent(m)]
-
-        def unit(i):
-            row = [0] * dim
-            row[i] = 1
-            return row
-
-        d0 = cx.boundary_d0(k + 1)
-        dfull = cx.boundary_full(k + 1)
-        cols_above = len(cx.basis(k + 1))
-        image_d0 = [[d0[i][c] for i in range(dim)]
-                    for c in range(cols_above)]
+        indep = [matroid.is_independent(m) for m in basis]
+        dep_vectors = [{i: 1} for i, ok in enumerate(indep) if not ok]
+        indep_vectors = [{i: 1} for i, ok in enumerate(indep) if ok]
+        image_d0 = d0[k + 1]
 
         # rank-preserving boundary vanishes on independent generators
-        out = cx.boundary_d0(k)
-        for i, mask in enumerate(basis):
-            if matroid.is_independent(mask):
-                if any(row[i] for row in out):
-                    raise ConsistencyError(
-                        "weight-0 boundary does not kill an "
-                        "independent generator")
+        if any(col and ok for col, ok in zip(d0[k], indep)):
+            raise ConsistencyError(
+                "weight-0 boundary does not kill an independent generator")
 
         # rank-dropping boundary keeps dependent spans dependent
-        below = cx.basis(k - 1) if k else []
-        out1 = cx.boundary_d1(k)
-        for i, mask in enumerate(basis):
-            if not matroid.is_independent(mask):
-                for rpos, rmask in enumerate(below):
-                    if out1[rpos][i] and matroid.is_independent(rmask):
-                        raise ConsistencyError(
-                            "weight-1 boundary leaks a dependent "
-                            "generator into the independent span")
+        below = cx.basis(k - 1)
+        if any(not ok and any(matroid.is_independent(below[i]) for i in col)
+               for col, ok in zip(cx.boundary_d1(k), indep)):
+            raise ConsistencyError(
+                "weight-1 boundary leaks a dependent "
+                "generator into the independent span")
 
         # kernel of d0 equals independent span plus image of d0
-        kernel_dim = dim - rank_rational(out)
-        indep_vectors = [unit(i) for i in indep_rows]
-        joint = indep_vectors + image_d0
-        if rank_rational(joint) != kernel_dim:
+        kernel_dim = dim - rank_rational(d0[k])
+        if rank_rational(indep_vectors + image_d0) != kernel_dim:
             raise ConsistencyError(
                 "kernel of the weight-0 boundary is not independent "
                 "span plus image in degree %d" % k)
 
         # image splits across the dependent and independent spans
         dim_image = rank_rational(image_d0)
-        dep_vectors = [unit(i) for i in dep_rows]
-        inter_dep = (dim_image + len(dep_rows)
-                     - rank_rational(image_d0 + dep_vectors))
-        inter_indep = (dim_image + len(indep_rows)
-                       - rank_rational(image_d0 + indep_vectors))
-        if inter_dep + inter_indep != dim_image:
+        if sum(dim_image + len(span) - rank_rational(image_d0 + span)
+               for span in (dep_vectors, indep_vectors)) != dim_image:
             raise ConsistencyError(
                 "image of the weight-0 boundary does not split in "
                 "degree %d" % k)
 
         # quotient by dependent span plus full boundary of it matches
         # the arrangement polynomial coefficient
-        dep_above = [c for c, m in enumerate(cx.basis(k + 1))
-                     if not matroid.is_independent(m)]
-        ideal = list(dep_vectors)
-        for c in dep_above:
-            ideal.append([dfull[i][c] for i in range(dim)])
+        ideal = dep_vectors + [
+            col for col, m in zip(cx.boundary_full(k + 1), cx.basis(k + 1))
+            if not matroid.is_independent(m)]
         expected = poincare[k] if k < len(poincare) else 0
         if dim - rank_rational(ideal) != expected:
             raise ConsistencyError(

@@ -86,6 +86,16 @@ def cell(table, v):
     return sum(c * stride for c, stride in zip(v, table.strides))
 
 
+def sparse_rows(rows):
+    r"""
+    Dense rows (lists or tuples) as the sparse rows that the package's
+    matrix functions take: one dict per row, from a column to its entry.
+    Zero entries are kept, so that the functions' own dropping of them
+    is under test too.
+    """
+    return [dict(enumerate(row)) for row in rows]
+
+
 def full_series(table):
     r"""The pi series of the table over [0, l + 2] (l the conductor)."""
     from curvelat.series import poincare_from_hilbert

@@ -20,7 +20,9 @@ from curvelat.exactalg import (
     series_mul,
     smith_normal_form,
 )
+from curvelat.oslattice import homology_from_boundaries
 
+from conftest import sparse_rows
 from oracles import gauss_rank, snf_divisors_by_minors, snf_divisors_dense
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -170,24 +172,25 @@ def test_order():
 
 
 def test_rank_simple():
-    assert rank_rational([[1, 2], [2, 4]]) == 1
-    assert rank_rational([[1, 0], [0, 1]]) == 2
-    assert rank_rational([[0, 0], [0, 0]]) == 0
+    assert rank_rational(sparse_rows([[1, 2], [2, 4]])) == 1
+    assert rank_rational(sparse_rows([[1, 0], [0, 1]])) == 2
+    assert rank_rational(sparse_rows([[0, 0], [0, 0]])) == 0
     assert rank_rational([]) == 0
-    assert rank_rational([[], []]) == 0
+    assert rank_rational(sparse_rows([[], []])) == 0
     # Fractions with denominator 1 are scaled, bools are ranked as ints
-    assert rank_rational([[Fraction(2, 1), Fraction(4, 1)],
-                          [Fraction(1, 1), Fraction(2, 1)]]) == 1
-    assert rank_rational([[Fraction(3, 1), 0], [0, Fraction(5, 1)]]) == 2
-    assert rank_rational([[True, False], [False, True]]) == 2
-    assert rank_rational([[True, True], [2, 2], [True, 1]]) == 1
-    assert rank_rational([[False, False]]) == 0
+    assert rank_rational(sparse_rows([[Fraction(2, 1), Fraction(4, 1)],
+                                      [Fraction(1, 1), Fraction(2, 1)]])) == 1
+    assert rank_rational(sparse_rows([[Fraction(3, 1), 0],
+                                      [0, Fraction(5, 1)]])) == 2
+    assert rank_rational(sparse_rows([[True, False], [False, True]])) == 2
+    assert rank_rational(sparse_rows([[True, True], [2, 2], [True, 1]])) == 1
+    assert rank_rational(sparse_rows([[False, False]])) == 0
 
 
 def test_rank_with_fractions():
     rows = [[Fraction(1, 2), Fraction(1, 3)],
             [Fraction(3, 2), Fraction(1, 1)]]
-    assert rank_rational(rows) == gauss_rank(rows)
+    assert rank_rational(sparse_rows(rows)) == gauss_rank(rows)
 
 
 def test_rank_against_gaussian_oracle():
@@ -197,7 +200,7 @@ def test_rank_against_gaussian_oracle():
         ncols = rng.randint(1, 12)
         rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                  for _ in range(ncols)] for _ in range(nrows)]
-        assert rank_rational(rows) == gauss_rank(rows)
+        assert rank_rational(sparse_rows(rows)) == gauss_rank(rows)
 
 
 def test_rank_low_rank_products():
@@ -211,7 +214,7 @@ def test_rank_low_rank_products():
         b = [rng.randint(-5, 5) for _ in range(n)]
         rows = [[u[i] * v[j] + a[i] * b[j] for j in range(n)]
                 for i in range(n)]
-        assert rank_rational(rows) == gauss_rank(rows)
+        assert rank_rational(sparse_rows(rows)) == gauss_rank(rows)
 
 
 _BIG = 2 ** 64
@@ -251,11 +254,13 @@ def test_rank_of_sparse_matrices_against_gaussian_oracle(drawn):
     # an integer matrix, which is not rescaled, has the rank of the same
     # matrix written in Fractions, which is
     rows, base = drawn
-    copy = [list(row) for row in rows]
-    rank = rank_rational(rows)
-    assert rank == gauss_rank(rows) == rank_rational(base)
-    assert rank == rank_rational([[Fraction(x) for x in row] for row in rows])
-    assert rows == copy
+    sparse = sparse_rows(rows)
+    copy = [dict(row) for row in sparse]
+    rank = rank_rational(sparse)
+    assert rank == gauss_rank(rows) == rank_rational(sparse_rows(base))
+    assert rank == rank_rational(sparse_rows([[Fraction(x) for x in row]
+                                              for row in rows]))
+    assert sparse == copy
 
 
 def _sparse(row):
@@ -326,9 +331,10 @@ def test_rank_mixes_integer_and_fraction_rows():
              [Fraction(1), Fraction(5, 2), Fraction(1, 2), Fraction(3)]]
     for rows in (ints + fracs, fracs + ints, [ints[0], fracs[1], ints[1],
                                               fracs[0], fracs[2]]):
-        copy = [list(row) for row in rows]
-        assert rank_rational(rows) == gauss_rank(rows) == 3
-        assert rows == copy
+        sparse = sparse_rows(rows)
+        copy = [dict(row) for row in sparse]
+        assert rank_rational(sparse) == gauss_rank(rows) == 3
+        assert sparse == copy
 
 
 def test_non_numbers_after_an_integer_basis_raise():
@@ -338,24 +344,27 @@ def test_non_numbers_after_an_integer_basis_raise():
     for bad in ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0, 0.5, 1],
                 ["a", "b", "c"], ["", "", ""], [1, 2, "3"]):
         with pytest.raises(TypeError):
-            rank_rational(base + [bad])
+            rank_rational(sparse_rows(base + [bad]))
 
 
-def test_ragged_rows_raise():
-    for rows in ([[1], [1, 1]], [[1, 1], [1]], [[0], [0, 0]]):
-        with pytest.raises(ValueError):
-            rank_rational(rows)
-        with pytest.raises(ValueError):
-            smith_normal_form(rows)
+def test_dense_rows_raise():
+    # a dense list row is refused with a message that names the sparse
+    # form, also after sparse rows and inside a boundary of a complex
+    for rows in ([[1, 0], [0, 1]], [[]], [{0: 1}, [1, 1]], [(1, 2)]):
+        for matrix in (rank_rational, smith_normal_form):
+            with pytest.raises(TypeError, match="sparse, dicts"):
+                matrix(rows)
+        with pytest.raises(TypeError, match="sparse, dicts"):
+            homology_from_boundaries({0: 2, 1: 2}, {1: rows})
 
 
 def test_non_integer_entries_raise():
     for rows in ([[Fraction(1, 2)]], [[0.5, 1.0], [2.0, 2.0]]):
         with pytest.raises(TypeError):
-            smith_normal_form(rows)
+            smith_normal_form(sparse_rows(rows))
     for rows in ([[0.5, 1.0], [2.0, 2.0]], [[1, 0.0]]):
         with pytest.raises(TypeError):
-            rank_rational(rows)
+            rank_rational(sparse_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +372,21 @@ def test_non_integer_entries_raise():
 
 
 def test_snf_pinned_example():
-    res = smith_normal_form([[2, 4], [4, 8]])
+    res = smith_normal_form(sparse_rows([[2, 4], [4, 8]]))
     assert res.divisors == [2]
     assert res.rank == 1
 
 
 def test_snf_empty():
     for rows in ([], [[], []]):
-        res = smith_normal_form(rows)
+        res = smith_normal_form(sparse_rows(rows))
         assert res.divisors == []
         assert res.rank == 0
 
 
 def test_snf_identity_and_diag():
-    assert smith_normal_form([[1, 0], [0, 1]]).divisors == [1, 1]
-    res = smith_normal_form([[2, 0], [0, 3]])
+    assert smith_normal_form(sparse_rows([[1, 0], [0, 1]])).divisors == [1, 1]
+    res = smith_normal_form(sparse_rows([[2, 0], [0, 3]]))
     assert res.divisors == [1, 6]
 
 
@@ -388,7 +397,7 @@ def test_snf_divisor_chain_property():
         ncols = rng.randint(1, 6)
         rows = [[rng.randint(-9, 9) for _ in range(ncols)]
                 for _ in range(nrows)]
-        res = smith_normal_form(rows)
+        res = smith_normal_form(sparse_rows(rows))
         for a, b in zip(res.divisors, res.divisors[1:]):
             assert a > 0 and b % a == 0
 
@@ -403,9 +412,9 @@ def test_snf_against_minor_gcd_oracle():
             ncols = rng.randint(1, size)
             rows = [[rng.choice(entries) for _ in range(ncols)]
                     for _ in range(nrows)]
-            res = smith_normal_form(rows)
+            res = smith_normal_form(sparse_rows(rows))
             assert res.divisors == snf_divisors_by_minors(rows)
-            assert res.rank == rank_rational(rows)
+            assert res.rank == rank_rational(sparse_rows(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -413,12 +422,17 @@ def test_snf_against_minor_gcd_oracle():
     st.lists(st.sampled_from([0, 0, 1, -1]), min_size=ncols,
              max_size=ncols), min_size=1, max_size=12)))
 def test_snf_against_dense_loop_on_unit_matrices(rows):
-    # 0/+-1 matrices, the entries of every boundary that homology sends
-    copy = [list(row) for row in rows]
-    res = smith_normal_form(rows)
-    assert res.divisors == snf_divisors_dense(rows)
-    assert res.rank == len(res.divisors) == rank_rational(rows)
-    assert rows == copy
+    # 0/+-1 matrices, the entries of every boundary that homology sends;
+    # it sends a boundary as its sparse columns, the rows of the
+    # transpose, whose divisors and rank must be the same
+    sparse = sparse_rows(rows)
+    copy = [dict(row) for row in sparse]
+    res = smith_normal_form(sparse)
+    by_cols = smith_normal_form(sparse_rows(zip(*rows)))
+    assert res.divisors == by_cols.divisors == snf_divisors_dense(rows)
+    assert res.rank == by_cols.rank == len(res.divisors)
+    assert res.rank == rank_rational(sparse)
+    assert sparse == copy
 
 
 def test_snf_without_unit_entries_finishes():
@@ -433,7 +447,7 @@ def test_snf_without_unit_entries_finishes():
             "start = time.perf_counter()\n"
             "res = smith_normal_form(%r)\n"
             "print((res.divisors, res.rank, time.perf_counter() - start))\n"
-            % (rows,))
+            % (sparse_rows(rows),))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)

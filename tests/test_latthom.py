@@ -161,6 +161,24 @@ def test_euler_check_detects_corruption():
         euler_check(table, series)
 
 
+def test_euler_check_reads_the_local_complex(monkeypatch):
+    # one more class in degree 0 of every local complex shifts the Euler
+    # characteristic of each piece by 1 or -1, which the q-polynomial
+    # route does not see
+    table = _table("a3")
+    original = latthom.du_homology
+
+    def one_more(matroid):
+        groups = dict(original(matroid).groups)
+        rank, torsion = groups.get(0, (0, ()))
+        groups[0] = (rank + 1, torsion)
+        return GradedGroup(groups)
+
+    monkeypatch.setattr(latthom, "du_homology", one_more)
+    with pytest.raises(ConsistencyError, match=r"at \(0, 0\)"):
+        euler_check(table, full_series(table))
+
+
 def test_euler_check_needs_the_series_up_to_l_plus_1():
     table = _table("a3")
     assert euler_check(table, poincare_from_hilbert(table, (3, 3))) is True

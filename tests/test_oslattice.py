@@ -21,24 +21,20 @@ from curvelat.oslattice import (GradedGroup, Matroid, OSComplex,
 from curvelat.series import hv_polynomial
 
 
-def _matmul(a, b):
-    # a: rows x mid, b: mid x cols
-    if not a or not b or not b[0]:
-        return []
-    rows = len(a)
-    mid = len(b)
-    cols = len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(mid):
-            if a[i][k]:
-                for j in range(cols):
-                    out[i][j] += a[i][k] * b[k][j]
+def _compose(lo, hi):
+    # the columns of lo . hi, for boundaries given as sparse columns
+    out = []
+    for col in hi:
+        image = {}
+        for k, x in col.items():
+            for i, y in lo[k].items():
+                image[i] = image.get(i, 0) + x * y
+        out.append(image)
     return out
 
 
-def _is_zero(mat):
-    return all(all(x == 0 for x in row) for row in mat)
+def _is_zero(cols):
+    return all(x == 0 for col in cols for x in col.values())
 
 
 def _loop_matroid():
@@ -176,21 +172,21 @@ def test_boundary_operators_square_to_zero():
             full_lo, full_hi = cx.boundary_full(k), cx.boundary_full(k + 1)
             d0_lo, d0_hi = cx.boundary_d0(k), cx.boundary_d0(k + 1)
             d1_lo, d1_hi = cx.boundary_d1(k), cx.boundary_d1(k + 1)
-            assert _is_zero(_matmul(full_lo, full_hi))
-            assert _is_zero(_matmul(d0_lo, d0_hi))
-            assert _is_zero(_matmul(d1_lo, d1_hi))
-            cross = _matmul(d0_lo, d1_hi)
-            for i, row in enumerate(_matmul(d1_lo, d0_hi)):
-                for j, x in enumerate(row):
-                    assert x + cross[i][j] == 0
+            assert _is_zero(_compose(full_lo, full_hi))
+            assert _is_zero(_compose(d0_lo, d0_hi))
+            assert _is_zero(_compose(d1_lo, d1_hi))
+            cross = _compose(d0_lo, d1_hi)
+            for j, col in enumerate(_compose(d1_lo, d0_hi)):
+                for i in col.keys() | cross[j].keys():
+                    assert col.get(i, 0) + cross[j].get(i, 0) == 0
 
 
 def test_weighted_boundary_pin_on_pairs():
     # removing the smaller element carries +, the larger carries -
     cx = OSComplex(Matroid.generic_lines(3))
-    mat = cx.boundary_d1(2)
+    cols = cx.boundary_d1(2)
     # rows: singles 0b001, 0b010, 0b100; cols: pairs 0b011, 0b101, 0b110
-    assert mat == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    assert cols == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
     assert _is_zero(cx.boundary_d0(2))
     assert _is_zero(cx.boundary_d1(3))
 
@@ -317,11 +313,13 @@ def test_d0_structure_checks_size_guard():
 
 
 def test_d0_structure_checks_detect_leaky_boundary(monkeypatch):
+    # the weight-1 boundary of the dependent triple 0b111 made to hit the
+    # independent pair 0b011 alone
     real = OSComplex.boundary_d1
 
     def corrupted(self, k):
         if k == 3:
-            return [[1], [0], [0]]
+            return [{0: 1}]
         return real(self, k)
 
     monkeypatch.setattr(OSComplex, "boundary_d1", corrupted)
@@ -342,7 +340,7 @@ def test_graded_group_api():
 def test_homology_from_boundaries_circle():
     # two points, two arcs glued into a circle
     dims = {0: 2, 1: 2}
-    boundaries = {1: [[1, 1], [-1, -1]]}
+    boundaries = {1: [{0: 1, 1: -1}, {0: 1, 1: -1}]}
     h = homology_from_boundaries(dims, boundaries)
     assert h.groups == {0: (1, ()), 1: (1, ())}
 
@@ -350,7 +348,7 @@ def test_homology_from_boundaries_circle():
 def test_homology_from_boundaries_torsion():
     # one cell of each dimension, degree-2 attaching map
     dims = {0: 1, 1: 1}
-    boundaries = {1: [[2]]}
+    boundaries = {1: [{0: 2}]}
     h = homology_from_boundaries(dims, boundaries)
     assert h.groups == {0: (0, (2,))}
 
@@ -358,7 +356,7 @@ def test_homology_from_boundaries_torsion():
 def test_homology_from_boundaries_refuses_negative_free_rank():
     # rank-1 boundaries into and out of a degree of dimension 1
     dims = {0: 1}
-    boundaries = {1: [[1]], 0: [[1]]}
+    boundaries = {1: [{0: 1}], 0: [{0: 1}]}
     with pytest.raises(ConsistencyError, match="negative free rank"):
         homology_from_boundaries(dims, boundaries)
 
