@@ -45,7 +45,7 @@ def load_curve(path):
         text = handle.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CurveSchemaError("%s: invalid JSON: %s" % (path, exc))
     if not isinstance(data, dict):
         raise CurveSchemaError("%s: top level must be an object" % path)

@@ -2,12 +2,13 @@ r"""
 Exact scalar and linear algebra: truncated power series over the
 rationals, a parser for polynomial input strings, the one integer
 elimination kernel and the ranks built on it, and Smith normal form
-over the integers by one elimination loop on sparse rows, whose every
-pass splits off a pivot or leaves an entry smaller than it.
+over the integers: one loop on sparse rows diagonalizes, and a gcd-lcm
+pass makes the diagonal a divisor chain.
 
-All arithmetic is exact.  Rationals are ``fractions.Fraction``.  A
-matrix is a list of sparse rows, dicts mapping an index to its entry;
-the kernel's vectors hold nonzero ints, with the pivot at the least index.
+All arithmetic is exact.  Rationals are ``fractions.Fraction`` and
+appear only in series.  A matrix is a list of sparse rows of ints, dicts
+mapping an index to its entry; the kernel's vectors hold nonzero ints,
+with the pivot at the least index.
 ``echelon_insert`` extends a basis without changing it, and
 ``rank_sparse`` grows one basis in place.
 """
@@ -260,25 +261,12 @@ def rank_sparse(rows):
 
 def rank_rational(rows):
     r"""
-    Rank of a matrix of sparse rows of ints or Fractions.  Each row goes
-    into ``rank_sparse`` as its nonzero entries; a row not all ints is
-    first scaled by the lcm of its entries' ``denominator`` (ints and
-    Fractions both have it, and ``numerator``).  The rows are not
-    changed.  A dense row (a list) or an entry that is not an int or a
-    Fraction raises TypeError.
+    Rank over the rationals of a matrix of sparse integer rows, which
+    are not changed: ``rank_sparse`` of the checked rows.  A dense row
+    (a list) or an entry that is not an int (a Fraction or a float)
+    raises TypeError.
     """
-    sparse = []
-    for row in rows:
-        entries = _entries(row)
-        if not set(map(type, row.values())) <= {int}:
-            try:
-                den = lcm(*[x.denominator for x in row.values()])
-                entries = [(j, x.numerator * (den // x.denominator))
-                           for j, x in entries]
-            except AttributeError:
-                raise TypeError("entries must be ints or Fractions") from None
-        sparse.append({j: x for j, x in entries if x})
-    return rank_sparse(sparse)
+    return rank_sparse(_int_rows(rows))
 
 
 SNFResult = namedtuple("SNFResult", ["divisors", "rank"])
@@ -289,14 +277,14 @@ def smith_normal_form(rows):
     Smith normal form of an integer matrix.
 
     The matrix is kept as sparse rows, dicts mapping a column to its
-    nonzero entry.  Each pass takes an entry p of least absolute value
-    as the pivot and reduces its column by row operations and its row by
-    column operations, leaving remainders of absolute value below |p|.
-    When none is left and p divides every other entry, the pass splits
-    off |p|; otherwise it adds a row with an entry x that p does not
-    divide to the pivot row, whose entry at that column becomes x mod p.
-    So the loop ends: each pass either splits off a pivot or leaves an
-    entry smaller than its pivot.  A unit pivot is split off in one pass.
+    nonzero entry.  The loop only diagonalizes.  Each pass takes an
+    entry p of least absolute value as the pivot and reduces its column
+    by row operations and its row by column operations, leaving
+    remainders of absolute value below |p|.  When none is left, the
+    pass splits off |p|; otherwise the least absolute value of the
+    matrix has fallen, so the loop ends.  A unit pivot is split off in
+    one pass.  One gcd-lcm pass over the non-unit diagonal entries then
+    makes them a divisor chain.
 
     Parameters
     ----------
@@ -311,9 +299,8 @@ def smith_normal_form(rows):
     A dense row (a list) or an entry that is not an int (a Fraction or
     a float) raises TypeError.
     """
-    live = [{j: y for j, x in _entries(row) if (y := index(x))}
-            for row in rows]
-    divisors = []
+    live = _int_rows(rows)
+    diagonal = []
     while live := [row for row in live if row]:
         p = None
         for row in live:
@@ -329,27 +316,35 @@ def smith_normal_form(rows):
         for row in live:
             if j in row:
                 _add_multiple(row, steps, -row[j])
-        if len(pivot) > 1 or any(j in row for row in live if row is not pivot):
-            continue
-        bad = next(((row, k) for row in live for k, x in row.items() if x % p),
-                   None)
-        if bad is None:
-            divisors.append(abs(p))
+        if len(pivot) == 1 and not any(j in row for row in live
+                                       if row is not pivot):
+            diagonal.append(abs(p))
             pivot.clear()
-        else:
-            row, k = bad
-            pivot.update(row)
-            pivot[k] %= p
+    # A split pivot had its row and column clear, so the matrix is
+    # equivalent to diag(diagonal).  diag(a, b) is equivalent to
+    # diag(g, ab/g), g = gcd(a, b) = ua + vb: [[u, v], [-b/g, a/g]]
+    # diag(a, b) [[1, -vb/g], [1, ua/g]] is it, and both outer matrices
+    # have determinant 1.  After its turn, rest[i] divides every later
+    # entry, and later turns keep those multiples of it, so rest ends
+    # as the chain, with any 1s first.
+    rest = [d for d in diagonal if d > 1]
+    for i in range(len(rest)):
+        for k in range(i + 1, len(rest)):
+            rest[i], rest[k] = gcd(rest[i], rest[k]), lcm(rest[i], rest[k])
+    divisors = [1] * (len(diagonal) - len(rest)) + rest
     return SNFResult(divisors=divisors, rank=len(divisors))
 
 
-def _entries(row):
-    # the (index, entry) pairs of a sparse row; a dense row raises
-    try:
-        return row.items()
-    except AttributeError:
-        raise TypeError("rows must be sparse, dicts mapping an index to "
-                        "its entry, not %s" % type(row).__name__) from None
+def _int_rows(rows):
+    # the caller's rows as fresh dicts of their nonzero entries, read
+    # through operator.index; a dense row or a non-int entry raises
+    checked = []
+    for row in rows:
+        if not hasattr(row, "items"):
+            raise TypeError("rows must be sparse, dicts mapping an index to "
+                            "its entry, not %s" % type(row).__name__)
+        checked.append({j: y for j, x in row.items() if (y := index(x))})
+    return checked
 
 
 def _add_multiple(row, other, q):

@@ -371,6 +371,14 @@ def test_invalid_json(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def test_deeply_nested_json(capsys, tmp_path):
+    # nested past the decoder's recursion limit: a bad file, not a crash
+    path = _write(tmp_path, "[" * 100000 + "]" * 100000)
+    code, _, err = _run(capsys, ["invariants", path])
+    assert code == 2
+    assert err.startswith("CurveSchemaError: %s: invalid JSON: " % path)
+
+
 def test_zero_branch_names_the_truncation(capsys, tmp_path):
     path = _write(tmp_path, {"truncation": 2,
                              "branches": [{"x": "t^2", "y": "t^3"}]})

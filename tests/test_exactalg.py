@@ -177,20 +177,32 @@ def test_rank_simple():
     assert rank_rational(sparse_rows([[0, 0], [0, 0]])) == 0
     assert rank_rational([]) == 0
     assert rank_rational(sparse_rows([[], []])) == 0
-    # Fractions with denominator 1 are scaled, bools are ranked as ints
-    assert rank_rational(sparse_rows([[Fraction(2, 1), Fraction(4, 1)],
-                                      [Fraction(1, 1), Fraction(2, 1)]])) == 1
-    assert rank_rational(sparse_rows([[Fraction(3, 1), 0],
-                                      [0, Fraction(5, 1)]])) == 2
+    # bools are ranked as ints, and Fractions, even of denominator 1,
+    # are refused
+    for rows in ([[Fraction(2, 1), Fraction(4, 1)],
+                  [Fraction(1, 1), Fraction(2, 1)]],
+                 [[Fraction(3, 1), 0], [0, Fraction(5, 1)]]):
+        with pytest.raises(TypeError):
+            rank_rational(sparse_rows(rows))
     assert rank_rational(sparse_rows([[True, False], [False, True]])) == 2
     assert rank_rational(sparse_rows([[True, True], [2, 2], [True, 1]])) == 1
     assert rank_rational(sparse_rows([[False, False]])) == 0
 
 
+def _scaled(rows):
+    # each row times the lcm of its entries' denominators, as ints
+    return [[(x * lcm(*[y.denominator for y in row])).numerator
+             for x in row] for row in rows]
+
+
 def test_rank_with_fractions():
+    # Fraction rows are refused; the caller scales them to integer rows,
+    # which have their rank
     rows = [[Fraction(1, 2), Fraction(1, 3)],
             [Fraction(3, 2), Fraction(1, 1)]]
-    assert rank_rational(sparse_rows(rows)) == gauss_rank(rows)
+    with pytest.raises(TypeError):
+        rank_rational(sparse_rows(rows))
+    assert rank_rational(sparse_rows(_scaled(rows))) == gauss_rank(rows)
 
 
 def test_rank_against_gaussian_oracle():
@@ -198,7 +210,7 @@ def test_rank_against_gaussian_oracle():
     for _ in range(40):
         nrows = rng.randint(1, 12)
         ncols = rng.randint(1, 12)
-        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        rows = [[rng.randint(-6, 6) * rng.randint(1, 4)
                  for _ in range(ncols)] for _ in range(nrows)]
         assert rank_rational(sparse_rows(rows)) == gauss_rank(rows)
 
@@ -251,15 +263,17 @@ def _sparse_matrices(draw):
 @given(_sparse_matrices())
 def test_rank_of_sparse_matrices_against_gaussian_oracle(drawn):
     # dependent rows, which become zero during elimination, add nothing;
-    # an integer matrix, which is not rescaled, has the rank of the same
-    # matrix written in Fractions, which is
+    # the rows scaled to integers have the rank of the rows, and the
+    # same matrix written in Fractions is refused
     rows, base = drawn
-    sparse = sparse_rows(rows)
+    sparse = sparse_rows(_scaled(rows))
     copy = [dict(row) for row in sparse]
     rank = rank_rational(sparse)
-    assert rank == gauss_rank(rows) == rank_rational(sparse_rows(base))
-    assert rank == rank_rational(sparse_rows([[Fraction(x) for x in row]
-                                              for row in rows]))
+    assert rank == gauss_rank(rows) == rank_rational(
+        sparse_rows(_scaled(base)))
+    with pytest.raises(TypeError):
+        rank_rational(sparse_rows([[Fraction(x) for x in row]
+                                   for row in rows]))
     assert sparse == copy
 
 
@@ -274,9 +288,7 @@ def test_echelon_insert_contract(drawn):
     # vectors, both give the rank; it never changes its arguments,
     # stores primitive vectors led at their pivot with no zero entry,
     # and returns the basis it was given for a vector in its span
-    rows, _ = drawn
-    ints = [[(x * lcm(*[y.denominator for y in row])).numerator
-             for x in row] for row in rows]
+    ints = _scaled(drawn[0])
     for dense in (ints, [list(col) for col in zip(*ints)]):
         basis = {}
         for w in map(_sparse, dense):
@@ -322,16 +334,19 @@ def test_rank_sparse_against_gaussian_oracle(dense):
 
 
 def test_rank_mixes_integer_and_fraction_rows():
-    # integer rows go into the kernel as they are and Fraction rows are
-    # scaled first; the two kinds share one basis in either order (the
-    # first and last Fraction rows are in the span of the integer rows)
+    # a Fraction row among integer rows is refused in any order, also
+    # after the integer rows have built pivots; scaled to integers, the
+    # rows have their rank (the first and last Fraction rows are in the
+    # span of the integer rows)
     ints = [[2, 4, 0, 6], [0, 3, 3, 0]]
     fracs = [[Fraction(1, 2), Fraction(1), 0, Fraction(3, 2)],
              [Fraction(1, 3), Fraction(5, 7), Fraction(1, 4), 0],
              [Fraction(1), Fraction(5, 2), Fraction(1, 2), Fraction(3)]]
     for rows in (ints + fracs, fracs + ints, [ints[0], fracs[1], ints[1],
                                               fracs[0], fracs[2]]):
-        sparse = sparse_rows(rows)
+        with pytest.raises(TypeError):
+            rank_rational(sparse_rows(rows))
+        sparse = sparse_rows(_scaled(rows))
         copy = [dict(row) for row in sparse]
         assert rank_rational(sparse) == gauss_rank(rows) == 3
         assert sparse == copy
@@ -362,7 +377,8 @@ def test_non_integer_entries_raise():
     for rows in ([[Fraction(1, 2)]], [[0.5, 1.0], [2.0, 2.0]]):
         with pytest.raises(TypeError):
             smith_normal_form(sparse_rows(rows))
-    for rows in ([[0.5, 1.0], [2.0, 2.0]], [[1, 0.0]]):
+    for rows in ([[0.5, 1.0], [2.0, 2.0]], [[1, 0.0]], [[Fraction(1, 2)]],
+                 [[1, Fraction(2, 1)]]):
         with pytest.raises(TypeError):
             rank_rational(sparse_rows(rows))
 
@@ -385,9 +401,14 @@ def test_snf_empty():
 
 
 def test_snf_identity_and_diag():
-    assert smith_normal_form(sparse_rows([[1, 0], [0, 1]])).divisors == [1, 1]
-    res = smith_normal_form(sparse_rows([[2, 0], [0, 3]]))
-    assert res.divisors == [1, 6]
+    # a diagonal matrix is diagonalized already; its divisors come from
+    # diag(a, b) ~ diag(gcd(a, b), lcm(a, b)) alone
+    for diagonal, divisors in (((1, 1), [1, 1]), ((2, 3), [1, 6]),
+                               ((4, 6), [2, 12]), ((6, 10, 15), [1, 30, 30]),
+                               ((15, 1, 10, 6), [1, 1, 30, 30])):
+        res = smith_normal_form([{i: d} for i, d in enumerate(diagonal)])
+        assert res.divisors == divisors
+        assert res.rank == len(diagonal)
 
 
 def test_snf_divisor_chain_property():
@@ -433,6 +454,40 @@ def test_snf_against_dense_loop_on_unit_matrices(rows):
     assert res.rank == by_cols.rank == len(res.divisors)
     assert res.rank == rank_rational(sparse)
     assert sparse == copy
+
+
+@st.composite
+def _mixed_matrices(draw):
+    # a diagonal of unit and non-unit entries, often coprime, mixed by
+    # a few row and column additions, which keep the divisors
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 1, -1, 2, -3, 4, 6, -10, 15])
+    rows = [[draw(entry) if i == j else 0 for j in range(ncols)]
+            for i in range(nrows)]
+    for _ in range(draw(st.integers(0, 6))):
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        on_rows = draw(st.booleans())
+        n = nrows if on_rows else ncols
+        if n > 1:
+            i, k = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            if on_rows:
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+            else:
+                for row in rows:
+                    row[i] += c * row[k]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_matrices())
+def test_snf_against_minors_on_mixed_matrices(rows):
+    # unit pivots split off 1s and leave non-unit diagonal entries to be
+    # normalized; the rows and the columns have the same divisors
+    res = smith_normal_form(sparse_rows(rows))
+    by_cols = smith_normal_form(sparse_rows(zip(*rows)))
+    assert res.divisors == by_cols.divisors == snf_divisors_by_minors(rows)
+    assert res.rank == by_cols.rank == len(res.divisors)
 
 
 def test_snf_without_unit_entries_finishes():

@@ -1,4 +1,5 @@
 import ast
+import copy
 import random
 import re
 from fractions import Fraction
@@ -348,6 +349,23 @@ def test_symmetry_all_corpus():
 def test_large_n_steps_all_corpus():
     for name in CORPUS:
         assert large_n_step_check(build_table(corpus_curve(name))) is True
+
+
+def _with_conductor(name, conductor):
+    # a view of the curve's table that states another conductor
+    table = copy.copy(build_table(corpus_curve(name)))
+    table.invariants = table.invariants._replace(conductor=conductor)
+    return table
+
+
+def test_large_n_steps_refuse_an_understated_conductor():
+    # the cusp's h is 1 at both 1 and 2, so a conductor of 1 meets a step
+    # of 0 at its first step; d5's second branch is a cusp, so where the
+    # first coordinate is 0 the steps along the second are 1 from 2 on,
+    # and only a sample off that axis, (2, 3), shows the 0 step
+    for name, conductor in [("cusp", (1,)), ("d5", (2, 2))]:
+        with pytest.raises(ConsistencyError, match="step beyond"):
+            large_n_step_check(_with_conductor(name, conductor))
 
 
 def test_value_rejects_wrong_length_points():

@@ -10,6 +10,10 @@ import curvelat
 ORDER = ["errors", "exactalg", "curve", "oslattice", "hilbert", "series",
          "latthom", "verify", "cli", "__main__", "__init__"]
 
+# the only modules that may import fractions: the series parser and the
+# branches read from its series; every layer above works on integers
+FRACTIONS = {"exactalg", "curve"}
+
 SRC = os.path.dirname(curvelat.__file__)
 
 
@@ -41,16 +45,33 @@ def _sources():
                   if name.endswith(".py"))
 
 
+def _tree(name):
+    with open(os.path.join(SRC, name + ".py")) as handle:
+        return ast.parse(handle.read())
+
+
 def test_every_module_has_a_layer():
     assert sorted(ORDER) == _sources()
 
 
 def test_imports_point_to_earlier_layers():
     for name in _sources():
-        with open(os.path.join(SRC, name + ".py")) as handle:
-            tree = ast.parse(handle.read())
-        for target in _imported_modules(tree):
+        for target in _imported_modules(_tree(name)):
             assert ORDER.index(target) < ORDER.index(name), (
                 "%s imports %s, which is not an earlier layer"
                 % (name, target))
 
+
+def test_only_the_parser_layers_import_fractions():
+    importers = set()
+    for name in _sources():
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [node.module]
+            else:
+                continue
+            if any(t.split(".")[0] == "fractions" for t in targets):
+                importers.add(name)
+    assert importers <= FRACTIONS, importers - FRACTIONS

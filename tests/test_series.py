@@ -395,6 +395,18 @@ def test_alexander_support_guard():
         _alexander(table)
 
 
+def test_alexander_support_guard_at_the_conductor():
+    # one pi coefficient at (l_0, 0), the first degree on the first axis
+    # past the open conductor box and inside it on the second
+    table = _table("d5")
+    series = full_series(table)
+    point = (table.invariants.conductor[0], 0)
+    assert series.coefficient(point) == 0
+    coeffs = {**series.coeffs, (point, 0): 1}
+    with pytest.raises(SupportViolation, match="outside the open"):
+        alexander(table, BoxSeries(series.r, series.box, coeffs))
+
+
 def test_alexander_needs_the_series_up_to_l_plus_2():
     for name, short in [("cusp", (3,)), ("a3", (4, 3))]:
         table = _table(name)
