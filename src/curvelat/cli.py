@@ -8,6 +8,12 @@ Reads a curve from a JSON file of the shape
 and prints invariants, Hilbert values and grids, the semigroup
 membership grid, series, graded homology, or runs the
 self-verification battery.
+
+Each command is a function ``(curve, args) -> (payload, lines)``, and
+``main`` is the one output path: it loads the curve, calls the command
+and prints the JSON payload (``--format json``, which ``verify`` lacks)
+or the lines one by one, so ``verify``'s generator of stage lines
+prints each line as its stage finishes.
 Schema and argument problems exit with status 2; computation errors
 exit with status 1 and a line "ErrorName: message" on stderr.
 """
@@ -15,6 +21,7 @@ exit with status 1 and a line "ErrorName: message" on stderr.
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import verify
 from .curve import BranchParametrization, Curve
@@ -73,43 +80,42 @@ def load_curve(path):
     return Curve(built)
 
 
-def _parse_point(text):
+def _join(values, sep=" "):
+    return sep.join(str(a) for a in values)
+
+
+def _parse_point(text, r, flag):
+    # the point given to --at (any integers) or to --box (nonnegative)
     try:
-        return tuple(int(p) for p in text.split(","))
+        v = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(
             "expected comma-separated integers, got %r" % text)
+    box = flag == "--box"
+    if len(v) != r or box and min(v) < 0:
+        raise ValueError("%s needs %d %scoordinates"
+                         % (flag, r, "nonnegative " if box else ""))
+    return v
 
 
-def _parse_box(text, r):
-    box = _parse_point(text)
-    if len(box) != r or any(b < 0 for b in box):
-        raise ValueError("--box needs %d nonnegative coordinates" % r)
-    return box
+def _box(curve, text, margin):
+    # the parsed --box, or the conductor plus margin when it is not given
+    if text is None:
+        return tuple(c + margin for c in invariants(curve).conductor)
+    return _parse_point(text, curve.r, "--box")
 
 
-def _point_key(v):
-    return ",".join(str(a) for a in v)
-
-
-def _print_grid(box, cells):
+def _grid(box, cells):
     # cells maps every point of [0, box] to its text: one row for one
     # branch, rows from the top for two, one line per point otherwise
     if len(box) == 1:
-        print(" ".join(cells[(a,)] for a in range(box[0] + 1)))
-    elif len(box) == 2:
+        return [" ".join(cells[(a,)] for a in range(box[0] + 1))]
+    if len(box) == 2:
         width = max(len(text) for text in cells.values())
-        for b in range(box[1], -1, -1):
-            print(" ".join(cells[(a, b)].rjust(width)
-                           for a in range(box[0] + 1)))
-    else:
-        for v in box_points(box):
-            print("%s: %s" % (_point_key(v), cells[v]))
-
-
-def _print_json(payload):
-    payload["schema"] = 1
-    print(json.dumps(payload, sort_keys=True, indent=2))
+        return [" ".join(cells[(a, b)].rjust(width)
+                         for a in range(box[0] + 1))
+                for b in range(box[1], -1, -1)]
+    return ["%s: %s" % (_join(v, ","), cells[v]) for v in box_points(box)]
 
 
 def _render_groups(groups):
@@ -118,12 +124,8 @@ def _render_groups(groups):
     parts = []
     for q in sorted(groups.groups, reverse=True):
         rank, torsion = groups.groups[q]
-        bits = []
-        if rank == 1:
-            bits.append("Z")
-        elif rank > 1:
-            bits.append("Z^%d" % rank)
-        bits.extend("Z/%d" % t for t in torsion)
+        bits = ["Z" if rank == 1 else "Z^%d" % rank] if rank else []
+        bits += ["Z/%d" % t for t in torsion]
         parts.append("%s@%d" % ("+".join(bits), q))
     return " ".join(parts)
 
@@ -133,145 +135,88 @@ def _groups_payload(groups):
             for q, (rank, torsion) in groups.groups.items()}
 
 
-def _series_payload(series):
-    terms = []
-    for (v, m) in sorted(series.coeffs):
-        terms.append({"v": list(v), "q": m,
-                      "c": series.coeffs[(v, m)]})
-    return {"canonical": canonical_str(series), "terms": terms}
-
-
-def _cmd_invariants(args):
-    curve = load_curve(args.curve)
+def _cmd_invariants(curve, args):
     inv = invariants(curve)
-    if args.format == "json":
-        _print_json({
-            "r": inv.r,
-            "delta": inv.delta,
-            "delta_branches": list(inv.delta_branches),
-            "mu": inv.mu,
-            "mu_branches": list(inv.mu_branches),
-            "pairwise": [list(row) for row in inv.pairwise],
-            "conductor": list(inv.conductor),
-        })
-    else:
-        print("r: %d" % inv.r)
-        print("delta: %d" % inv.delta)
-        print("delta_branches: %s"
-              % " ".join(str(d) for d in inv.delta_branches))
-        print("mu: %d" % inv.mu)
-        print("mu_branches: %s"
-              % " ".join(str(m) for m in inv.mu_branches))
-        for i, row in enumerate(inv.pairwise):
-            print("pairwise[%d]: %s" % (i, " ".join(str(x) for x in row)))
-        print("conductor: %s" % " ".join(str(c) for c in inv.conductor))
-    return 0
+    lines = ["r: %d" % inv.r,
+             "delta: %d" % inv.delta,
+             "delta_branches: " + _join(inv.delta_branches),
+             "mu: %d" % inv.mu,
+             "mu_branches: " + _join(inv.mu_branches)]
+    lines += ["pairwise[%d]: %s" % (i, _join(row))
+              for i, row in enumerate(inv.pairwise)]
+    lines.append("conductor: " + _join(inv.conductor))
+    return inv._asdict(), lines
 
 
-def _cmd_value(args):
-    curve = load_curve(args.curve)
-    v = _parse_point(args.at)
-    if len(v) != curve.r:
-        raise ValueError("--at needs %d coordinates" % curve.r)
-    table = build_table(curve)
-    value = table.value(v)
-    if args.format == "json":
-        _print_json({"at": list(v), "value": value})
-    else:
-        print(value)
-    return 0
+def _cmd_value(curve, args):
+    v = _parse_point(args.at, curve.r, "--at")
+    value = build_table(curve).value(v)
+    return {"at": list(v), "value": value}, [str(value)]
 
 
-def _cmd_hilbert(args):
-    curve = load_curve(args.curve)
-    inv = invariants(curve)
-    if args.box is None:
-        box = tuple(c + 2 for c in inv.conductor)
-    else:
-        box = _parse_box(args.box, curve.r)
+def _cmd_hilbert(curve, args):
+    box = _box(curve, args.box, 2)
     table = build_table(curve, box)
     values = {v: table.value(v) for v in box_points(box)}
-    if args.format == "json":
-        _print_json({"box": list(box),
-                     "values": {_point_key(v): n
-                                for v, n in values.items()}})
-        return 0
-    _print_grid(box, {v: str(n) for v, n in values.items()})
-    return 0
+    payload = {"box": list(box),
+               "values": {_join(v, ","): n for v, n in values.items()}}
+    return payload, _grid(box, {v: str(n) for v, n in values.items()})
 
 
-def _cmd_semigroup(args):
-    curve = load_curve(args.curve)
-    inv = invariants(curve)
-    if args.box is None:
-        box = tuple(c + 1 for c in inv.conductor)
-    else:
-        box = _parse_box(args.box, curve.r)
-    members = semigroup(build_table(curve, box), box)
-    if args.format == "json":
-        _print_json({"box": list(box),
-                     "conductor": list(inv.conductor),
-                     "members": [list(v) for v in members]})
-        return 0
+def _cmd_semigroup(curve, args):
+    box = _box(curve, args.box, 1)
+    table = build_table(curve, box)
+    members = semigroup(table, box)
+    conductor = table.invariants.conductor
+    payload = {"box": list(box), "conductor": list(conductor),
+               "members": [list(v) for v in members]}
     member_set = set(members)
-    _print_grid(box, {v: "*" if v in member_set else "."
-                      for v in box_points(box)})
-    print("conductor: %s" % " ".join(str(c) for c in inv.conductor))
-    return 0
+    lines = _grid(box, {v: "*" if v in member_set else "."
+                        for v in box_points(box)})
+    return payload, lines + ["conductor: " + _join(conductor)]
 
 
-def _cmd_series(args):
-    curve = load_curve(args.curve)
+def _cmd_series(curve, args):
     if args.kind == "motivic":
         series = motivic_normalized(build_table(curve))
     else:
-        box = tuple(c + 2 for c in invariants(curve).conductor)
+        box = _box(curve, None, 2)
         table = build_table(curve, box)
         series = poincare_from_hilbert(table, box)
         if args.kind == "alexander":
             series = alexander(table, series)
-    if args.format == "json":
-        payload = _series_payload(series)
-        payload["kind"] = args.kind
-        _print_json(payload)
-    else:
-        print(canonical_str(series))
-    return 0
+    text = canonical_str(series)
+    terms = [{"v": list(v), "q": m, "c": c}
+             for (v, m), c in sorted(series.coeffs.items())]
+    return {"kind": args.kind, "canonical": text, "terms": terms}, [text]
 
 
-def _cmd_homology(args):
-    curve = load_curve(args.curve)
+def _cmd_homology(curve, args):
     if (args.at is None) == (args.box is None):
         raise ValueError("exactly one of --at or --box is required")
-    table = build_table(curve)
     if args.at is not None:
-        v = _parse_point(args.at)
-        if len(v) != curve.r:
-            raise ValueError("--at needs %d coordinates" % curve.r)
-        groups = grv_homology(table, v)
-        if args.format == "json":
-            _print_json({"at": list(v),
-                         "groups": _groups_payload(groups)})
-        else:
-            print(_render_groups(groups))
-        return 0
-    box = _parse_box(args.box, curve.r)
+        v = _parse_point(args.at, curve.r, "--at")
+        groups = grv_homology(build_table(curve), v)
+        return ({"at": list(v), "groups": _groups_payload(groups)},
+                [_render_groups(groups)])
+    box = _parse_point(args.box, curve.r, "--box")
+    table = build_table(curve)
     points = {v: grv_homology(table, v) for v in box_points(box)}
-    if args.format == "json":
-        _print_json({"box": list(box),
-                     "points": {_point_key(v): _groups_payload(g)
-                                for v, g in points.items()}})
-    else:
-        for v in sorted(points):
-            print("%s: %s" % (_point_key(v), _render_groups(points[v])))
-    return 0
+    payload = {"box": list(box),
+               "points": {_join(v, ","): _groups_payload(g)
+                          for v, g in points.items()}}
+    return payload, ["%s: %s" % (_join(v, ","), _render_groups(points[v]))
+                     for v in sorted(points)]
 
 
-def _cmd_verify(args):
-    for status, stage in verify.run(load_curve(args.curve), args.deep):
-        print("%s %s" % (status, stage))
-    print("all checks passed")
-    return 0
+def _cmd_verify(curve, args):
+    # a generator: each stage line prints as its stage finishes
+    stages = ("%s %s" % record for record in verify.run(curve, args.deep))
+    return None, chain(stages, ["all checks passed"])
+
+
+def _arg(*flags, **keywords):
+    return flags, keywords
 
 
 def _build_parser():
@@ -281,61 +226,55 @@ def _build_parser():
                     "parametrizations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *arguments):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("curve", help="path to a curve JSON file")
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
         p.set_defaults(func=func)
-        return p
 
-    p = add("invariants", _cmd_invariants,
-            "delta, Milnor number, pairwise numbers, conductor")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = add("value", _cmd_value, "single Hilbert value")
-    p.add_argument("--at", required=True, metavar="V",
-                   help="lattice point, comma separated")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = add("hilbert", _cmd_hilbert, "grid of Hilbert values")
-    p.add_argument("--box", metavar="B",
-                   help="grid corner, comma separated")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = add("semigroup", _cmd_semigroup,
-            "value semigroup membership grid and conductor")
-    p.add_argument("--box", metavar="B",
-                   help="search corner, comma separated")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("series",
-                       help="poincare, motivic, or alexander series")
-    p.add_argument("kind", choices=("poincare", "motivic", "alexander"))
-    p.add_argument("curve", help="path to a curve JSON file")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=_cmd_series)
-
-    p = add("homology", _cmd_homology, "graded lattice homology")
-    p.add_argument("--at", metavar="V",
-                   help="single lattice point, comma separated")
-    p.add_argument("--box", metavar="B",
-                   help="report every point of the box")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = add("verify", _cmd_verify, "run the self-verification battery")
-    p.add_argument("--deep", action="store_true",
-                   help="wider boxes and more sublevel levels")
-
+    curve = _arg("curve", help="path to a curve JSON file")
+    fmt = _arg("--format", choices=("table", "json"), default="table")
+    add("invariants", _cmd_invariants,
+        "delta, Milnor number, pairwise numbers, conductor", curve, fmt)
+    add("value", _cmd_value, "single Hilbert value", curve,
+        _arg("--at", required=True, metavar="V",
+             help="lattice point, comma separated"), fmt)
+    add("hilbert", _cmd_hilbert, "grid of Hilbert values", curve,
+        _arg("--box", metavar="B", help="grid corner, comma separated"),
+        fmt)
+    add("semigroup", _cmd_semigroup,
+        "value semigroup membership grid and conductor", curve,
+        _arg("--box", metavar="B", help="search corner, comma separated"),
+        fmt)
+    add("series", _cmd_series, "poincare, motivic, or alexander series",
+        _arg("kind", choices=("poincare", "motivic", "alexander")), curve,
+        fmt)
+    add("homology", _cmd_homology, "graded lattice homology", curve,
+        _arg("--at", metavar="V",
+             help="single lattice point, comma separated"),
+        _arg("--box", metavar="B", help="report every point of the box"),
+        fmt)
+    add("verify", _cmd_verify, "run the self-verification battery", curve,
+        _arg("--deep", action="store_true",
+             help="wider boxes and more sublevel levels"))
     return parser
 
 
 def main(argv=None):
+    r"""Run one command line and return its exit status."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        payload, lines = args.func(load_curve(args.curve), args)
+        if getattr(args, "format", None) == "json":
+            payload["schema"] = 1
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
     except CurveSchemaError as exc:
         print("CurveSchemaError: %s" % exc, file=sys.stderr)
         return 2
@@ -348,6 +287,7 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

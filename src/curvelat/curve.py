@@ -19,7 +19,7 @@ curves enters.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import index
 
 from .errors import (
@@ -70,9 +70,28 @@ class BranchParametrization:
 
     @classmethod
     def from_strings(cls, x_text, y_text, truncation):
-        r"""Parse coordinate polynomials and build the branch."""
-        return cls(parse_poly(x_text, truncation),
-                   parse_poly(y_text, truncation))
+        r"""
+        Parse coordinate polynomials and build the branch.
+
+        Primitivity is judged on every parsed term: when only the terms
+        at or beyond the truncation make the exponent gcd 1, this raises
+        InsufficientTruncation naming the least truncation that keeps
+        the branch primitive, not PrimitivityError.
+        """
+        # every term, with no cutoff; the branch keeps those below it
+        full = [parse_poly(text, inf) for text in (x_text, y_text)]
+        try:
+            return cls(*(TruncSeries(s.coeffs, truncation) for s in full))
+        except PrimitivityError:
+            g = 0
+            for e in sorted(set(full[0].coeffs) | set(full[1].coeffs)):
+                g = gcd(g, e)
+                if g == 1:
+                    raise InsufficientTruncation(
+                        "the branch is primitive only with its term t^%d; "
+                        "truncation %d drops it, %d keeps it"
+                        % (e, truncation, e + 1))
+            raise
 
     def multiplicity(self):
         r"""Smallest order among the nonzero coordinates."""

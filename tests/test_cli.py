@@ -15,8 +15,10 @@ import curvelat.hilbert
 import curvelat.latthom
 import curvelat.oslattice
 import curvelat.series
+import curvelat.verify
 from curvelat.cli import load_curve, main
-from curvelat.errors import CurveSchemaError
+from curvelat.errors import ConsistencyError, CurveSchemaError
+from curvelat.oslattice import GradedGroup
 
 
 def _run(capsys, argv):
@@ -221,6 +223,37 @@ def test_verify_deep_passes_with_the_same_stages(capsys, name):
     assert deep.splitlines()[-1] == "all checks passed"
 
 
+def test_verify_prints_each_stage_as_it_finishes(capsys, monkeypatch):
+    # a failing stage leaves the lines of the stages before it
+    def fail(table):
+        raise ConsistencyError("symmetry fails")
+
+    monkeypatch.setattr(curvelat.verify, "symmetry_check", fail)
+    code, out, err = _run(capsys, ["verify", corpus_path("d5")])
+    assert code == 1
+    assert out == "ok invariants\nok hilbert-table\n"
+    assert err.startswith("ConsistencyError:")
+
+
+def test_verify_refuses_a_sublevel_complex_that_is_not_contractible(
+        monkeypatch):
+    original = curvelat.verify.sk_homology
+
+    def sk_homology(table, v, k):
+        if k == 1:
+            return GradedGroup({0: (2, ())})
+        return original(table, v, k)
+
+    monkeypatch.setattr(curvelat.verify, "sk_homology", sk_homology)
+    stages = []
+    with pytest.raises(ConsistencyError,
+                       match="level 1 is not contractible"):
+        for _status, stage in curvelat.verify.run(load_curve(
+                corpus_path("d5"))):
+            stages.append(stage)
+    assert stages[-1] == "arrangement-structure"
+
+
 def _rebind(monkeypatch, original, replacement):
     # every curvelat module that imported original gets the replacement
     for module in list(sys.modules.values()):
@@ -414,6 +447,15 @@ def test_module_error_exit_code(capsys, tmp_path):
     code, _, err = _run(capsys, ["invariants", path])
     assert code == 1
     assert err.startswith("PrimitivityError:")
+
+
+def test_dropped_term_exits_with_insufficient_truncation(capsys, tmp_path):
+    path = _write(tmp_path, {"truncation": 32, "branches": [
+        {"x": "t^2 + t^41", "y": "t^4"}]})
+    code, _, err = _run(capsys, ["invariants", path])
+    assert code == 1
+    assert err.startswith("InsufficientTruncation:")
+    assert "42 keeps it" in err
 
 
 def test_argparse_failures(capsys):

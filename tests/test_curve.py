@@ -64,6 +64,23 @@ def test_branch_rejects_imprimitive_exponents():
         BranchParametrization.from_strings("t^3", "0", 16)
 
 
+def test_dropped_term_asks_for_truncation_not_primitivity():
+    # t^41 makes the exponent gcd 1, but truncation 32 drops it
+    with pytest.raises(InsufficientTruncation,
+                       match=r"t\^41; truncation 32 drops it, 42 keeps it$"):
+        BranchParametrization.from_strings("t^2 + t^41", "t^4", 32)
+    with pytest.raises(InsufficientTruncation, match="21 keeps it$"):
+        BranchParametrization.from_strings("t^3 + t^20", "0", 16)
+    assert BranchParametrization.from_strings(
+        "t^2 + t^41", "t^4", 42).orders == (2, 4)
+    # a dropped term that leaves the gcd at 2 is still imprimitive, and
+    # dropping every term still leaves both coordinates zero
+    with pytest.raises(PrimitivityError):
+        BranchParametrization.from_strings("t^2", "t^4 + t^40", 32)
+    with pytest.raises(InvalidParametrization, match="zero modulo"):
+        BranchParametrization.from_strings("t^40", "t^41", 32)
+
+
 def test_branch_rejects_mixed_truncations():
     with pytest.raises(InvalidParametrization):
         BranchParametrization(parse_poly("t", 8), parse_poly("t^2", 9))

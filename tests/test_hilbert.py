@@ -326,6 +326,19 @@ def test_semigroup_default_box():
     assert got == [(0,), (2,), (3,)]
 
 
+def test_semigroup_requires_the_conductor_itself(monkeypatch):
+    # the conductor dominates itself, so it must be a member too
+    table = build_table(corpus_curve("d5"))
+    l = table.invariants.conductor
+    assert l == (2, 4)
+    member = table.in_semigroup
+    monkeypatch.setattr(table, "in_semigroup",
+                        lambda v: v != l and member(v))
+    with pytest.raises(ConsistencyError,
+                       match=r"\(2, 4\) dominates the conductor"):
+        semigroup(table)
+
+
 def test_semigroup_min_closed():
     # componentwise minimum of two members is a member
     for name in ["a3", "d5"]:

@@ -75,3 +75,18 @@ def test_only_the_parser_layers_import_fractions():
             if any(t.split(".")[0] == "fractions" for t in targets):
                 importers.add(name)
     assert importers <= FRACTIONS, importers - FRACTIONS
+
+
+def test_only_cli_main_prints():
+    # every command returns its payload and lines, and main alone
+    # writes them, so no command grows an output branch of its own
+    def prints(node):
+        return {n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "print"}
+
+    tree = _tree("cli")
+    main, = [n for n in tree.body
+             if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    outside = prints(tree) - prints(main)
+    assert not outside, "print outside cli.main at lines %s" % outside
