@@ -157,7 +157,7 @@ def _cmd_value(curve, args):
 def _cmd_hilbert(curve, args):
     box = _box(curve, args.box, 2)
     table = build_table(curve, box)
-    values = {v: table.value(v) for v in box_points(box)}
+    values = dict(zip(box_points(box), table.grid(box)))
     payload = {"box": list(box),
                "values": {_join(v, ","): n for v, n in values.items()}}
     return payload, _grid(box, {v: str(n) for v, n in values.items()})

@@ -9,11 +9,12 @@ exactalg.echelon_insert, the same kernel that ranks h_oracle's rows.
 Beyond the conductor every unit step adds 1.  The ranks are kept as one
 flat list in lexicographic order, so every read of h is an index
 computed from strides, plus the excess beyond l; membership and the
-unit steps at v are views of its unit cube.  The builder re-derives a
-sample of cells from scratch with a full matrix rank (h_oracle) and
-checks the step recursion (a direction-i step is 1 exactly when some
-semigroup point agrees with v in coordinate i and dominates it
-elsewhere) over the whole box.  Any mismatch raises ConsistencyError.
+unit steps at v are views of its unit cube, and a whole box is read at
+once as a dense grid.  The builder re-derives a sample of cells from
+scratch with a full matrix rank (h_oracle) and checks the step
+recursion (a direction-i step is 1 exactly when some semigroup point
+agrees with v in coordinate i and dominates it elsewhere) over the
+whole box.  Any mismatch raises ConsistencyError.
 """
 
 from collections import namedtuple
@@ -93,6 +94,36 @@ def box_points(box):
     return product(*(range(b + 1) for b in box))
 
 
+def box_offsets(box, shape):
+    r"""
+    The index of every point of [0, box], in lexicographic order, in a
+    flat lexicographic list over a box with shape[i] points on axis i.
+    """
+    offsets = [0]
+    for b, size in zip(box, shape):
+        offsets = [k * size + c for k in offsets for c in range(b + 1)]
+    return offsets
+
+
+def axis_slices(shape, axis, c):
+    r"""
+    Slices that together cover the points with coordinate c on the axis
+    in a flat lexicographic list over a box of this shape (the last
+    coordinate fastest): a run of the inner coordinates for each outer
+    prefix, or a stepped slice for each inner offset, whichever is
+    fewer.  The slices at c + 1 are those at c moved by the axis
+    stride, so a pass over an axis zips the slices at c and c + 1.
+    """
+    inner = prod(shape[axis + 1:])
+    outer = prod(shape[:axis])
+    block = inner * shape[axis]
+    c *= inner
+    if inner >= outer:
+        return [slice(b * block + c, b * block + c + inner)
+                for b in range(outer)]
+    return [slice(o + c, o + c + outer * block, block) for o in range(inner)]
+
+
 class HilbertTable:
     r"""
     h on [0, l] (l the conductor) with total evaluation: beyond l every
@@ -164,6 +195,26 @@ class HilbertTable:
         values = self.values
         return [values[offset + o] + past + p for o, p in steps]
 
+    def grid(self, top):
+        r"""
+        h on [0, top] as one flat list in lexicographic order (the last
+        coordinate fastest), read as value reads each point: the offset
+        and the past of every point are built one axis at a time, adding
+        stride_i per unit while the coordinate is at most l_i and 1 to
+        past per unit beyond it.
+        """
+        self._check_length(top)
+        offsets = pasts = [0]
+        for t, l, stride in zip(top, self.invariants.conductor,
+                                self.strides):
+            axis = range(index(t) + 1)
+            step = [min(c, l) * stride for c in axis]
+            past = [max(c - l, 0) for c in axis]
+            offsets = [o + a for o in offsets for a in step]
+            pasts = [p + b for p in pasts for b in past]
+        values = self.values
+        return [values[o] + p for o, p in zip(offsets, pasts)]
+
     def in_semigroup(self, v):
         r"""True when every coordinate step at v equals 1."""
         # a negative v_i clamps v and v + e_i to the same point
@@ -223,27 +274,35 @@ def _step_rule_sweep(table, bound):
     # second route: the direction-i step at v is 1 exactly when the
     # witness box B(v, i) of the u with u_i = v_i and v_j <= u_j <=
     # max(l_j, v_j) for j != i holds a semigroup point (l the conductor,
-    # bound >= l).  For j != i with v_j < l_j, B(v + e_j, i) is the part
-    # of B(v, i) with u_j > v_j; for v_j >= l_j the j range is {v_j}.
-    # So B(v, i) is {v} plus those B(v + e_j, i), all in [0, bound]: a
-    # reverse lexicographic walk meets v + e_j before v, reads each cube
-    # once and ORs each witness from at most r - 1 neighbours.
+    # bound >= l).  The steps on [0, bound] are shifted differences of
+    # one grid of h on [0, bound + 1].  found starts as the member mask
+    # (all r bits on members) and gathers each B(v, i) by one reverse
+    # pass per axis j: where v_j < l_j, v takes the found bits of
+    # v + e_j except bit j, so bit i of v ORs the members over B(v, i).
     l = table.invariants.conductor
     r = len(l)
-    witnessed = {}  # bit i set when B(v, i) holds a member
-    for v in product(*(range(b, -1, -1) for b in bound)):
-        h, *ahead = table.cube(v)
-        steps = [ahead[(1 << i) - 1] - h for i in range(r)]
-        found = (1 << r) - 1 if all(s == 1 for s in steps) else 0
-        for j in range(r):
-            if v[j] < l[j]:
-                near = v[:j] + (v[j] + 1,) + v[j + 1:]
-                found |= witnessed[near] & ~(1 << j)
-        witnessed[v] = found
-        for i in range(r):
-            if steps[i] != found >> i & 1:
-                raise ConsistencyError(
-                    "step rule fails at %s direction %d" % (v, i))
+    shape = tuple(b + 2 for b in bound)
+    h = table.grid(tuple(b + 1 for b in bound))
+    cells = box_offsets(bound, shape)
+    steps = [[h[k + s] - h[k] for k in cells]
+             for s in (prod(shape[i + 1:]) for i in range(r))]
+    ones = (1,) * r
+    found = [(1 << r) - 1 if s == ones else 0 for s in zip(*steps)]
+    box = tuple(b + 1 for b in bound)
+    for j in range(r):
+        keep = ~(1 << j)
+        for c in range(l[j] - 1, -1, -1):
+            for here, ahead in zip(axis_slices(box, j, c),
+                                   axis_slices(box, j, c + 1)):
+                found[here] = [f | a & keep
+                               for f, a in zip(found[here], found[ahead])]
+    for i, step in enumerate(steps):
+        bits = [f >> i & 1 for f in found]
+        if step != bits:
+            v = next(v for v, a, b in zip(box_points(bound), step, bits)
+                     if a != b)
+            raise ConsistencyError(
+                "step rule fails at %s direction %d" % (v, i))
 
 
 def build_table(curve, box=None):
@@ -257,7 +316,7 @@ def build_table(curve, box=None):
     h.  Beyond l every unit step adds 1 (see HilbertTable.value).  A
     sample of the cells of [0, corner] is then recomputed by h_oracle,
     a full matrix rank, and the step rule is checked on [0, max(box,
-    l)] by one walk that reads each point's unit cube once.
+    l)] by axis passes over one grid of h.
 
     Parameters
     ----------
@@ -333,22 +392,26 @@ def large_n_step_check(table):
     Verify directly from matrix ranks that steps are 1 far out: for
     every direction i and every n from conductor_i to conductor_i + 3,
     h increases by exactly 1 in direction i at a spread of sample
-    points with v_i = n, computing each sample's five values once.
-    Only the curve and conductor of the table are read; every value
-    comes from h_oracle.
+    points with v_i = n.  Lines of different directions share points,
+    and each distinct point is computed once.  Only the curve and
+    conductor of the table are read; every value comes from h_oracle.
 
     Returns True, or raises ConsistencyError.
     """
     curve = table.curve
     l = table.invariants.conductor
     r = len(l)
+    known = {}
     for i in range(r):
         samples = [sorted({0, 1, l[j], l[j] + 1}) if j != i else [l[i]]
                    for j in range(r)]
         for base in product(*samples):
             line = [base[:i] + (n,) + base[i + 1:]
                     for n in range(l[i], l[i] + 5)]
-            h = [h_oracle(curve, v) for v in line]
+            for v in line:
+                if v not in known:
+                    known[v] = h_oracle(curve, v)
+            h = [known[v] for v in line]
             for v, here, ahead in zip(line, h, h[1:]):
                 if ahead - here != 1:
                     raise ConsistencyError(

@@ -14,9 +14,10 @@ box; series in the t variables alone keep m = 0 everywhere.
 """
 
 from itertools import accumulate
+from operator import sub
 
 from .errors import ConsistencyError, PolynomialityViolation, SupportViolation
-from .hilbert import box_points
+from .hilbert import axis_slices, box_offsets, box_points
 from .oslattice import signed_rank_count
 
 
@@ -85,8 +86,8 @@ def canonical_str(series):
 
 
 def hilbert_series(table, box):
-    r"""Sum of h(v) t^v over the box."""
-    coeffs = {(v, 0): table.value(v) for v in box_points(box)}
+    r"""Sum of h(v) t^v over the box, read off one grid of h."""
+    coeffs = {(v, 0): h for v, h in zip(box_points(box), table.grid(box))}
     return BoxSeries(len(box), box, coeffs)
 
 
@@ -100,8 +101,23 @@ def pi_value(table, v):
 
 
 def poincare_from_hilbert(table, box):
-    r"""The series of pi values over the box."""
-    coeffs = {(v, 0): pi_value(table, v) for v in box_points(box)}
+    r"""
+    The series of pi values over the box.
+
+    pi is minus the r-fold forward difference of h, so r in-place
+    passes of h(v) - h(v + e_i), one per axis, over one grid of h on
+    [0, box + 1] give it; pi_value reads the same sum off one cube.
+    """
+    shape = tuple(b + 2 for b in box)
+    d = table.grid(tuple(b + 1 for b in box))
+    for i, size in enumerate(shape):
+        # ascending, so each layer takes the next one before its own pass
+        for c in range(size - 1):
+            for here, ahead in zip(axis_slices(shape, i, c),
+                                   axis_slices(shape, i, c + 1)):
+                d[here] = map(sub, d[here], d[ahead])
+    coeffs = {(v, 0): -d[k]
+              for v, k in zip(box_points(box), box_offsets(box, shape))}
     return BoxSeries(len(box), box, coeffs)
 
 

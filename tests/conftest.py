@@ -71,6 +71,9 @@ BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                          "curves")
 
 
+BENCH_CURVES = ["a31", "four", "tacnode3"]
+
+
 def corpus_path(name):
     return os.path.join(DATA_DIR, name + ".json")
 
@@ -81,9 +84,59 @@ def bench_curve(name):
     return load_curve(os.path.join(BENCH_DIR, name + ".json"))
 
 
+def named_curve(name):
+    r"""A curve of CORPUS or of BENCH_CURVES, by name."""
+    return corpus_curve(name) if name in CORPUS else bench_curve(name)
+
+
 def cell(table, v):
     r"""The index of the point v of [0, l] in the flat list table.values."""
     return sum(c * stride for c, stride in zip(v, table.strides))
+
+
+def shifted_readers(table, point, d):
+    r"""
+    Replacements for the table's cube and grid, by method name, that
+    read h + d at point only: every cube and every grid that covers the
+    point sees the shift, and no other value changes.
+    """
+    cube, grid = table.cube, table.grid
+
+    def shifted_cube(v):
+        return [h + (d if tuple(c + (mask >> j & 1)
+                                for j, c in enumerate(v)) == point else 0)
+                for mask, h in enumerate(cube(v))]
+
+    def shifted_grid(top):
+        values = grid(top)
+        if all(0 <= c <= t for c, t in zip(point, top)):
+            k = 0
+            for c, t in zip(point, top):
+                k = k * (t + 1) + c
+            values[k] += d
+        return values
+
+    return {"cube": shifted_cube, "grid": shifted_grid}
+
+
+def count_reader_calls(monkeypatch, names):
+    r"""
+    Patch the named HilbertTable readers to record each call, and
+    return the records: a dict from each name to the list of the
+    tuples its point or top argument was given as.
+    """
+    from curvelat.hilbert import HilbertTable
+
+    calls = {name: [] for name in names}
+    for name in names:
+        method = getattr(HilbertTable, name)
+
+        def counting(self, v, _name=name, _method=method):
+            calls[_name].append(tuple(v))
+            return _method(self, v)
+
+        monkeypatch.setattr(HilbertTable, name, counting)
+    return calls
 
 
 def sparse_rows(rows):

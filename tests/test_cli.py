@@ -8,7 +8,7 @@ from importlib.metadata import EntryPoint
 
 import pytest
 
-from conftest import BENCH_DIR, CORPUS, corpus_path
+from conftest import BENCH_DIR, CORPUS, corpus_path, count_reader_calls
 
 import curvelat.curve
 import curvelat.hilbert
@@ -18,6 +18,7 @@ import curvelat.series
 import curvelat.verify
 from curvelat.cli import load_curve, main
 from curvelat.errors import ConsistencyError, CurveSchemaError
+from curvelat.hilbert import box_points
 from curvelat.oslattice import GradedGroup
 
 
@@ -79,6 +80,22 @@ def test_hilbert_three_branches_lists_points(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "0,0,0: 0"
     assert len(lines) == 8
+
+
+def test_hilbert_reads_its_box_from_one_grid(capsys, monkeypatch):
+    # the build's sweep reads [0, bound + 1] and the command reads the
+    # box; the only value calls left are the build's spot check
+    curve, box = load_curve(corpus_path("a3")), (16, 16)
+    calls = count_reader_calls(monkeypatch, ["grid", "value"])
+    curvelat.hilbert.build_table(curve, box)
+    spot_checks = len(calls["value"])
+    calls["grid"].clear()
+    calls["value"].clear()
+    code, _, _ = _run(capsys, ["hilbert", corpus_path("a3"),
+                               "--box", "16,16"])
+    assert code == 0
+    assert calls["grid"] == [(17, 17), (16, 16)]
+    assert len(calls["value"]) == spot_checks
 
 
 def test_hilbert_json_deterministic(capsys):
@@ -369,24 +386,37 @@ def test_verify_reads_each_series_once(capsys, monkeypatch):
                                          ("triple", 125 + 3 * 25 + 3 * 5)])
 def test_verify_reads_each_pi_value_once(capsys, monkeypatch, name, pairs):
     # the round trip's series serve the alexander, restriction and euler
-    # stages, so pi is evaluated once per (table, point) of the verify
-    # box, and the polynomial is computed once
-    reads, alexanders = [], []
+    # stages, so pi is computed once per (table, point) of the verify
+    # box: each series covers its points from one grid and no cube,
+    # pi_value is never called, and the polynomial is computed once
+    points, reads, pi_reads, alexanders = [], [], [], []
+    calls = count_reader_calls(monkeypatch, ["grid", "cube"])
+    poincare = curvelat.series.poincare_from_hilbert
     pi_value, alexander = curvelat.series.pi_value, curvelat.series.alexander
 
+    def counting_poincare(table, box):
+        before = {k: len(c) for k, c in calls.items()}
+        series = poincare(table, box)
+        reads.append({k: len(c) - before[k] for k, c in calls.items()})
+        points.extend((id(table), v) for v in box_points(box))
+        return series
+
     def counting_pi(table, v):
-        reads.append((id(table), tuple(v)))
+        pi_reads.append(v)
         return pi_value(table, v)
 
     def counting_alexander(*args):
         alexanders.append(args)
         return alexander(*args)
 
+    _rebind(monkeypatch, poincare, counting_poincare)
     _rebind(monkeypatch, pi_value, counting_pi)
     _rebind(monkeypatch, alexander, counting_alexander)
     code, _, _ = _run(capsys, ["verify", corpus_path(name)])
     assert code == 0
-    assert len(reads) == len(set(reads)) == pairs
+    assert len(points) == len(set(points)) == pairs
+    assert reads == [{"grid": 1, "cube": 0}] * len(reads)
+    assert pi_reads == []
     assert len(alexanders) == 1
 
 

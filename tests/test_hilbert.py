@@ -29,7 +29,9 @@ from curvelat.hilbert import (
     symmetry_check,
 )
 
-from conftest import CORPUS, bench_curve, cell, corpus_curve
+from conftest import (BENCH_CURVES, CORPUS, bench_curve, cell,
+                      corpus_curve, count_reader_calls, named_curve,
+                      shifted_readers)
 from oracles import (
     REFERENCE_A3,
     REFERENCE_A3_SEMIGROUP,
@@ -364,6 +366,23 @@ def test_large_n_steps_all_corpus():
         assert large_n_step_check(build_table(corpus_curve(name))) is True
 
 
+@pytest.mark.parametrize("name, calls", [("triple", 200),
+                                         ("tacnode3", 200), ("four", 1008)])
+def test_large_n_steps_compute_each_point_once(monkeypatch, name, calls):
+    # the lines of different directions share points, and each distinct
+    # point is one h_oracle call
+    table = build_table(named_curve(name))
+    points = []
+
+    def counting(curve, v):
+        points.append(tuple(v))
+        return h_oracle(curve, v)
+
+    monkeypatch.setattr(hilbert_module, "h_oracle", counting)
+    assert large_n_step_check(table) is True
+    assert len(points) == len(set(points)) == calls
+
+
 def _with_conductor(name, conductor):
     # a view of the curve's table that states another conductor
     table = copy.copy(build_table(corpus_curve(name)))
@@ -473,6 +492,19 @@ def test_cube_never_reads_value(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
+def test_grid_is_value_at_every_point(name):
+    # tops below the conductor, at l + 2, past the checked corner, and
+    # one that is below l on some axes and past it on the others
+    t = build_table(named_curve(name))
+    l = t.invariants.conductor
+    for top in [tuple(max(c - 1, 0) for c in l), tuple(c + 2 for c in l),
+                tuple(c + 1 for c in t.corner),
+                tuple(c + 3 if j % 2 else max(c - 1, 0)
+                      for j, c in enumerate(l))]:
+        assert t.grid(top) == [t.value(v) for v in box_points(top)], top
+
+
 def test_build_table_rejects_wrong_length_boxes():
     # (3,) must not fail inside the fill, and (3, 3, 99) must not be
     # read as (3, 3)
@@ -489,17 +521,6 @@ def test_build_table_rejects_wrong_length_boxes():
 
 def _bound(table):
     return tuple(c - 2 for c in table.corner)
-
-
-def _shifted(table, point, d):
-    # h + d at point only, in every cube that reads it
-    original = table.cube
-
-    def cube(v):
-        return [h + (d if tuple(c + (mask >> j & 1)
-                                for j, c in enumerate(v)) == point else 0)
-                for mask, h in enumerate(original(v))]
-    return cube
 
 
 def _sweep_failure(table, bound):
@@ -524,8 +545,9 @@ def test_sweep_agrees_with_the_witness_search_on_the_corpus(name):
 
 
 def test_sweep_raises_exactly_when_the_witness_search_does(monkeypatch):
-    # seeded corruptions of one table value, seen by every cube that
-    # reads it, on [0, bound] (where memberships are read) or on
+    # seeded corruptions of one table value, seen by every cube (which
+    # the search reads) and every grid (which the sweep reads) that
+    # covers it, on [0, bound] (where memberships are read) or on
     # [0, bound + 1]; the sweep must raise iff the search finds a
     # mismatch, and name one
     rng = random.Random(20131)
@@ -539,7 +561,9 @@ def test_sweep_raises_exactly_when_the_witness_search_does(monkeypatch):
         bound = _bound(table)
         with monkeypatch.context() as m:
             v = tuple(rng.randint(0, b + trial % 2) for b in bound)
-            m.setattr(table, "cube", _shifted(table, v, rng.choice((-1, 1))))
+            shift = rng.choice((-1, 1))
+            for reader, shifted in shifted_readers(table, v, shift).items():
+                m.setattr(table, reader, shifted)
             expected = step_rule_mismatches(table, bound)
             failure = _sweep_failure(table, bound)
         assert (failure is None) == (not expected), (trial, v)
@@ -550,38 +574,26 @@ def test_sweep_raises_exactly_when_the_witness_search_does(monkeypatch):
 
 
 def test_build_table_reads_each_membership_once(monkeypatch):
-    # the memberships come from the sweep's cubes, one per point
-    original = hilbert_module.HilbertTable.cube
+    # the memberships come from the sweep's one grid of h on
+    # [0, bound + 1], and no cube is read
     for name, box in [("d5", None), ("triple", (4, 3, 5))]:
-        calls = []
-
-        def counting(self, v):
-            calls.append(tuple(v))
-            return original(self, v)
-
         with monkeypatch.context() as m:
-            m.setattr(hilbert_module.HilbertTable, "cube", counting)
+            calls = count_reader_calls(m, ["grid", "cube"])
             table = build_table(corpus_curve(name), box)
-        assert sorted(calls) == sorted(box_points(_bound(table)))
+        top = tuple(b + 1 for b in _bound(table))
+        assert calls == {"grid": [top], "cube": []}
 
 
-def test_sweep_reads_one_cube_per_point_and_nothing_else(monkeypatch):
-    # membership and every step at v come from one cube: no value and
-    # no in_semigroup call
+def test_sweep_reads_one_grid_and_nothing_else(monkeypatch):
+    # membership and every step at every point come from one grid: no
+    # cube, no value and no in_semigroup call
     table = build_table(bench_curve("four"))
     bound = _bound(table)
-    calls = {"cube": [], "value": [], "in_semigroup": []}
-    for name in calls:
-        original = getattr(hilbert_module.HilbertTable, name)
-
-        def counting(self, v, _name=name, _original=original):
-            calls[_name].append(tuple(v))
-            return _original(self, v)
-
-        monkeypatch.setattr(hilbert_module.HilbertTable, name, counting)
+    calls = count_reader_calls(monkeypatch,
+                              ["grid", "cube", "value", "in_semigroup"])
     hilbert_module._step_rule_sweep(table, bound)
-    assert sorted(calls["cube"]) == sorted(box_points(bound))
-    assert calls["value"] == calls["in_semigroup"] == []
+    assert calls == {"grid": [tuple(b + 1 for b in bound)], "cube": [],
+                     "value": [], "in_semigroup": []}
 
 
 def test_symmetry_detects_corruption():

@@ -310,6 +310,38 @@ def test_r1_structure_needs_every_piece_up_to_mu_plus_2():
         r1_structure(table, pieces, poly)
 
 
+def test_r1_structure_checks_the_polynomial_against_the_second_page():
+    # the cusp's polynomial is 1 - t + t^2; a doubled top term meets the
+    # signed second-page count 1 at degree 2
+    table = _table("cusp")
+    pieces = {(v,): grv_homology(table, (v,)) for v in range(5)}
+    poly = _poly(table)
+    poly.coeffs[((2,), 0)] *= 2
+    with pytest.raises(ConsistencyError, match="at degree 2"):
+        r1_structure(table, pieces, poly)
+
+
+class _Overcounted(GradedGroup):
+    # equal to its groups, but its total rank is one too many
+    def total_rank(self):
+        return super().total_rank() + 1
+
+
+@pytest.mark.parametrize("v, message", [(0, "U kernel at 0"),
+                                        (1, "U cokernel at 0")])
+def test_r1_structure_checks_exactness(v, message):
+    # the pieces are checked against the closed form first, and the
+    # U ranks and the second page come from the same members, so the
+    # four-term exactness holds on every input that passes that check;
+    # a piece that equals the closed form but reports another total
+    # rank reaches it
+    table = _table("cusp")
+    pieces = {(w,): grv_homology(table, (w,)) for w in range(5)}
+    pieces[(v,)] = _Overcounted(pieces[(v,)].groups)
+    with pytest.raises(ConsistencyError, match=message):
+        r1_structure(table, pieces, _poly(table))
+
+
 def _classify(table, v):
     return r2_classify(table, v, grv_homology(table, v))
 

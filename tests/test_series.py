@@ -18,7 +18,9 @@ from curvelat.series import (
     torres_restriction_check,
 )
 
-from conftest import CORPUS, bench_curve, cell, corpus_curve, full_series
+from conftest import (BENCH_CURVES, CORPUS, bench_curve, cell,
+                      corpus_curve, count_reader_calls, full_series,
+                      named_curve, shifted_readers)
 from oracles import alexander_r1_from_semigroup, numerical_semigroup
 
 
@@ -116,6 +118,31 @@ def test_pi_vanishes_off_semigroup():
         for (v, _m), c_v in poincare_from_hilbert(t, box).coeffs.items():
             if c_v != 0:
                 assert t.in_semigroup(v)
+
+
+@pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
+def test_poincare_from_hilbert_is_pi_value_at_every_point(name):
+    # the axis passes over one grid give the cube's alternating sum at
+    # every point of the box, on boxes at 0, below l and at l + 2
+    t = build_table(named_curve(name))
+    l = t.invariants.conductor
+    for box in [(0,) * len(l), tuple(max(c - 1, 0) for c in l),
+                tuple(c + 2 for c in l)]:
+        series = poincare_from_hilbert(t, box)
+        expected = BoxSeries(len(box), box, {(v, 0): pi_value(t, v)
+                                             for v in box_points(box)})
+        assert series.box == box
+        assert series.coeffs == expected.coeffs, box
+
+
+def test_hilbert_series_reads_one_grid(monkeypatch):
+    table = build_table(corpus_curve("d5"))
+    box = (6, 8)
+    expected = {(v, 0): table.value(v) for v in box_points(box)}
+    calls = count_reader_calls(monkeypatch, ["grid", "value"])
+    assert hilbert_series(table, box).coeffs == {
+        key: h for key, h in expected.items() if h}
+    assert calls == {"grid": [box], "value": []}
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +409,10 @@ def test_verify_alexander_catches_a_broken_reflection(name, top):
 
 def test_alexander_support_guard():
     # (3, 3) lies beyond the conductor (2, 2), so no stored cell holds
-    # it: shift h there in every cube that reads it
+    # it: shift h there in every cube and every grid that reads it
     table = build_table(corpus_curve("a3"), (4, 4))
-    original = table.cube
-
-    def shifted(v):
-        return [h + ((v[0] + (mask & 1), v[1] + (mask >> 1)) == (3, 3))
-                for mask, h in enumerate(original(v))]
-
-    table.cube = shifted
+    for reader, shifted in shifted_readers(table, (3, 3), 1).items():
+        setattr(table, reader, shifted)
     with pytest.raises(SupportViolation):
         _alexander(table)
 
