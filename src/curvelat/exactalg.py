@@ -1,9 +1,10 @@
 r"""
 Exact scalar and linear algebra: truncated power series over the
-rationals, a parser for polynomial input strings, the one integer
-elimination kernel and the ranks built on it, and Smith normal form
-over the integers: one loop on sparse rows diagonalizes, and a gcd-lcm
-pass makes the diagonal a divisor chain.
+rationals, a parser that reads a polynomial string one term at a time
+with one regular expression, the one integer elimination kernel and the
+ranks built on it, and Smith normal form over the integers: one loop on
+sparse rows diagonalizes, and a gcd-lcm pass makes the diagonal a
+divisor chain.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` and
 appear only in series.  A matrix is a list of sparse rows of ints, dicts
@@ -13,6 +14,7 @@ with the pivot at the least index.
 ``rank_sparse`` grows one basis in place.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -90,19 +92,31 @@ def series_mul(a, b):
     return TruncSeries(coeffs, t)
 
 
-# ---------------------------------------------------------------------------
-# polynomial parser
-#
-#   expr  := term (('+'|'-') term)*
-#   term  := [coeff '*']? 't' ['^' nat]?  |  coeff
-#   coeff := int | int '/' posint
-#
-# whitespace is ignored; error offsets point into the original string.
+# one term and the operator after it; the groups are the bare t, the
+# coefficient's sign, numerator and denominator, the t after '*', the
+# exponent and the operator.  The whitespace after the sign sits inside
+# the sign's optional group: were two whitespace runs to meet with only
+# optional parts between them, a failed match would backtrack in time
+# quadratic in the run.
+_TERM = re.compile(r"""\s*(?: (t) | (?:(-)\s*)? (\d+)
+                              (?:\s*/\s*(\d*))? (?:\s*\*\s*(t?))? )
+                       (?:(?<=t)\s*\^\s*(\d*))? \s*([+-]?)""", re.VERBOSE)
 
 
 def parse_poly(text, truncation):
     r"""
     Parse a polynomial in t into a TruncSeries.
+
+    The grammar, with whitespace (``str.isspace``) allowed between any
+    two tokens and digits the decimal digits (``str.isdecimal``)::
+
+        expr  := term (('+' | '-') term)*
+        term  := 't' ['^' nat]  |  coeff ['*' 't' ['^' nat]]
+        coeff := ['-'] nat ['/' nat]
+
+    A denominator must be nonzero, and ``-t`` is written ``-1*t``.  Each
+    term is one match of ``_TERM``; an error names the first required
+    part of the term that is missing, at the offset where it should be.
 
     Parameters
     ----------
@@ -122,96 +136,33 @@ def parse_poly(text, truncation):
         On any grammar violation, with the 0-based offset of the
         offending character.
     """
-    n = len(text)
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_digits(what):
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise PolySyntaxError("expected %s" % what, start)
-        return int(text[start:pos])
-
-    def parse_int():
-        nonlocal pos
-        skip_ws()
-        neg = False
-        if pos < n and text[pos] == "-":
-            neg = True
-            pos += 1
-        value = parse_digits("integer")
-        return -value if neg else value
-
-    def parse_coeff():
-        nonlocal pos
-        num = parse_int()
-        skip_ws()
-        if pos < n and text[pos] == "/":
-            pos += 1
-            skip_ws()
-            den_start = pos
-            den = parse_digits("denominator")
-            if den == 0:
-                raise PolySyntaxError("zero denominator", den_start)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_term():
-        # returns (coefficient, exponent)
-        nonlocal pos
-        skip_ws()
-        if pos < n and text[pos] == "t":
-            pos += 1
-            return Fraction(1), parse_exponent()
-        coeff = parse_coeff()
-        skip_ws()
-        if pos < n and text[pos] == "*":
-            pos += 1
-            skip_ws()
-            if pos >= n or text[pos] != "t":
-                raise PolySyntaxError("expected 't' after '*'", pos)
-            pos += 1
-            return coeff, parse_exponent()
-        return coeff, 0
-
-    def parse_exponent():
-        nonlocal pos
-        skip_ws()
-        if pos < n and text[pos] == "^":
-            pos += 1
-            return parse_digits("exponent")
-        return 1
-
+    if not text.strip():
+        raise PolySyntaxError("empty polynomial", len(text))
     coeffs = {}
-
-    def add_term(c, e):
-        if e < truncation:
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
-
-    skip_ws()
-    if pos >= n:
-        raise PolySyntaxError("empty polynomial", pos)
-    c, e = parse_term()
-    add_term(c, e)
+    pos, sign = 0, 1
     while True:
-        skip_ws()
-        if pos >= n:
-            break
-        op = text[pos]
-        if op not in "+-":
-            raise PolySyntaxError("expected '+' or '-'", pos)
-        pos += 1
-        c, e = parse_term()
-        add_term(c if op == "+" else -c, e)
-    return TruncSeries(coeffs, truncation)
+        m = _TERM.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip().removeprefix("-").lstrip()
+            raise PolySyntaxError("expected integer", len(text) - len(rest))
+        t, minus, num, den, star_t, exp, op = m.groups()
+        if den == "":
+            raise PolySyntaxError("expected denominator", m.start(4))
+        if den and int(den) == 0:
+            raise PolySyntaxError("zero denominator", m.start(4))
+        if star_t == "":
+            raise PolySyntaxError("expected 't' after '*'", m.start(5))
+        if exp == "":
+            raise PolySyntaxError("expected exponent", m.start(6))
+        e = int(exp) if exp else 1 if t or star_t else 0
+        if e < truncation:
+            c = Fraction(int(num), int(den or 1)) if num else Fraction(1)
+            coeffs[e] = coeffs.get(e, 0) + (-c if minus else c) * sign
+        if not op:
+            if m.end() == len(text):
+                return TruncSeries(coeffs, truncation)
+            raise PolySyntaxError("expected '+' or '-'", m.end())
+        pos, sign = m.end(), -1 if op == "-" else 1
 
 
 # ---------------------------------------------------------------------------

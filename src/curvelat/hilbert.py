@@ -377,13 +377,14 @@ def symmetry_check(table):
     """
     inv = table.invariants
     l = inv.conductor
-    for v in box_points(l):
-        mirrored = tuple(a - b for a, b in zip(l, v))
-        if table.value(mirrored) - table.value(v) != inv.delta - sum(v):
+    # on [0, l], l - v is as far from the end of lexicographic order as v
+    # is from its start
+    h = table.grid(l)
+    for v, hv, mirrored in zip(box_points(l), h, reversed(h)):
+        if mirrored - hv != inv.delta - sum(v):
             raise ConsistencyError(
                 "symmetry fails at %s: h(l-v)=%d, h(v)=%d, delta-|v|=%d"
-                % (v, table.value(mirrored), table.value(v),
-                   inv.delta - sum(v)))
+                % (v, mirrored, hv, inv.delta - sum(v)))
     return True
 
 

@@ -1,0 +1,161 @@
+"""
+A committed mutation battery: small named changes to src/ that each
+disable or weaken one guard, and the tier-1 test expected to kill each.
+
+    python tests/mutants.py [NAME ...]
+
+applies each named mutant (all of them when none is named) to a copy of
+the checkout under a temporary directory, runs tier-1 there with -x,
+and reports whether the mutant was killed and by which test.  The
+checkout itself is never edited.  Exit status 1 if any mutant survived.
+
+The mutant's expected test runs on its own first; only when it passes
+does the whole of tier-1 run, so a survivor costs a full tier-1 run.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+Mutant = namedtuple("Mutant", "path old new killer")
+
+_D0 = "src/curvelat/oslattice.py"
+
+MUTANTS = {
+    # two whitespace runs with only an optional '-' between them
+    "parse-sign-quadratic": Mutant(
+        "src/curvelat/exactalg.py",
+        r"(?:(-)\s*)? (\d+)",
+        r"(-)?\s* (\d+)",
+        "tests/test_exactalg.py"
+        "::test_parse_error_after_long_whitespace_is_linear"),
+    "parse-exponent-without-t": Mutant(
+        "src/curvelat/exactalg.py",
+        r"(?:(?<=t)\s*\^",
+        r"(?:\s*\^",
+        "tests/test_exactalg.py::test_parse_errors"),
+    "parse-zero-denominator-late": Mutant(
+        "src/curvelat/exactalg.py",
+        """\
+        if den and int(den) == 0:
+            raise PolySyntaxError("zero denominator", m.start(4))
+        if star_t == "":
+            raise PolySyntaxError("expected 't' after '*'", m.start(5))
+""",
+        """\
+        if star_t == "":
+            raise PolySyntaxError("expected 't' after '*'", m.start(5))
+        if den and int(den) == 0:
+            raise PolySyntaxError("zero denominator", m.start(4))
+""",
+        "tests/test_exactalg.py::test_parse_errors"),
+    "parse-empty-check-off": Mutant(
+        "src/curvelat/exactalg.py",
+        "if not text.strip():",
+        "if False:",
+        "tests/test_exactalg.py::test_parse_errors"),
+    "parse-trailing-text-accepted": Mutant(
+        "src/curvelat/exactalg.py",
+        "if m.end() == len(text):",
+        "if True:",
+        "tests/test_exactalg.py::test_parse_errors"),
+    "parse-minus-read-as-plus": Mutant(
+        "src/curvelat/exactalg.py",
+        """-1 if op == "-" else 1""",
+        "1",
+        "tests/test_exactalg.py::test_parse_full_expression"),
+    "d0-kills-independent-off": Mutant(
+        _D0,
+        "if any(col and ok for",
+        "if False and any(col and ok for",
+        "tests/test_oslattice.py"
+        "::test_d0_structure_checks_detect_independent_generator_hit"),
+    "d0-kernel-off": Mutant(
+        _D0,
+        "if rank_rational(indep_vectors + image_d0) != kernel_dim:",
+        "if False:",
+        "tests/test_oslattice.py"
+        "::test_d0_structure_checks_detect_lost_kernel"),
+    "d0-split-off": Mutant(
+        _D0,
+        "if sum(dim_image + len(span)",
+        "if False and sum(dim_image + len(span)",
+        "tests/test_oslattice.py"
+        "::test_d0_structure_checks_detect_unsplit_image"),
+    "d0-ideal-off": Mutant(
+        _D0,
+        "if dim - rank_rational(ideal) != expected:",
+        "if False:",
+        "tests/test_oslattice.py"
+        "::test_d0_structure_checks_detect_wrong_ideal"),
+    "symmetry-mirror-shifted": Mutant(
+        "src/curvelat/hilbert.py",
+        "zip(box_points(l), h, reversed(h))",
+        "zip(box_points(l), h, reversed(h[:-1]))",
+        "tests/test_hilbert.py::test_symmetry_all_corpus"),
+}
+
+# checks the table against the unmutated files, so it fails in every copy
+_TABLE_TEST = "tests/test_mutants.py"
+
+_FAILED = re.compile(r"^FAILED (.+?)(?: - .*)?$", re.MULTILINE)
+
+
+def run(name, mutant):
+    r"""
+    Apply the mutant to a fresh copy of the checkout, run tier-1 there
+    with -x, and return the id of the first failing test, or None when
+    the mutant survived.
+    """
+    with tempfile.TemporaryDirectory(prefix="curvelat-mutant-") as tmp:
+        copy = os.path.join(tmp, "repo")
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "run-*"))
+        target = os.path.join(copy, mutant.path)
+        with open(target) as fh:
+            text = fh.read()
+        if text.count(mutant.old) != 1:
+            raise SystemExit("%s: old text does not occur exactly once in %s"
+                             % (name, mutant.path))
+        with open(target, "w") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH="src")
+        for targets in ([mutant.killer], ["tests", "bench"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-rf",
+                 "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                 "--ignore", _TABLE_TEST] + targets,
+                cwd=copy, env=env, capture_output=True, text=True)
+            if proc.returncode:
+                failed = _FAILED.search(proc.stdout)
+                return (failed.group(1) if failed
+                        else "pytest exit %d" % proc.returncode)
+    return None
+
+
+def main(names):
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        raise SystemExit("unknown mutant: %s" % ", ".join(unknown))
+    survived = 0
+    for name in names or MUTANTS:
+        mutant = MUTANTS[name]
+        killer = run(name, mutant)
+        if killer is None:
+            survived += 1
+            print("SURVIVED  %s" % name)
+        else:
+            note = "" if killer.startswith(mutant.killer) else (
+                "  (expected %s)" % mutant.killer)
+            print("killed    %s  by %s%s" % (name, killer, note))
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

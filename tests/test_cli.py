@@ -488,6 +488,15 @@ def test_dropped_term_exits_with_insufficient_truncation(capsys, tmp_path):
     assert "42 keeps it" in err
 
 
+def test_non_decimal_digit_exits_with_poly_syntax_error(capsys, tmp_path):
+    # '²' is a digit to str.isdigit but not a decimal digit
+    path = _write(tmp_path, {"truncation": 16,
+                             "branches": [{"x": "t^²", "y": "t^3"}]})
+    code, _, err = _run(capsys, ["invariants", path])
+    assert code == 1
+    assert err == "PolySyntaxError: expected exponent (at offset 2)\n"
+
+
 def test_argparse_failures(capsys):
     assert main([]) == 2
     assert main(["unknown-command"]) == 2

@@ -108,6 +108,115 @@ def test_parse_star_without_t():
         parse_poly("2*3", 10)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("", "empty polynomial", 0),
+    ("   ", "empty polynomial", 3),
+    ("-t", "expected integer", 1),
+    ("1+", "expected integer", 2),
+    ("1 - - x", "expected integer", 6),
+    ("+1", "expected integer", 0),
+    ("²*t", "expected integer", 0),
+    ("1/", "expected denominator", 2),
+    ("1/ *t", "expected denominator", 3),
+    ("1/²", "expected denominator", 2),
+    ("7/0*6", "zero denominator", 2),
+    ("1/ 00", "zero denominator", 3),
+    ("2*^2", "expected 't' after '*'", 2),
+    ("2* 3", "expected 't' after '*'", 3),
+    ("t^", "expected exponent", 2),
+    ("2*t ^ x", "expected exponent", 6),
+    ("t^²", "expected exponent", 2),
+    ("2^3", "expected '+' or '-'", 1),
+    ("t 2", "expected '+' or '-'", 2),
+    ("tt", "expected '+' or '-'", 1),
+    ("1/2/3", "expected '+' or '-'", 3),
+])
+def test_parse_errors(text, message, position):
+    # the order of the checks shows in 7/0*6 (the zero denominator comes
+    # before the missing t) and in 2^3 (an exponent only follows a t)
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(text, 10)
+    assert exc.value.position == position
+    assert str(exc.value) == "%s (at offset %d)" % (message, position)
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("- 5", {0: -5}),
+    ("1 - -2*t", {0: 1, 1: 2}),
+    ("t ^ 2", {2: 1}),
+    ("\t1\t+\tt\t", {0: 1, 1: 1}),
+    ("1\u00a0+\u00a0t", {0: 1, 1: 1}),
+    ("1 - 1/2 * t", {0: 1, 1: Fraction(-1, 2)}),
+    ("٣*t", {1: 3}),
+])
+def test_parse_accepted_forms(text, coeffs):
+    assert parse_poly(text, 10).coeffs == coeffs
+
+
+_SPACES = st.text(alphabet=" \t\u00a0", max_size=2)
+
+
+@st.composite
+def _polynomials(draw):
+    # a polynomial drawn from the grammar as tokens with whitespace
+    # between them, its truncation, and the coefficients it stands for
+    truncation = draw(st.integers(0, 8))
+    tokens, coeffs = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        sign = 1
+        if i:
+            op = draw(st.sampled_from("+-"))
+            tokens.append(op)
+            sign = -1 if op == "-" else 1
+        kind = draw(st.sampled_from(["t", "coeff", "coeff*t"]))
+        c, e = Fraction(1), 0
+        if kind != "t":
+            num = draw(st.integers(-30, 30))
+            tokens += ["-", str(-num)] if num < 0 else [str(num)]
+            c = Fraction(num)
+            if draw(st.booleans()):
+                den = draw(st.integers(1, 9))
+                tokens += ["/", str(den)]
+                c /= den
+        if kind != "coeff":
+            tokens += ["*", "t"] if kind == "coeff*t" else ["t"]
+            e = 1
+            if draw(st.booleans()):
+                e = draw(st.integers(0, 10))
+                tokens += ["^", str(e)]
+        if e < truncation:
+            coeffs[e] = coeffs.get(e, 0) + sign * c
+    text = "".join(draw(_SPACES) + token for token in tokens)
+    return text + draw(_SPACES), truncation, {
+        e: c for e, c in coeffs.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomials())
+def test_parse_generated_polynomials(case):
+    text, truncation, coeffs = case
+    s = parse_poly(text, truncation)
+    assert s.coeffs == coeffs
+    assert s.truncation == truncation
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=" t^*/+-0123456789\t²٣\u00a0", max_size=12))
+def test_parse_raises_only_poly_syntax_error(text):
+    try:
+        parse_poly(text, 5)
+    except PolySyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
+
+
+def test_parse_error_after_long_whitespace_is_linear():
+    # a pattern in which two whitespace runs meet with only optional
+    # parts between them backtracks quadratically here
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly("1 +" + " " * 200_000 + "x", 5)
+    assert exc.value.position == 200_003
+
+
 # ---------------------------------------------------------------------------
 # series arithmetic
 

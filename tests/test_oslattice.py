@@ -327,6 +327,61 @@ def test_d0_structure_checks_detect_leaky_boundary(monkeypatch):
         d0_structure_checks(Matroid.generic_lines(3))
 
 
+def _patch_boundary(monkeypatch, name, k, columns):
+    # the boundary `name` of OSComplex from degree k replaced by columns
+    # built from the real ones, every other degree left as it is
+    real = getattr(OSComplex, name)
+
+    def patched(self, degree):
+        cols = real(self, degree)
+        return columns(cols) if degree == k else cols
+
+    monkeypatch.setattr(OSComplex, name, patched)
+
+
+def test_d0_structure_checks_detect_independent_generator_hit(monkeypatch):
+    # the independent pair 0b011 given a rank-preserving face
+    _patch_boundary(monkeypatch, "boundary_d0", 2,
+                    lambda cols: [{0: 1}] + cols[1:])
+    with pytest.raises(ConsistencyError,
+                       match="does not kill an independent generator"):
+        d0_structure_checks(Matroid.generic_lines(3))
+
+
+def test_d0_structure_checks_detect_lost_kernel(monkeypatch):
+    # the dependent triple's rank-preserving boundary emptied: its cycle
+    # is then neither independent nor a boundary
+    _patch_boundary(monkeypatch, "boundary_d0", 3,
+                    lambda cols: [{} for _ in cols])
+    with pytest.raises(ConsistencyError,
+                       match="not independent span plus image in degree 3"):
+        d0_structure_checks(Matroid.generic_lines(3))
+
+
+def test_d0_structure_checks_detect_unsplit_image(monkeypatch):
+    # four lines of a plane and a fifth free element: the column of the
+    # dependent set 0b01111 hits only dependent triples, and an added
+    # independent triple 0b10011 keeps the kernel's rank but leaves the
+    # image with no dependent part
+    matroid = Matroid(5, {m: min((m & 0b1111).bit_count(), 2) + (m >> 4)
+                          for m in range(32)})
+    row = OSComplex(matroid).basis(3).index(0b10011)
+    _patch_boundary(monkeypatch, "boundary_d0", 4,
+                    lambda cols: [{**cols[0], row: 1}] + cols[1:])
+    with pytest.raises(ConsistencyError,
+                       match="does not split in degree 3"):
+        d0_structure_checks(matroid)
+
+
+def test_d0_structure_checks_detect_wrong_ideal(monkeypatch):
+    # the dependent triple's full boundary emptied: the ideal loses it
+    _patch_boundary(monkeypatch, "boundary_full", 3,
+                    lambda cols: [{} for _ in cols])
+    with pytest.raises(ConsistencyError,
+                       match="arrangement polynomial in degree 2"):
+        d0_structure_checks(Matroid.generic_lines(3))
+
+
 def test_graded_group_api():
     g = GradedGroup({0: (1, ()), 1: (0, ()), -2: (2, (1, 3))})
     assert g.groups == {0: (1, ()), -2: (2, (3,))}
