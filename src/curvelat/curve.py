@@ -9,15 +9,16 @@ at least v_i; everything else in the package is derived from it.  This
 module computes h(v) directly as the rank of a sparse matrix of monomial
 jet coefficients, with no recursion, so it can serve as the ground-truth
 route against which faster routes are checked.  Each branch caches the
-sparse jet of every monomial it has composed (``jet``), its delta
-and conductor (``branch_delta``) and its accepted intersection number
-with each other branch (``intersection_multiplicity``); h itself is
-never cached.  Branch deltas and intersection numbers are read off h
+sparse jet of every monomial it has composed (``jet``), the columns of
+the jet matrix (``columns``), its delta and conductor (``branch_delta``)
+and its accepted intersection number with each other branch
+(``intersection_multiplicity``); h itself is never cached.  Branch deltas and intersection numbers are read off h
 values too; the second route for an intersection number is a local
 check at one lattice point, so nothing global about the polynomial
 curves enters.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import index
@@ -124,6 +125,30 @@ class BranchParametrization:
                 for e, c in sorted(self.monomial(a, b).coeffs.items()))
         return cache[a, b]
 
+    def columns(self, n):
+        r"""
+        The jet matrix's columns e < n: column e maps the index
+        k = d(d + 1)/2 + a of each monomial x^a y^b (d = a + b) to the
+        nonzero t^e entry of its ``jet``.  An entry at e needs order
+        a ord(x) + b ord(y) <= e, so only jets of order below n are read.
+        The columns are cached on the branch, and a call for more of
+        them than are built adds only the entries of the new ones.
+        """
+        cols = self.__dict__.setdefault("_columns", [])
+        built = len(cols)
+        if n > built:
+            cols += [{} for _ in range(built, n)]
+            ox, oy = self.orders
+            for a in range(-(-n // ox)):
+                for b in range(-((a * ox - n) // oy)):
+                    jet = self.jet(a, b)
+                    k = (a + b) * (a + b + 1) // 2 + a
+                    for e, x in jet[bisect_left(jet, (built,)):]:
+                        if e >= n:
+                            break
+                        cols[e][k] = x
+        return cols[:n]
+
     def _power(self, base, n, slot):
         cache = self.__dict__.setdefault(slot, {})
         if n not in cache:
@@ -161,18 +186,12 @@ def h_oracle(curve, v):
     r"""
     Hilbert value h(v) as a matrix rank, directly from the definition.
 
-    Functions are represented by the monomials x^a y^b with a + b below
-    max(v); the sparse row of a monomial holds, branch by branch, the
-    entries below v_i of the monomial's integer jet on the branch (see
-    BranchParametrization.jet), at columns offset by the earlier v_j,
-    and h(v) is its rank.  Negative coordinates are clamped to zero first.
-
-    Only the rows that are not zero are built.  On a branch, x^a y^b
-    has order exactly a ord(x) + b ord(y), and it is zero when a zero
-    coordinate has a positive exponent (a zero coordinate's order is
-    taken as the truncation, which no v_i exceeds; a nonzero one has
-    order >= 1).  So a monomial has a row exactly when that order is
-    below v_i on some branch, and then a + b is below max(v).
+    The jet matrix of v has a row for each monomial x^a y^b and, branch
+    by branch, a column for each e below v_i, holding the t^e entries of
+    the monomials' integer jets; h(v) is the rank of its nonzero columns
+    (see BranchParametrization.columns), reduced last branch first and
+    highest e first, an order that no prefix of the table fill's
+    insertions takes.  Negative coordinates are clamped to zero first.
 
     Parameters
     ----------
@@ -201,22 +220,8 @@ def h_oracle(curve, v):
         raise InsufficientTruncation(
             "need %d series terms but only %d are kept"
             % (m, curve.truncation))
-    spans = [(b.jet, *b.orders, n, sum(v[:i]))
-             for i, (b, n) in enumerate(zip(curve.branches, v))]
-    rows = []
-    for a in range(m):
-        # x^a y^b has a row while b ord(y) < v_i - a ord(x) on some branch
-        stop = max(-((a * ox - n) // oy) for _, ox, oy, n, _ in spans)
-        for b in range(stop):
-            row = {}
-            for jet, ox, oy, n, offset in spans:
-                if a * ox + b * oy < n:
-                    for e, x in jet(a, b):
-                        if e >= n:
-                            break
-                        row[offset + e] = x
-            rows.append(row)
-    return rank_sparse(rows)
+    return rank_sparse([col for b, n in zip(curve.branches[::-1], v[::-1])
+                        for col in b.columns(n)[::-1] if col])
 
 
 def branch_delta(branch):

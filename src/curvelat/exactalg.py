@@ -134,7 +134,8 @@ def parse_poly(text, truncation):
     ------
     PolySyntaxError
         On any grammar violation, with the 0-based offset of the
-        offending character.
+        offending character, or on a numeral read with more digits than
+        ``int`` accepts, at the numeral's offset.
     """
     if not text.strip():
         raise PolySyntaxError("empty polynomial", len(text))
@@ -148,21 +149,29 @@ def parse_poly(text, truncation):
         t, minus, num, den, star_t, exp, op = m.groups()
         if den == "":
             raise PolySyntaxError("expected denominator", m.start(4))
-        if den and int(den) == 0:
+        if den and _int(m, 4) == 0:
             raise PolySyntaxError("zero denominator", m.start(4))
         if star_t == "":
             raise PolySyntaxError("expected 't' after '*'", m.start(5))
         if exp == "":
             raise PolySyntaxError("expected exponent", m.start(6))
-        e = int(exp) if exp else 1 if t or star_t else 0
+        e = _int(m, 6) if exp else 1 if t or star_t else 0
         if e < truncation:
-            c = Fraction(int(num), int(den or 1)) if num else Fraction(1)
+            c = Fraction(_int(m, 3), int(den or 1)) if num else Fraction(1)
             coeffs[e] = coeffs.get(e, 0) + (-c if minus else c) * sign
         if not op:
             if m.end() == len(text):
                 return TruncSeries(coeffs, truncation)
             raise PolySyntaxError("expected '+' or '-'", m.end())
         pos, sign = m.end(), -1 if op == "-" else 1
+
+
+def _int(m, group):
+    # int() refuses a numeral longer than sys.get_int_max_str_digits()
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise PolySyntaxError("integer too long", m.start(group)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ numeric invariants of a curve germ.
 The table builder fills [0, l] (l the conductor) with prefix ranks:
 one echelon basis of sparse jet columns per point of the first r - 1
 coordinates, extended by the last branch's columns one at a time with
-exactalg.echelon_insert, the same kernel that ranks h_oracle's rows.
+exactalg.echelon_insert, the same kernel that ranks h_oracle's columns.
 Beyond the conductor every unit step adds 1.  The ranks are kept as one
 flat list in lexicographic order, so every read of h is an index
 computed from strides, plus the excess beyond l; membership and the

@@ -4,10 +4,13 @@ disable or weaken one guard, and the tier-1 test expected to kill each.
 
     python tests/mutants.py [NAME ...]
 
-applies each named mutant (all of them when none is named) to a copy of
-the checkout under a temporary directory, runs tier-1 there with -x,
+applies each named mutant (all of MUTANTS when none is named) to a copy
+of the checkout under a temporary directory, runs tier-1 there with -x,
 and reports whether the mutant was killed and by which test.  The
-checkout itself is never edited.  Exit status 1 if any mutant survived.
+checkout itself is never edited.  A mutant of EQUIVALENT, which changes
+no result, runs only when named, and is expected to survive.  Exit
+status 1 if a mutant of MUTANTS survived or one of EQUIVALENT was
+killed.
 
 The mutant's expected test runs on its own first; only when it passes
 does the whole of tier-1 run, so a survivor costs a full tier-1 run.
@@ -24,8 +27,11 @@ from collections import namedtuple
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 Mutant = namedtuple("Mutant", "path old new killer")
+Equivalent = namedtuple("Equivalent", "path old new reason")
 
+_CURVE = "src/curvelat/curve.py"
 _D0 = "src/curvelat/oslattice.py"
+_HILBERT = "src/curvelat/hilbert.py"
 
 MUTANTS = {
     # two whitespace runs with only an optional '-' between them
@@ -43,7 +49,7 @@ MUTANTS = {
     "parse-zero-denominator-late": Mutant(
         "src/curvelat/exactalg.py",
         """\
-        if den and int(den) == 0:
+        if den and _int(m, 4) == 0:
             raise PolySyntaxError("zero denominator", m.start(4))
         if star_t == "":
             raise PolySyntaxError("expected 't' after '*'", m.start(5))
@@ -51,7 +57,7 @@ MUTANTS = {
         """\
         if star_t == "":
             raise PolySyntaxError("expected 't' after '*'", m.start(5))
-        if den and int(den) == 0:
+        if den and _int(m, 4) == 0:
             raise PolySyntaxError("zero denominator", m.start(4))
 """,
         "tests/test_exactalg.py::test_parse_errors"),
@@ -95,10 +101,71 @@ MUTANTS = {
         "tests/test_oslattice.py"
         "::test_d0_structure_checks_detect_wrong_ideal"),
     "symmetry-mirror-shifted": Mutant(
-        "src/curvelat/hilbert.py",
+        _HILBERT,
         "zip(box_points(l), h, reversed(h))",
         "zip(box_points(l), h, reversed(h[:-1]))",
         "tests/test_hilbert.py::test_symmetry_all_corpus"),
+    "oracle-column-cut-late": Mutant(
+        _CURVE,
+        "if e >= n:",
+        "if e > n:",
+        "tests/test_curve.py::test_h_monomial_cutoff_generated"),
+    "oracle-extension-rewrites-built-columns": Mutant(
+        _CURVE,
+        "jet[bisect_left(jet, (built,)):]",
+        "jet",
+        "tests/test_hilbert.py"
+        "::test_spot_check_catches_a_poisoned_oracle_column"),
+    "oracle-drops-last-branch": Mutant(
+        _CURVE,
+        "zip(curve.branches[::-1], v[::-1])",
+        "zip(curve.branches[-2::-1], v[-2::-1])",
+        "tests/test_curve.py"
+        "::test_h_matches_reference_grid_two_smooth_branches"),
+    "fill-drops-top-degree": Mutant(
+        _HILBERT,
+        "for d in range(max(l))",
+        "for d in range(max(l) - 1)",
+        "tests/test_hilbert.py::test_table_agrees_with_oracle_everywhere"),
+    "fill-inserts-before-recursing": Mutant(
+        _HILBERT,
+        """\
+            sweep(depth + 1, basis)
+            basis = echelon_insert(basis, col)
+""",
+        """\
+            basis = echelon_insert(basis, col)
+            sweep(depth + 1, basis)
+""",
+        "tests/test_hilbert.py::test_table_agrees_with_oracle_everywhere"),
+    "fill-column-cut-early": Mutant(
+        _HILBERT,
+        "if e >= n:",
+        "if e >= n - 1:",
+        "tests/test_hilbert.py::test_table_agrees_with_oracle_everywhere"),
+}
+
+# Mutants that change no result, each with the reason; a run names them
+# explicitly and expects them to survive the whole of tier-1.
+EQUIVALENT = {
+    # h_oracle's elimination order
+    "oracle-ascending-order": Equivalent(
+        _CURVE,
+        "zip(curve.branches[::-1], v[::-1])\n"
+        "                        for col in b.columns(n)[::-1] if col]",
+        "zip(curve.branches, v)\n"
+        "                        for col in b.columns(n) if col]",
+        "a rank depends on no order of the vectors; the oracle reduces "
+        "last branch first and highest e first only so that it does not "
+        "replay the fill's insertions"),
+    # the fill's row index (the oracle's is pinned by
+    # test_h_oracle_ranks_the_nonzero_columns_of_the_definition)
+    "fill-other-monomial-index": Equivalent(
+        _HILBERT,
+        "((a, d - a) for d in range(max(l))",
+        "((d - a, a) for d in range(max(l))",
+        "any bijection of the monomial index permutes the rows of every "
+        "prefix matrix, which changes no rank"),
 }
 
 # checks the table against the unmutated files, so it fails in every copy
@@ -126,7 +193,8 @@ def run(name, mutant):
         with open(target, "w") as fh:
             fh.write(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH="src")
-        for targets in ([mutant.killer], ["tests", "bench"]):
+        killer = getattr(mutant, "killer", None)
+        for targets in ([[killer]] if killer else []) + [["tests", "bench"]]:
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "-rf",
                  "-p", "no:cacheprovider", "--continue-on-collection-errors",
@@ -140,21 +208,26 @@ def run(name, mutant):
 
 
 def main(names):
-    unknown = [n for n in names if n not in MUTANTS]
+    unknown = [n for n in names if n not in MUTANTS and n not in EQUIVALENT]
     if unknown:
         raise SystemExit("unknown mutant: %s" % ", ".join(unknown))
-    survived = 0
+    wrong = 0
     for name in names or MUTANTS:
-        mutant = MUTANTS[name]
+        mutant = MUTANTS.get(name) or EQUIVALENT[name]
         killer = run(name, mutant)
-        if killer is None:
-            survived += 1
+        if name in EQUIVALENT:
+            wrong += killer is not None
+            print("survived  %s  (equivalent)" % name if killer is None
+                  else "KILLED    %s  by %s, recorded as equivalent"
+                  % (name, killer))
+        elif killer is None:
+            wrong += 1
             print("SURVIVED  %s" % name)
         else:
             note = "" if killer.startswith(mutant.killer) else (
                 "  (expected %s)" % mutant.killer)
             print("killed    %s  by %s%s" % (name, killer, note))
-    return 1 if survived else 0
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -497,6 +497,17 @@ def test_non_decimal_digit_exits_with_poly_syntax_error(capsys, tmp_path):
     assert err == "PolySyntaxError: expected exponent (at offset 2)\n"
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="int() reads numerals of any length")
+def test_too_long_exponent_exits_with_poly_syntax_error(capsys, tmp_path):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    path = _write(tmp_path, {"truncation": 16,
+                             "branches": [{"x": "t^" + digits, "y": "t"}]})
+    code, _, err = _run(capsys, ["invariants", path])
+    assert code == 1
+    assert err == "PolySyntaxError: integer too long (at offset 2)\n"
+
+
 def test_argparse_failures(capsys):
     assert main([]) == 2
     assert main(["unknown-command"]) == 2

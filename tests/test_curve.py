@@ -253,17 +253,16 @@ def test_h_monomial_cutoff_generated(pairs, points):
     _assert_cutoff(_curve(pairs, 16), points)
 
 
-@pytest.mark.parametrize("args, calls, rows", [
-    # of the 3253 rows of every monomial with a + b < max(v), 1503 are
-    # zero and are not built
-    (["--box", "16,16", corpus_path("a3")], 52, 1750),
-    # (t, 0) and (0, t): 576 rows, 177 of them zero
-    ([corpus_path("triple")], 68, 399),
+@pytest.mark.parametrize("args, calls, columns", [
+    # 1750 nonzero rows of monomials, 694 nonzero columns
+    (["--box", "16,16", corpus_path("a3")], 52, 694),
+    # (t, 0) and (0, t): 399 nonzero rows, 401 nonzero columns
+    ([corpus_path("triple")], 68, 401),
 ], ids=["a3-box-16", "triple"])
-def test_h_oracle_builds_one_row_per_nonzero_monomial(monkeypatch, args,
-                                                      calls, rows):
+def test_h_oracle_ranks_the_nonzero_columns_of_the_definition(
+        monkeypatch, args, calls, columns):
     # every rank of a whole hilbert command gets exactly the nonzero
-    # rows of the monomial jets
+    # columns of the monomial jets, each as {monomial index: entry}
     pending = []
     sizes = []
     original_h = curve_module.h_oracle
@@ -274,16 +273,17 @@ def test_h_oracle_builds_one_row_per_nonzero_monomial(monkeypatch, args,
         return original_h(curve, v)
 
     def checked_rank(rows):
-        # each row in one canonical form, its (column, entry) pairs in
-        # order, against the nonzero dense rows of the definition
+        # each column in one canonical form, its (index, entry) pairs in
+        # order, against the nonzero dense columns of the definition
+        rows = list(rows)
         curve, v = pending[-1]
         every = [[branch.monomial(a, total - a).coefficient(e)
                   * branch.scale ** e
-                  for branch, n in zip(curve.branches, v) for e in range(n)]
-                 for total in range(max(v)) for a in range(total + 1)]
+                  for total in range(max(v)) for a in range(total + 1)]
+                 for branch, n in zip(curve.branches, v) for e in range(n)]
         assert sorted(sorted(row.items()) for row in rows) == sorted(
-            [(j, x) for j, x in enumerate(row) if x]
-            for row in every if any(row))
+            [(k, x) for k, x in enumerate(col) if x]
+            for col in every if any(col))
         sizes.append(len(rows))
         return original_rank(rows)
 
@@ -291,7 +291,7 @@ def test_h_oracle_builds_one_row_per_nonzero_monomial(monkeypatch, args,
     monkeypatch.setattr(hilbert_module, "h_oracle", recorded_h)
     monkeypatch.setattr(curve_module, "rank_sparse", checked_rank)
     assert main(["hilbert"] + args) == 0
-    assert (len(sizes), sum(sizes)) == (calls, rows)
+    assert (len(sizes), sum(sizes)) == (calls, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,25 @@ def test_parse_errors(text, message, position):
     assert str(exc.value) == "%s (at offset %d)" % (message, position)
 
 
+# one digit more than int() reads from a string
+_LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="int() reads numerals of any length")
+@pytest.mark.parametrize("text, position", [
+    ("t^" + _LONG, 2),
+    (_LONG + "*t", 0),
+    ("1/" + _LONG, 2),
+    ("1 + 2/" + _LONG + "*t", 6),
+], ids=["exponent", "numerator", "denominator", "second-term"])
+def test_parse_too_long_numeral(text, position):
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(text, 5)
+    assert exc.value.position == position
+    assert str(exc.value) == "integer too long (at offset %d)" % position
+
+
 @pytest.mark.parametrize("text, coeffs", [
     ("- 5", {0: -5}),
     ("1 - -2*t", {0: 1, 1: 2}),

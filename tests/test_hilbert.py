@@ -245,6 +245,38 @@ def test_spot_check_catches_a_wrong_fill_value(monkeypatch):
         build_table(c)
 
 
+def test_fill_reads_no_oracle_column(monkeypatch):
+    # the fill builds its own columns from the jets; the oracle's cache
+    # is not among its inputs
+    expected = build_table(corpus_curve("d5")).values
+    c = corpus_curve("d5")
+    l = invariants(c).conductor
+
+    def refused(branch, n):
+        raise AssertionError("the fill read an oracle column")
+
+    monkeypatch.setattr(BranchParametrization, "columns", refused)
+    assert hilbert_module._fill_to_conductor(c, l) == expected
+
+
+def test_spot_check_catches_a_poisoned_oracle_column():
+    # on a3 = (t, t^2), (t, -1*t^2) column 2 of the second branch is
+    # {x^2: 1, y: -1}; with y's entry (index 1) made 1 it equals column
+    # 2 of the first branch, so ranks with both columns, v >= (3, 3),
+    # drop by one while every one-branch rank stays.  The poison is set
+    # before the spot check extends the second branch's columns (at
+    # (2, 4)), and the first sampled cell with v >= (3, 3) is (4, 8)
+    c = corpus_curve("a3")
+    invariants(c)
+    column = c.branches[1].columns(3)[2]
+    assert column == {1: -1, 5: 1}
+    column[1] = 1
+    with pytest.raises(ConsistencyError,
+                       match=r"^table value 10 at \(4, 8\) but direct rank "
+                             r"is 9$"):
+        build_table(c, (6, 6))
+
+
 _coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2),
                                  Fraction(-2, 3), Fraction(5, 4)])
 
