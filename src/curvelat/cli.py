@@ -27,7 +27,7 @@ from . import verify
 from .curve import BranchParametrization, Curve
 from .errors import CurvelatError, CurveSchemaError
 from .hilbert import box_points, build_table, invariants, semigroup
-from .latthom import grv_homology
+from .latthom import graded_pieces, grv_homology
 from .series import (alexander, canonical_str, motivic_normalized,
                      poincare_from_hilbert)
 
@@ -201,12 +201,12 @@ def _cmd_homology(curve, args):
                 [_render_groups(groups)])
     box = _parse_point(args.box, curve.r, "--box")
     table = build_table(curve)
-    points = {v: grv_homology(table, v) for v in box_points(box)}
+    points = graded_pieces(table, box)
     payload = {"box": list(box),
                "points": {_join(v, ","): _groups_payload(g)
                           for v, g in points.items()}}
-    return payload, ["%s: %s" % (_join(v, ","), _render_groups(points[v]))
-                     for v in sorted(points)]
+    return payload, ["%s: %s" % (_join(v, ","), _render_groups(g))
+                     for v, g in points.items()]
 
 
 def _cmd_verify(curve, args):

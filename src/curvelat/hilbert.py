@@ -20,7 +20,7 @@ whole box.  Any mismatch raises ConsistencyError.
 from collections import namedtuple
 from itertools import product
 from math import prod
-from operator import index
+from operator import index, sub
 
 from .curve import branch_delta, h_oracle, intersection_multiplicity
 from .errors import ConsistencyError
@@ -346,10 +346,31 @@ def build_table(curve, box=None):
     return table
 
 
+def local_field(table, box):
+    r"""
+    (h, ids, vectors): h(v) and the index in vectors of the local rank
+    vector k(v) = (h(v + e_K) - h(v))_K, bit j of K adding e_j, at every
+    point of [0, box] in lexicographic order.  vectors lists the distinct
+    k(v) by first point; entry K is grid(box + 1) read shifted by e_K.
+    """
+    shape = tuple(b + 2 for b in box)
+    grid = table.grid(tuple(b + 1 for b in box))
+    cells = box_offsets(box, shape)
+    h = [grid[k] for k in cells]
+    shifts = [0]
+    for j in range(len(box)):
+        shifts += [s + prod(shape[j + 1:]) for s in shifts]
+    reads = (map(sub, map(grid.__getitem__, map(s.__add__, cells)), h)
+             for s in shifts)
+    index = {}
+    ids = [index.setdefault(k, len(index)) for k in zip(*reads)]
+    return h, ids, list(index)
+
+
 def semigroup(table, box=None):
     r"""
-    Value semigroup points inside a box, sorted lexicographically,
-    read off the given HilbertTable.
+    Value semigroup points inside a box, sorted lexicographically: those
+    whose local rank vector (see local_field) has every singleton entry 1.
 
     The default box is the conductor plus 1 in every coordinate, which
     shows the full gap structure together with one layer of the far
@@ -360,12 +381,13 @@ def semigroup(table, box=None):
     l = table.invariants.conductor
     if box is None:
         box = tuple(c + 1 for c in l)
-    members = set(v for v in box_points(box) if table.in_semigroup(v))
-    for v in box_points(box):
-        if all(a >= b for a, b in zip(v, l)) and v not in members:
+    _, ids, vectors = local_field(table, box)
+    member = [all(k[1 << j] == 1 for j in range(len(l))) for k in vectors]
+    for v, i in zip(box_points(box), ids):
+        if not member[i] and all(a >= b for a, b in zip(v, l)):
             raise ConsistencyError(
                 "%s dominates the conductor but is not a member" % (v,))
-    return sorted(members)
+    return [v for v, i in zip(box_points(box), ids) if member[i]]
 
 
 def symmetry_check(table):

@@ -4,13 +4,13 @@ Lattice homology of a curve from its Hilbert table.
 The graded piece at a lattice point v is computed by two independent
 routes: directly, as the homology of the U-extended complex of the
 local rank function at v, shifted by -2 h(v); and by formula, reading
-the ranks off the q-polynomial at v.  The local complex depends only on
-the local matroid, so it is reduced once per distinct local matroid of
-a table, while the q-polynomial route still runs, and is compared with
-the shifted piece, at every point.  Sublevel cubical complexes, the
-closed-form structure for one branch (including the spectral sequence
-of the U = 0 complex and its Alexander polynomial identity), and the
-five-case classification for two branches are provided on top.
+the ranks off the q-polynomial at v.  Both are a piece of the local
+rank vector at v shifted by h(v), so the pieces of a box compare them
+once per distinct vector, and each vector's complex is reduced once per
+table.  Sublevel cubical complexes, the closed-form structure for one
+branch (including the spectral sequence of the U = 0 complex and its
+Alexander polynomial identity), and the five-case classification for
+two branches are provided on top.
 """
 
 from collections import namedtuple
@@ -18,7 +18,7 @@ from itertools import product
 
 from .errors import (BoxTooSmall, ConsistencyError, UnclassifiablePattern)
 from .exactalg import rank_rational
-from .hilbert import box_points, local_matroid
+from .hilbert import box_points, local_field, local_matroid
 from .oslattice import GradedGroup, du_homology, homology_from_boundaries
 from .series import hv_polynomial
 
@@ -94,6 +94,28 @@ def grv_homology(table, v):
     return direct
 
 
+def graded_pieces(table, box):
+    r"""
+    The graded piece (see grv_homology) at every point of [0, box], in
+    lexicographic order: grv_homology at the first point of each local
+    rank vector (see hilbert.local_field), shifted by -2 (h(v) - h(first)).
+    """
+    # One comparison per vector checks as much as one per point: both
+    # routes shift the vector's answer by the same h(v), so a repeat at
+    # another point would redo the same arithmetic, and a wrong value of
+    # h changes the vectors of the 2^r points whose cubes read it.
+    h, ids, _ = local_field(table, box)
+    first = []  # the piece and h at the first point of each vector
+    pieces = {}
+    for v, hv, i in zip(box_points(box), h, ids):
+        if i == len(first):
+            first.append((grv_homology(table, v), hv))
+        piece, base = first[i]
+        pieces[v] = GradedGroup({q + 2 * (base - hv): group
+                                 for q, group in piece.groups.items()})
+    return pieces
+
+
 def euler_check(table, poincare):
     r"""
     Verify that the Euler characteristic of the graded piece at every
@@ -106,11 +128,12 @@ def euler_check(table, poincare):
     wide = tuple(c + 1 for c in table.invariants.conductor)
     if any(b < w for b, w in zip(poincare.box, wide)):
         raise ValueError("series box %s is below l + 1" % (poincare.box,))
-    for v in box_points(wide):
-        groups = grv_homology_direct(table, v)
-        chi = sum((-1) ** (q % 2) * rank
-                  for q, (rank, _) in groups.groups.items())
-        if chi != poincare.coefficient(v):
+    chi = []  # per local rank vector, as pieces shift by an even -2 h(v)
+    for v, i in zip(box_points(wide), local_field(table, wide)[1]):
+        if i == len(chi):
+            chi.append(sum(-rank if q % 2 else rank for q, (rank, _)
+                           in grv_homology_direct(table, v).groups.items()))
+        if chi[i] != poincare.coefficient(v):
             raise ConsistencyError(
                 "Euler characteristic at %s does not match the "
                 "alternating sum" % (v,))

@@ -17,7 +17,7 @@ from itertools import accumulate
 from operator import sub
 
 from .errors import ConsistencyError, PolynomialityViolation, SupportViolation
-from .hilbert import axis_slices, box_offsets, box_points
+from .hilbert import axis_slices, box_offsets, box_points, local_field
 from .oslattice import signed_rank_count
 
 
@@ -188,15 +188,20 @@ def hv_polynomial(table, v):
 def motivic_series(table, box):
     r"""
     The q-refined series: the coefficient of t^v is the polynomial
-    [sum over subsets K of (-1)^|K| q^(h(v + e_K))] / (1 - q), which
-    hv_polynomial reads at v.
+    [sum over subsets K of (-1)^|K| q^(h(v + e_K))] / (1 - q), that is
+    q^h(v) times one of the local rank vector (see hilbert.local_field),
+    which hv_polynomial reads at the vector's first point.
     """
-    r = len(box)
+    h, ids, _ = local_field(table, box)
+    first = []  # the q-polynomial and h at the first point of each vector
     coeffs = {}
-    for v in box_points(box):
-        for m, c in hv_polynomial(table, v).items():
-            coeffs[(v, m)] = c
-    return BoxSeries(r, box, coeffs)
+    for v, hv, i in zip(box_points(box), h, ids):
+        if i == len(first):
+            first.append((hv_polynomial(table, v), hv))
+        poly, base = first[i]
+        for m, c in poly.items():
+            coeffs[(v, m + hv - base)] = c
+    return BoxSeries(len(box), box, coeffs)
 
 
 def motivic_normalized(table):

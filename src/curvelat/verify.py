@@ -8,10 +8,9 @@ those tables or the round trip's pi series, and none builds a table.
 """
 
 from .errors import ConsistencyError
-from .hilbert import (box_points, build_table, invariants,
-                      large_n_step_check, local_matroid, semigroup,
-                      symmetry_check)
-from .latthom import (euler_check, grv_homology, r1_structure,
+from .hilbert import (build_table, invariants, large_n_step_check,
+                      local_matroid, semigroup, symmetry_check)
+from .latthom import (euler_check, graded_pieces, r1_structure,
                       r2_classify, sk_homology)
 from .oslattice import GradedGroup, d0_structure_checks
 from .series import (alexander, hilbert_from_poincare, motivic_normalized,
@@ -31,9 +30,10 @@ def _verify_round_trip(table, box):
         sub = (table if mask == full
                else build_table(curve.subcurve(idx), sub_box))
         poincares[mask] = poincare_from_hilbert(sub, sub_box)
-    rebuilt = hilbert_from_poincare(poincares, table.invariants.conductor)
-    for v, h in rebuilt.items():
-        if h != table.value(v):
+    l = table.invariants.conductor
+    rebuilt = hilbert_from_poincare(poincares, l)
+    for (v, h), expected in zip(rebuilt.items(), table.grid(l)):
+        if h != expected:
             raise ConsistencyError(
                 "series round trip fails at %s" % (v,))
     return poincares
@@ -104,7 +104,7 @@ def run(curve, deep=False):
         yield ("skip", "restriction (single branch)")
     euler_check(table, poincare)
     yield ("ok", "euler")
-    pieces = {v: grv_homology(table, v) for v in box_points(box)}
+    pieces = graded_pieces(table, box)
     yield ("ok", "graded-homology")
     zero = (0,) * curve.r
     mid = tuple(c // 2 for c in inv.conductor)

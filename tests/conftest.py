@@ -119,6 +119,20 @@ def shifted_readers(table, point, d):
     return {"cube": shifted_cube, "grid": shifted_grid}
 
 
+def first_points(table, box):
+    r"""
+    The first point, in lexicographic order, of each distinct local rank
+    vector h(v + e_K) - h(v) of [0, box], read point by point off cubes.
+    """
+    from curvelat.hilbert import box_points
+
+    firsts = {}
+    for v in box_points(box):
+        cube = table.cube(v)
+        firsts.setdefault(tuple(h - cube[0] for h in cube), v)
+    return list(firsts.values())
+
+
 def count_reader_calls(monkeypatch, names):
     r"""
     Patch the named HilbertTable readers to record each call, and

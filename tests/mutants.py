@@ -32,6 +32,8 @@ Equivalent = namedtuple("Equivalent", "path old new reason")
 _CURVE = "src/curvelat/curve.py"
 _D0 = "src/curvelat/oslattice.py"
 _HILBERT = "src/curvelat/hilbert.py"
+_LATTHOM = "src/curvelat/latthom.py"
+_SERIES = "src/curvelat/series.py"
 
 MUTANTS = {
     # two whitespace runs with only an optional '-' between them
@@ -143,6 +145,113 @@ MUTANTS = {
         "if e >= n:",
         "if e >= n - 1:",
         "tests/test_hilbert.py::test_table_agrees_with_oracle_everywhere"),
+    "grid-drops-excess": Mutant(
+        _HILBERT,
+        "return [values[o] + p for o, p in zip(offsets, pasts)]",
+        "return [values[o] for o in offsets]",
+        "tests/test_hilbert.py::test_grid_is_value_at_every_point"),
+    "pi-passes-stop-short": Mutant(
+        _SERIES,
+        "for c in range(size - 1):",
+        "for c in range(size - 2):",
+        "tests/test_series.py"
+        "::test_poincare_from_hilbert_is_pi_value_at_every_point"),
+    "sweep-or-pass-uncapped": Mutant(
+        _HILBERT,
+        "for c in range(l[j] - 1, -1, -1):",
+        "for c in range(box[j] - 2, -1, -1):",
+        "tests/test_hilbert.py"
+        "::test_sweep_raises_exactly_when_the_witness_search_does"),
+    "sweep-or-pass-keeps-bit": Mutant(
+        _HILBERT,
+        "found[here] = [f | a & keep",
+        "found[here] = [f | a",
+        "tests/test_hilbert.py"
+        "::test_sweep_agrees_with_the_witness_search_on_the_corpus"),
+    "large-n-steps-without-memo": Mutant(
+        _HILBERT,
+        "h = [known[v] for v in line]",
+        "h = [h_oracle(curve, v) for v in line]",
+        "tests/test_hilbert.py::test_large_n_steps_compute_each_point_once"),
+    "hilbert-series-by-value": Mutant(
+        _SERIES,
+        "coeffs = {(v, 0): h for v, h in "
+        "zip(box_points(box), table.grid(box))}",
+        "coeffs = {(v, 0): table.value(v) for v in box_points(box)}",
+        "tests/test_series.py::test_hilbert_series_reads_one_grid"),
+    "r1-signed-count-check-off": Mutant(
+        _LATTHOM,
+        "if signed.get(e, 0) != poly.coefficient((e,)):",
+        "if False:",
+        "tests/test_latthom.py"
+        "::test_r1_structure_checks_the_polynomial_against_the_second_page"),
+    "r1-u-kernel-check-off": Mutant(
+        _LATTHOM,
+        "if ker != (1 if v in e2_alpha else 0):",
+        "if False:",
+        "tests/test_latthom.py::test_r1_structure_checks_exactness"),
+    "r1-u-cokernel-check-off": Mutant(
+        _LATTHOM,
+        "if coker != (1 if v + 1 in e2_a else 0):",
+        "if False:",
+        "tests/test_latthom.py::test_r1_structure_checks_exactness"),
+    # the local field and its readers
+    "field-table-strides": Mutant(
+        _HILBERT,
+        "shifts += [s + prod(shape[j + 1:]) for s in shifts]",
+        "shifts += [s + table.strides[j] for s in shifts]",
+        "tests/test_hilbert.py"
+        "::test_local_field_is_cube_and_value_at_every_point"),
+    "field-vectors-not-relative": Mutant(
+        _HILBERT,
+        "map(sub, map(grid.__getitem__, map(s.__add__, cells)), h)",
+        "map(grid.__getitem__, map(s.__add__, cells))",
+        "tests/test_hilbert.py"
+        "::test_local_field_is_cube_and_value_at_every_point"),
+    "semigroup-misses-last-direction": Mutant(
+        _HILBERT,
+        "for j in range(len(l))) for k in vectors]",
+        "for j in range(len(l) - 1)) for k in vectors]",
+        "tests/test_hilbert.py"
+        "::test_semigroup_is_in_semigroup_at_every_point"),
+    "field-piece-shift-wrong-sign": Mutant(
+        _LATTHOM,
+        "{q + 2 * (base - hv): group",
+        "{q + 2 * (hv - base): group",
+        "tests/test_latthom.py"
+        "::test_graded_pieces_are_grv_homology_at_every_point"),
+    "field-piece-unshifted": Mutant(
+        _LATTHOM,
+        """\
+        pieces[v] = GradedGroup({q + 2 * (base - hv): group
+                                 for q, group in piece.groups.items()})
+""",
+        """\
+        pieces[v] = piece
+""",
+        "tests/test_latthom.py"
+        "::test_graded_pieces_are_grv_homology_at_every_point"),
+    "field-q-polynomial-unshifted": Mutant(
+        _SERIES,
+        "coeffs[(v, m + hv - base)] = c",
+        "coeffs[(v, m)] = c",
+        "tests/test_series.py"
+        "::test_motivic_series_is_hv_polynomial_at_every_point"),
+    "euler-first-points-only": Mutant(
+        _LATTHOM,
+        """\
+        if chi[i] != poincare.coefficient(v):
+            raise ConsistencyError(
+                "Euler characteristic at %s does not match the "
+                "alternating sum" % (v,))
+""",
+        """\
+            if chi[i] != poincare.coefficient(v):
+                raise ConsistencyError(
+                    "Euler characteristic at %s does not match the "
+                    "alternating sum" % (v,))
+""",
+        "tests/test_latthom.py::test_euler_check_compares_every_point"),
 }
 
 # Mutants that change no result, each with the reason; a run names them
@@ -166,6 +275,13 @@ EQUIVALENT = {
         "((d - a, a) for d in range(max(l))",
         "any bijection of the monomial index permutes the rows of every "
         "prefix matrix, which changes no rank"),
+    "euler-first-point-test-loose": Equivalent(
+        _LATTHOM,
+        "if i == len(chi):",
+        "if i >= len(chi):",
+        "local_field numbers the vectors in the order of their first "
+        "points, so a point's index is never above the number of vectors "
+        "met before it, and the two tests agree at every point"),
 }
 
 # checks the table against the unmutated files, so it fails in every copy

@@ -8,7 +8,8 @@ from importlib.metadata import EntryPoint
 
 import pytest
 
-from conftest import BENCH_DIR, CORPUS, corpus_path, count_reader_calls
+from conftest import (BENCH_DIR, CORPUS, corpus_path, count_reader_calls,
+                      first_points)
 
 import curvelat.curve
 import curvelat.hilbert
@@ -18,7 +19,7 @@ import curvelat.series
 import curvelat.verify
 from curvelat.cli import load_curve, main
 from curvelat.errors import ConsistencyError, CurveSchemaError
-from curvelat.hilbert import box_points
+from curvelat.hilbert import box_points, build_table
 from curvelat.oslattice import GradedGroup
 
 
@@ -301,20 +302,76 @@ def test_verify_builds_each_table_once(capsys, monkeypatch, name, distinct):
 @pytest.mark.parametrize("name, pieces", [("cusp", 5), ("d5", 35)])
 def test_verify_computes_each_graded_piece_once(capsys, monkeypatch, name,
                                                 pieces):
-    # one grv_homology call per point of the box up to conductor + 2,
-    # shared by the branch-structure stage: cusp has conductor 2 (5
-    # points), d5 has conductor (2, 4) (a 5 x 7 box)
+    # the pieces of the box up to conductor + 2, shared by the
+    # branch-structure stage (cusp has conductor 2, 5 points; d5 has
+    # (2, 4), a 5 x 7 box), take one grv_homology call per distinct local
+    # rank vector, at its first point (2 on cusp, 5 on d5), and equal
+    # grv_homology at every point of the box
     original = curvelat.latthom.grv_homology
-    points = []
+    pieces_of_box = curvelat.latthom.graded_pieces
+    points, kept = [], []
 
-    def counting(table, v, *args, **kwargs):
+    def counting(table, v):
         points.append(v)
-        return original(table, v, *args, **kwargs)
+        return original(table, v)
+
+    def keeping(table, box):
+        kept.append((box, pieces_of_box(table, box)))
+        return kept[-1][1]
 
     _rebind(monkeypatch, original, counting)
+    _rebind(monkeypatch, pieces_of_box, keeping)
     code, _, _ = _run(capsys, ["verify", corpus_path(name)])
     assert code == 0
-    assert len(points) == len(set(points)) == pieces
+    [(box, result)] = kept
+    table = build_table(load_curve(corpus_path(name)), box)
+    assert points == first_points(table, box)
+    assert len(points) == {"cusp": 2, "d5": 5}[name]
+    assert list(result) == list(box_points(box))
+    assert len(result) == pieces
+    assert result == {v: original(table, v) for v in box_points(box)}
+
+
+@pytest.mark.parametrize("name", ["cusp", "d5", "triple"])
+def test_verify_field_stages_read_one_grid_and_no_cube(monkeypatch, name):
+    # semigroup, motivic, euler and graded-homology each read one grid,
+    # one point past their box, and no cube or value of their own: every
+    # cube or value read in them is made by a point reader (q-polynomial,
+    # local complex, formula route) run at the first point of a vector
+    calls = count_reader_calls(monkeypatch, ["cube", "grid", "value"])
+    inside = dict.fromkeys(calls, 0)
+    depth = [0]
+
+    def reader(original):
+        def wrapped(table, v):
+            before = {k: len(c) for k, c in calls.items()}
+            depth[0] += 1
+            try:
+                return original(table, v)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    for k, c in calls.items():
+                        inside[k] += len(c) - before[k]
+        return wrapped
+
+    for original in (curvelat.series.hv_polynomial,
+                     curvelat.latthom.grv_homology_direct,
+                     curvelat.latthom.grv_homology_formula):
+        _rebind(monkeypatch, original, reader(original))
+    curve = load_curve(corpus_path(name))
+    l = curvelat.hilbert.invariants(curve).conductor
+    stages, before, grids = {}, dict.fromkeys(calls, 0), 0
+    for _status, stage in curvelat.verify.run(curve):
+        outside = {k: len(c) - inside[k] for k, c in calls.items()}
+        stages[stage] = ({k: outside[k] - before[k]
+                          for k in ("cube", "value")}, calls["grid"][grids:])
+        before, grids = outside, len(calls["grid"])
+    assert inside["grid"] == 0
+    for stage, margin in [("semigroup", 2), ("motivic", 2), ("euler", 2),
+                          ("graded-homology", 3)]:
+        assert stages[stage] == ({"cube": 0, "value": 0},
+                                 [tuple(c + margin for c in l)]), stage
 
 
 @pytest.mark.parametrize("path, reductions, matroids", [

@@ -24,6 +24,7 @@ from curvelat.hilbert import (
     char_poly,
     invariants,
     large_n_step_check,
+    local_field,
     local_matroid,
     semigroup,
     symmetry_check,
@@ -361,16 +362,30 @@ def test_semigroup_default_box():
 
 
 def test_semigroup_requires_the_conductor_itself(monkeypatch):
-    # the conductor dominates itself, so it must be a member too
+    # the conductor dominates itself, so it must be a member too: h + 1 at
+    # l alone makes both unit steps there 0, and no point before l in
+    # lexicographic order dominates it
     table = build_table(corpus_curve("d5"))
     l = table.invariants.conductor
     assert l == (2, 4)
-    member = table.in_semigroup
-    monkeypatch.setattr(table, "in_semigroup",
-                        lambda v: v != l and member(v))
+    for name, reader in shifted_readers(table, l, 1).items():
+        monkeypatch.setattr(table, name, reader)
+    assert not table.in_semigroup(l)
     with pytest.raises(ConsistencyError,
                        match=r"\(2, 4\) dominates the conductor"):
         semigroup(table)
+
+
+@pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
+def test_semigroup_is_in_semigroup_at_every_point(name):
+    # the default box, boxes below the conductor and past the corner
+    t = build_table(named_curve(name))
+    l = t.invariants.conductor
+    for box in [None, tuple(max(c - 1, 0) for c in l),
+                tuple(c + 1 for c in t.corner)]:
+        top = box or tuple(c + 1 for c in l)
+        assert semigroup(t, box) == [v for v in box_points(top)
+                                     if t.in_semigroup(v)], box
 
 
 def test_semigroup_min_closed():
@@ -535,6 +550,25 @@ def test_grid_is_value_at_every_point(name):
                 tuple(c + 3 if j % 2 else max(c - 1, 0)
                       for j, c in enumerate(l))]:
         assert t.grid(top) == [t.value(v) for v in box_points(top)], top
+
+
+@pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
+def test_local_field_is_cube_and_value_at_every_point(name):
+    # boxes below the conductor, at l + 2 and past the checked corner: h
+    # is value, each point's vector is its cube less h, the vectors are
+    # distinct, and they are numbered in the order of their first points
+    t = build_table(named_curve(name))
+    l = t.invariants.conductor
+    for box in [tuple(max(c - 1, 0) for c in l), tuple(c + 2 for c in l),
+                tuple(c + 1 for c in t.corner)]:
+        h, ids, vectors = local_field(t, box)
+        points = list(box_points(box))
+        assert h == [t.value(v) for v in points], box
+        assert [vectors[i] for i in ids] == [
+            tuple(x - cube[0] for x in cube)
+            for cube in map(t.cube, points)], box
+        assert len(set(vectors)) == len(vectors)
+        assert list(dict.fromkeys(ids)) == list(range(len(vectors)))
 
 
 def test_build_table_rejects_wrong_length_boxes():

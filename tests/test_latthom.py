@@ -1,11 +1,13 @@
 """Lattice homology: graded pieces, sublevel complexes, structure."""
 
 import copy
+import re
 from itertools import product
 
 import pytest
 
-from conftest import CORPUS, cell, corpus_curve, full_series
+from conftest import (BENCH_CURVES, CORPUS, cell, corpus_curve, full_series,
+                      named_curve)
 from oracles import cubical_homology_brute
 
 import curvelat.latthom as latthom
@@ -13,9 +15,10 @@ from curvelat.errors import (BoxTooSmall, ConsistencyError,
                              UnclassifiablePattern)
 from curvelat.hilbert import build_table, local_matroid
 from curvelat.series import alexander, poincare_from_hilbert
-from curvelat.latthom import (GradedGroup, euler_check, grv_homology,
-                              grv_homology_direct, grv_homology_formula,
-                              r1_structure, r2_classify, sk_homology)
+from curvelat.latthom import (GradedGroup, euler_check, graded_pieces,
+                              grv_homology, grv_homology_direct,
+                              grv_homology_formula, r1_structure,
+                              r2_classify, sk_homology)
 
 
 def _table(name):
@@ -84,26 +87,42 @@ def test_grv_direct_shifts_each_kept_local_homology(monkeypatch, name):
         _points(box))
 
 
-@pytest.mark.parametrize("name", ["triple", "d5"])
+@pytest.mark.parametrize("name", ["triple", "d5", "four"])
 def test_grv_catches_a_raised_interior_cell_after_the_box_is_read(name):
     # the kept homology belongs to a rank vector, not to a point, so +1 on
     # any interior cell of [0, l] after every piece of the box has been
     # computed still fails somewhere on the box, as it does on a fresh
-    # table (on a3, whose one interior cell is (1, 1), it fails nowhere)
-    table = _table(name)
+    # table: point by point, and through graded_pieces, which compares
+    # the two routes once per vector (20 cells over the three curves; on
+    # a3, whose one interior cell is (1, 1), it fails nowhere)
+    table = build_table(named_curve(name))
     l = table.invariants.conductor
     box = tuple(c + 2 for c in l)
-    for v in _points(box):
-        grv_homology(table, v)
+    assert graded_pieces(table, box) == {v: grv_homology(table, v)
+                                         for v in _points(box)}
     interior = [v for v in _points(l) if all(0 < c < top
                                              for c, top in zip(v, l))]
-    assert interior
+    assert len(interior) == {"triple": 1, "d5": 3, "four": 16}[name]
     for v in interior:
         table.values[cell(table, v)] += 1
+        with pytest.raises(ConsistencyError):
+            graded_pieces(table, box)
         with pytest.raises(ConsistencyError):
             for w in _points(box):
                 grv_homology(table, w)
         table.values[cell(table, v)] -= 1
+
+
+@pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
+def test_graded_pieces_are_grv_homology_at_every_point(name):
+    # boxes below the conductor, at l + 2 and past the checked corner
+    table = build_table(named_curve(name))
+    l = table.invariants.conductor
+    for box in [tuple(max(c - 1, 0) for c in l), tuple(c + 2 for c in l),
+                tuple(c + 1 for c in table.corner)]:
+        pieces = graded_pieces(table, box)
+        assert list(pieces) == _points(box)
+        assert pieces == {v: grv_homology(table, v) for v in _points(box)}
 
 
 def test_grv_nonzero_exactly_on_semigroup():
@@ -177,6 +196,28 @@ def test_euler_check_reads_the_local_complex(monkeypatch):
     monkeypatch.setattr(latthom, "du_homology", one_more)
     with pytest.raises(ConsistencyError, match=r"at \(0, 0\)"):
         euler_check(table, full_series(table))
+
+
+@pytest.mark.parametrize("name", ["cusp", "a3", "d5", "triple"])
+def test_euler_check_compares_every_point(name):
+    # chi of the local complex equals the series at every point of
+    # [0, l + 1], and one coefficient off by one at any of them, the
+    # first point of its local rank vector or not, is refused there
+    table = _table(name)
+    series = full_series(table)
+    wide = tuple(c + 1 for c in table.invariants.conductor)
+    for v in _points(wide):
+        groups = grv_homology_direct(table, v).groups
+        assert sum((-1) ** (q % 2) * rank for q, (rank, _)
+                   in groups.items()) == series.coefficient(v)
+    assert euler_check(table, series) is True
+    for v in _points(wide):
+        wrong = copy.copy(series)
+        wrong.coeffs = dict(series.coeffs)
+        wrong.coeffs[(v, 0)] = series.coefficient(v) + 1
+        with pytest.raises(ConsistencyError,
+                           match=r"at %s does not" % re.escape(str(v))):
+            euler_check(table, wrong)
 
 
 def test_euler_check_needs_the_series_up_to_l_plus_1():

@@ -18,8 +18,8 @@ from curvelat.series import (
     torres_restriction_check,
 )
 
-from conftest import (BENCH_CURVES, CORPUS, bench_curve, cell,
-                      corpus_curve, count_reader_calls, full_series,
+from conftest import (BENCH_CURVES, CORPUS, cell, corpus_curve,
+                      count_reader_calls, first_points, full_series,
                       named_curve, shifted_readers)
 from oracles import alexander_r1_from_semigroup, numerical_semigroup
 
@@ -280,40 +280,61 @@ def test_motivic_normalized_reflection():
             assert nz.coefficient(w, m + inv.delta - sum(v)) == coeff
 
 
-@pytest.mark.parametrize("name, calls", [("triple", 64), ("tacnode3", 216)])
+@pytest.mark.parametrize("name, size", [("triple", 64), ("tacnode3", 216)])
 def test_motivic_normalized_reads_q_polynomials_up_to_l_plus_1(monkeypatch,
-                                                               name, calls):
+                                                               name, size):
     # every term it keeps or checks lies in [0, l + 1] and is pushed only
-    # from points there, so it reads one q-polynomial per point of that
-    # box: the conductors are (2, 2, 2) and (4, 4, 4)
-    c = bench_curve(name) if name == "tacnode3" else corpus_curve(name)
-    table = build_table(c)
+    # from points there (the conductors are (2, 2, 2) and (4, 4, 4)), so
+    # it reads the series on that box, one q-polynomial per distinct local
+    # rank vector at the vector's first point (12 and 15 of them), and
+    # the series is the q-polynomial at every point of the box
+    table = build_table(named_curve(name))
+    wide = tuple(c + 1 for c in table.invariants.conductor)
     original = series_module.hv_polynomial
-    points = []
+    series_of_box = series_module.motivic_series
+    points, kept = [], []
 
     def counting(table, v):
         points.append(v)
         return original(table, v)
 
+    def keeping(table, box):
+        kept.append((box, series_of_box(table, box)))
+        return kept[-1][1]
+
     monkeypatch.setattr(series_module, "hv_polynomial", counting)
+    monkeypatch.setattr(series_module, "motivic_series", keeping)
     motivic_normalized(table)
-    assert len(points) == len(set(points)) == calls
+    assert points == first_points(table, wide)
+    assert len(points) == {"triple": 12, "tacnode3": 15}[name]
+    [(box, series)] = kept
+    assert box == wide and len(list(box_points(box))) == size
+    assert series.coeffs == {(v, m): c for v in box_points(wide)
+                             for m, c in original(table, v).items()}
 
 
 def test_motivic_normalized_rejects_a_term_past_the_conductor(monkeypatch):
-    # a stray q^9 term at l + 1 = 3 survives the product with 1 - t*q
+    # h + 1 at l + 2 = 4 gives (3,) a local rank vector of its own, whose
+    # q-polynomial q^2 + q^3 leaves q^3 at t^3 = t^(l + 1) after the
+    # product with 1 - t*q
     table = build_table(corpus_curve("cusp"))
-    original = series_module.hv_polynomial
-
-    def stray(table, v):
-        poly = original(table, v)
-        if v == (3,):
-            poly[9] = 1
-        return poly
-
-    monkeypatch.setattr(series_module, "hv_polynomial", stray)
+    for name, reader in shifted_readers(table, (4,), 1).items():
+        monkeypatch.setattr(table, name, reader)
+    assert series_module.hv_polynomial(table, (3,)) == {2: 1, 3: 1}
     with pytest.raises(PolynomialityViolation, match=r"\(3,\)"):
         motivic_normalized(table)
+
+
+@pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
+def test_motivic_series_is_hv_polynomial_at_every_point(name):
+    # boxes below the conductor, at l + 1 and past the checked corner
+    table = build_table(named_curve(name))
+    l = table.invariants.conductor
+    for box in [tuple(max(c - 1, 0) for c in l), tuple(c + 1 for c in l),
+                tuple(c + 1 for c in table.corner)]:
+        assert motivic_series(table, box).coeffs == {
+            (v, m): c for v in box_points(box)
+            for m, c in series_module.hv_polynomial(table, v).items()}, box
 
 
 def test_verify_motivic_catches_a_broken_reflection(monkeypatch):
