@@ -6,6 +6,10 @@ series already computed, the annihilating polynomials and the
 restriction identity relating a curve's series to the series of the
 curve with one branch removed.
 
+The normalized q-series, the one-branch polynomial and the restriction
+identity are products with factors 1 - t^s q^m, each factor taken by
+BoxSeries.times_one_minus (the q-series one axis at a time).
+
 The q-polynomial at a point is the running signed count of h on its
 unit cube; pi there stays its own alternating sum, for the Euler check.
 
@@ -14,7 +18,7 @@ box; series in the t variables alone keep m = 0 everywhere.
 """
 
 from itertools import accumulate
-from operator import sub
+from operator import add, le, sub
 
 from .errors import ConsistencyError, PolynomialityViolation, SupportViolation
 from .hilbert import axis_slices, box_offsets, box_points, local_field
@@ -41,6 +45,15 @@ class BoxSeries:
 
     def coefficient(self, v, m=0):
         return self.coeffs.get((tuple(v), m), 0)
+
+    def times_one_minus(self, s, m=0):
+        r"""The series times 1 - t^s q^m, terms outside its box dropped."""
+        coeffs = dict(self.coeffs)
+        for (v, k), c in self.coeffs.items():
+            w = tuple(map(add, v, s))
+            if all(map(le, w, self.box)):
+                coeffs[(w, k + m)] = coeffs.get((w, k + m), 0) - c
+        return BoxSeries(self.r, self.box, coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, BoxSeries) and self.r == other.r
@@ -204,38 +217,38 @@ def motivic_series(table, box):
     return BoxSeries(len(box), box, coeffs)
 
 
+def _supported(series, wide, top, error, message):
+    r"""
+    The terms of series on [0, wide], as a series on [0, top]; the least
+    outside [0, top] raises error, message formatted by its t exponent.
+    """
+    coeffs = {(v, m): c for (v, m), c in series.coeffs.items()
+              if all(map(le, v, wide))}
+    outside = [key for key in coeffs if not all(map(le, key[0], top))]
+    if outside:
+        raise error(message.format(min(outside)[0]))
+    return BoxSeries(series.r, top, coeffs)
+
+
 def motivic_normalized(table):
     r"""
     The q-refined series multiplied by the product of (1 - t_i q),
     which collapses it to a polynomial supported in the conductor box.
 
-    The series is computed on [0, l + 1] (l the conductor): a term of
-    the product there is pushed only from points of that box, so it is
-    exact, and any term outside [0, l] raises PolynomialityViolation.
+    The series is computed on [0, l + 1] (l the conductor) and
+    multiplied one axis at a time: a term of the product there is
+    pushed only from points of that box, so it is exact, and a term
+    outside [0, l] raises PolynomialityViolation naming the least.
     The returned polynomial is supported in [0, l].
     """
     l = table.invariants.conductor
     r = len(l)
-    wide = tuple(c + 1 for c in l)
-    g = motivic_series(table, wide)
-    coeffs = {}
-    for (v, m), c in g.coeffs.items():
-        for mask in range(1 << r):
-            size = mask.bit_count()
-            w = tuple(a + (mask >> i & 1) for i, a in enumerate(v))
-            if all(a <= b for a, b in zip(w, wide)):
-                key = (w, m + size)
-                coeffs[key] = coeffs.get(key, 0) + (-1) ** size * c
-    result = {}
-    for (v, m), c in coeffs.items():
-        if c == 0:
-            continue
-        if any(a > b for a, b in zip(v, l)):
-            raise PolynomialityViolation(
-                "normalized q series has a term at %s outside the "
-                "conductor box" % (v,))
-        result[(v, m)] = c
-    return BoxSeries(r, l, result)
+    g = motivic_series(table, tuple(c + 1 for c in l))
+    for i in range(r):
+        g = g.times_one_minus(tuple(int(j == i) for j in range(r)), 1)
+    return _supported(g, g.box, l, PolynomialityViolation,
+                      "normalized q series has a term at {0} outside the "
+                      "conductor box")
 
 
 def alexander(table, poincare):
@@ -248,7 +261,7 @@ def alexander(table, poincare):
     [0, mu] (mu = l), palindromic, and it is checked to vanish for two
     steps beyond mu.  For several branches it is the pi series itself,
     a polynomial supported in [0, l - 1], checked two steps past l.
-    Violations raise SupportViolation.
+    A term outside raises SupportViolation naming the least.
     """
     inv = table.invariants
     l = inv.conductor
@@ -256,27 +269,13 @@ def alexander(table, poincare):
     if any(b < w for b, w in zip(poincare.box, wide)):
         raise ValueError("series box %s is below l + 2" % (poincare.box,))
     if inv.r == 1:
-        mu = inv.mu
-        coeffs = {}
-        for k in range(wide[0] + 1):
-            c = poincare.coefficient((k,)) - poincare.coefficient((k - 1,))
-            if c:
-                if k > mu:
-                    raise SupportViolation(
-                        "one-branch polynomial has a term at degree %d "
-                        "past mu = %d" % (k, mu))
-                coeffs[((k,), 0)] = c
-        return BoxSeries(1, (mu,), coeffs)
-    coeffs = {}
-    for v in box_points(wide):
-        c = poincare.coefficient(v)
-        if c:
-            if any(a > b - 1 for a, b in zip(v, l)):
-                raise SupportViolation(
-                    "polynomial has a term at %s outside the open "
-                    "conductor box" % (v,))
-            coeffs[(v, 0)] = c
-    return BoxSeries(inv.r, tuple(c - 1 for c in l), coeffs)
+        return _supported(poincare.times_one_minus((1,)), wide, (inv.mu,),
+                          SupportViolation,
+                          "one-branch polynomial has a term at degree "
+                          "{0[0]} past mu = %d" % inv.mu)
+    return _supported(poincare, wide, tuple(c - 1 for c in l),
+                      SupportViolation, "polynomial has a term at {0} "
+                      "outside the open conductor box")
 
 
 def torres_restriction_check(table, poincares):
@@ -310,11 +309,10 @@ def torres_restriction_check(table, poincares):
             w = v[:rho] + v[rho + 1:]
             collapsed[w] = collapsed.get(w, 0) + c
         shift = inv.pairwise[rho][:rho] + inv.pairwise[rho][rho + 1:]
+        product = sub.times_one_minus(shift)
         for w in box_points(sub.box):
-            prev = tuple(a - s for a, s in zip(w, shift))
-            expected = sub.coefficient(w) - sub.coefficient(prev)
-            if collapsed.get(w, 0) != expected:
+            if collapsed.get(w, 0) != product.coefficient(w):
                 raise ConsistencyError(
                     "restriction identity fails at %s: %d vs %d"
-                    % (w, collapsed.get(w, 0), expected))
+                    % (w, collapsed.get(w, 0), product.coefficient(w)))
     return True

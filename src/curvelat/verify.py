@@ -7,7 +7,7 @@ subset over that box restricted to its branches.  The checks read
 those tables or the round trip's pi series, and none builds a table.
 """
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InsufficientTruncation
 from .hilbert import (build_table, invariants, large_n_step_check,
                       local_matroid, semigroup, symmetry_check)
 from .latthom import (euler_check, graded_pieces, r1_structure,
@@ -75,11 +75,19 @@ def run(curve, deep=False):
     finishes; a failing check raises, usually ConsistencyError.  The
     tables and the graded pieces cover the conductor plus 2, or plus 4
     when deep is set, which also checks more sublevel complexes; the
-    Euler check stays on the conductor plus 1.
+    Euler check stays on the conductor plus 1.  The large-index steps
+    read h_oracle up to the largest conductor entry plus 4, so a curve
+    truncated below that raises InsufficientTruncation before any table
+    is built.
     """
     margin = 4 if deep else 2
     inv = invariants(curve)
     yield ("ok", "invariants")
+    need = max(inv.conductor) + 4
+    if curve.truncation < need:
+        raise InsufficientTruncation(
+            "verify needs %d series terms but only %d are kept"
+            % (need, curve.truncation))
     box = tuple(c + margin for c in inv.conductor)
     table = build_table(curve, box)
     yield ("ok", "hilbert-table")

@@ -252,6 +252,43 @@ MUTANTS = {
                     "alternating sum" % (v,))
 """,
         "tests/test_latthom.py::test_euler_check_compares_every_point"),
+    # the factor 1 - t^s q^m and its three products
+    "factor-drops-q-exponent": Mutant(
+        _SERIES,
+        "coeffs[(w, k + m)] = coeffs.get((w, k + m), 0) - c",
+        "coeffs[(w, k)] = coeffs.get((w, k), 0) - c",
+        "tests/test_series.py"
+        "::test_times_one_minus_is_its_per_term_definition"),
+    "factor-keeps-terms-past-the-box": Mutant(
+        _SERIES,
+        "if all(map(le, w, self.box)):",
+        "if True:",
+        "tests/test_series.py"
+        "::test_times_one_minus_is_its_per_term_definition"),
+    "motivic-passes-skip-last-axis": Mutant(
+        _SERIES,
+        "for i in range(r):",
+        "for i in range(r - 1):",
+        "tests/test_series.py"
+        "::test_motivic_normalized_is_the_product_over_subsets"),
+    "support-names-first-term": Mutant(
+        _SERIES,
+        "raise error(message.format(min(outside)[0]))",
+        "raise error(message.format(outside[0][0]))",
+        "tests/test_series.py"
+        "::test_alexander_names_the_least_term_past_its_box"),
+    "restriction-shift-wrong-row": Mutant(
+        _SERIES,
+        "shift = inv.pairwise[rho][:rho] + inv.pairwise[rho][rho + 1:]",
+        "shift = inv.pairwise[rho - 1][:rho] "
+        "+ inv.pairwise[rho - 1][rho + 1:]",
+        "tests/test_series.py::test_restriction_all_corpus_pairs"),
+    "verify-preflight-one-short": Mutant(
+        "src/curvelat/verify.py",
+        "need = max(inv.conductor) + 4",
+        "need = max(inv.conductor) + 3",
+        "tests/test_cli.py"
+        "::test_verify_refuses_a_short_truncation_before_building_a_table"),
 }
 
 # Mutants that change no result, each with the reason; a run names them

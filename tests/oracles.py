@@ -531,3 +531,21 @@ def q_polynomial_by_division(cube):
         elif acc != 0:
             raise ValueError("not divisible by 1 - q")
     return out
+
+
+def times_prod_one_minus_tq_by_subsets(coeffs, box):
+    r"""
+    The q-series coeffs, a dict {(v, m): c}, times the product over
+    every axis i of (1 - t_i q), expanded term by term over the 2^r
+    subsets K: c goes to (v + e_K, m + |K|) with sign (-1)^|K|, kept
+    when v + e_K lies in [0, box].  Zero coefficients are dropped.
+    """
+    out = {}
+    for (v, m), c in coeffs.items():
+        for mask in range(1 << len(v)):
+            size = bin(mask).count("1")
+            w = tuple(a + (mask >> i & 1) for i, a in enumerate(v))
+            if all(a <= b for a, b in zip(w, box)):
+                key = (w, m + size)
+                out[key] = out.get(key, 0) + (-1) ** size * c
+    return {key: c for key, c in out.items() if c}

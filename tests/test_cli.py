@@ -253,6 +253,36 @@ def test_verify_prints_each_stage_as_it_finishes(capsys, monkeypatch):
     assert err.startswith("ConsistencyError:")
 
 
+@pytest.mark.parametrize("branches, need", [
+    ([{"x": "t^2", "y": "t^3"}], 6),
+    ([{"x": "t^2", "y": "t^3"}, {"x": "t^3", "y": "t^2"}], 10)])
+def test_verify_refuses_a_short_truncation_before_building_a_table(
+        capsys, monkeypatch, tmp_path, branches, need):
+    # the large-index steps read h_oracle up to max(l) + 4 (the
+    # conductors are (2,) and (6, 6)); one term fewer is refused right
+    # after the invariants, naming that need, with no table built
+    original = curvelat.hilbert.build_table
+    built = []
+
+    def counting(curve, *args, **kwargs):
+        built.append(curve.truncation)
+        return original(curve, *args, **kwargs)
+
+    _rebind(monkeypatch, original, counting)
+    for deep in [], ["--deep"]:
+        short = _write(tmp_path, {"truncation": need - 1,
+                                  "branches": branches})
+        code, out, err = _run(capsys, ["verify", *deep, short])
+        assert (code, out, built) == (1, "ok invariants\n", [])
+        assert err == ("InsufficientTruncation: verify needs %d series "
+                       "terms but only %d are kept\n" % (need, need - 1))
+        enough = _write(tmp_path, {"truncation": need, "branches": branches})
+        code, out, _ = _run(capsys, ["verify", *deep, enough])
+        assert code == 0 and out.endswith("all checks passed\n")
+        assert set(built) == {need}
+        built.clear()
+
+
 def test_verify_refuses_a_sublevel_complex_that_is_not_contractible(
         monkeypatch):
     original = curvelat.verify.sk_homology

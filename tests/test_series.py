@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvelat.series as series_module
 import curvelat.verify as verify
@@ -21,7 +23,8 @@ from curvelat.series import (
 from conftest import (BENCH_CURVES, CORPUS, cell, corpus_curve,
                       count_reader_calls, first_points, full_series,
                       named_curve, shifted_readers)
-from oracles import alexander_r1_from_semigroup, numerical_semigroup
+from oracles import (alexander_r1_from_semigroup, numerical_semigroup,
+                     times_prod_one_minus_tq_by_subsets)
 
 
 def _table(name):
@@ -45,6 +48,36 @@ def subset_poincares(c, box):
         sub_box = tuple(box[i] for i in idx)
         out[mask] = poincare_from_hilbert(build_table(sub, sub_box), sub_box)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the factor 1 - t^s q^m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_times_one_minus_is_its_per_term_definition(data):
+    # random sparse series with r <= 3 on small boxes, so that terms on
+    # the box edge and shifts past it are common; zero shift entries and
+    # a zero q exponent are drawn too
+    r = data.draw(st.integers(1, 3))
+    box = data.draw(st.tuples(*[st.integers(0, 3)] * r))
+    point = st.tuples(*[st.integers(0, b) for b in box])
+    coeffs = data.draw(st.dictionaries(st.tuples(point, st.integers(0, 2)),
+                                       st.integers(-3, 3), max_size=8))
+    s = data.draw(st.tuples(*[st.integers(0, 2)] * r))
+    m = data.draw(st.integers(0, 2))
+    series = BoxSeries(r, box, coeffs)
+    product = series.times_one_minus(s, m)
+    expected = {}
+    for w in box_points(box):
+        for k in range(5):
+            prev = tuple(a - b for a, b in zip(w, s))
+            c = series.coefficient(w, k) - series.coefficient(prev, k - m)
+            if c:
+                expected[(w, k)] = c
+    assert (product.r, product.box, product.coeffs) == (r, box, expected)
+    assert series.coeffs == BoxSeries(r, box, coeffs).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +358,37 @@ def test_motivic_normalized_rejects_a_term_past_the_conductor(monkeypatch):
         motivic_normalized(table)
 
 
+def test_motivic_normalized_names_the_least_term_past_the_conductor(
+        monkeypatch):
+    # h + 1 at (4, 2) on a3 (conductor (2, 2)) leaves four terms past
+    # [0, l] in the product on [0, l + 1], at (3, 1), (3, 2) twice and
+    # (3, 3); the least, (3, 1), is named
+    table = build_table(corpus_curve("a3"))
+    for name, reader in shifted_readers(table, (4, 2), 1).items():
+        monkeypatch.setattr(table, name, reader)
+    product = times_prod_one_minus_tq_by_subsets(
+        motivic_series(table, (3, 3)).coeffs, (3, 3))
+    assert sorted(key for key in product if max(key[0]) > 2) == [
+        ((3, 1), 4), ((3, 2), 4), ((3, 2), 5), ((3, 3), 5)]
+    with pytest.raises(PolynomialityViolation,
+                       match=r"^normalized q series has a term at \(3, 1\) "
+                             r"outside the conductor box$"):
+        motivic_normalized(table)
+
+
+@pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
+def test_motivic_normalized_is_the_product_over_subsets(name):
+    # the 2^r expansion of prod (1 - t_i q), term by term, on [0, l + 1]
+    table = build_table(named_curve(name))
+    l = table.invariants.conductor
+    wide = tuple(c + 1 for c in l)
+    expected = times_prod_one_minus_tq_by_subsets(
+        motivic_series(table, wide).coeffs, wide)
+    normalized = motivic_normalized(table)
+    assert normalized.box == l
+    assert normalized.coeffs == expected
+
+
 @pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
 def test_motivic_series_is_hv_polynomial_at_every_point(name):
     # boxes below the conductor, at l + 1 and past the checked corner
@@ -447,6 +511,25 @@ def test_alexander_support_guard_at_the_conductor():
     assert series.coefficient(point) == 0
     coeffs = {**series.coeffs, (point, 0): 1}
     with pytest.raises(SupportViolation, match="outside the open"):
+        alexander(table, BoxSeries(series.r, series.box, coeffs))
+
+
+@pytest.mark.parametrize("name, bumps, message", [
+    # 1 - t + t^2 becomes 1 - t + t^2 + t^3 - t^4 (mu = 2)
+    ("cusp", [(3,)], r"degree 3 past mu = 2$"),
+    # the open conductor box of d5 is [0, (1, 3)]
+    ("d5", [(2, 0), (4, 1)], r"at \(2, 0\) outside the open"),
+])
+def test_alexander_names_the_least_term_past_its_box(name, bumps, message):
+    # +1 on pi at each bump, and the terms stored greatest first, so that
+    # the least term outside the box is the last one met
+    table = _table(name)
+    series = full_series(table)
+    coeffs = dict(series.coeffs)
+    for v in bumps:
+        coeffs[(v, 0)] = coeffs.get((v, 0), 0) + 1
+    coeffs = dict(sorted(coeffs.items(), reverse=True))
+    with pytest.raises(SupportViolation, match=message):
         alexander(table, BoxSeries(series.r, series.box, coeffs))
 
 
