@@ -12,10 +12,10 @@ route against which faster routes are checked.  Each branch caches the
 sparse jet of every monomial it has composed (``jet``), the columns of
 the jet matrix (``columns``), its delta and conductor (``branch_delta``)
 and its accepted intersection number with each other branch
-(``intersection_multiplicity``); h itself is never cached.  Branch deltas and intersection numbers are read off h
-values too; the second route for an intersection number is a local
-check at one lattice point, so nothing global about the polynomial
-curves enters.
+(``intersection_multiplicity``); h itself is never cached.  Branch
+deltas and intersection numbers are read off h values too; the second
+route for an intersection number is a local check at one lattice
+point, so nothing global about the polynomial curves enters.
 """
 
 from bisect import bisect_left

@@ -105,23 +105,27 @@ def box_offsets(box, shape):
     return offsets
 
 
-def axis_slices(shape, axis, c):
+def axis_pairs(shape, axis, cs):
     r"""
-    Slices that together cover the points with coordinate c on the axis
-    in a flat lexicographic list over a box of this shape (the last
-    coordinate fastest): a run of the inner coordinates for each outer
-    prefix, or a stepped slice for each inner offset, whichever is
-    fewer.  The slices at c + 1 are those at c moved by the axis
-    stride, so a pass over an axis zips the slices at c and c + 1.
+    For each c in cs, slice pairs (here, ahead) of a flat lexicographic
+    list over a box of this shape (the last coordinate fastest): the
+    here slices together cover the points with coordinate c on the
+    axis, and each ahead is its here moved by the axis stride to c + 1.
+    A slice is a run of the inner coordinates for each outer prefix, or
+    a stepped slice for each inner offset, whichever are fewer.
     """
     inner = prod(shape[axis + 1:])
     outer = prod(shape[:axis])
     block = inner * shape[axis]
-    c *= inner
     if inner >= outer:
-        return [slice(b * block + c, b * block + c + inner)
-                for b in range(outer)]
-    return [slice(o + c, o + c + outer * block, block) for o in range(inner)]
+        starts, step, span = range(0, outer * block, block), 1, inner
+    else:
+        starts, step, span = range(inner), block, outer * block
+    for c in cs:
+        for a in starts:
+            a += c * inner
+            yield (slice(a, a + span, step),
+                   slice(a + inner, a + inner + span, step))
 
 
 class HilbertTable:
@@ -134,8 +138,8 @@ class HilbertTable:
     product of l_j + 1 over j > i.  ``corner`` is the box the build
     checked: the spot check sampled [0, corner] and the step rule held
     on [0, corner - 2].  ``local_homology`` starts empty; the graded
-    pieces (see latthom.grv_homology_direct) keep in it the homology of
-    each local rank vector they have reduced.
+    pieces and the Euler check (both through latthom.grv_homology_direct)
+    keep in it the homology of each local rank vector they have reduced.
     """
 
     def __init__(self, curve, corner, values, inv):
@@ -291,11 +295,9 @@ def _step_rule_sweep(table, bound):
     box = tuple(b + 1 for b in bound)
     for j in range(r):
         keep = ~(1 << j)
-        for c in range(l[j] - 1, -1, -1):
-            for here, ahead in zip(axis_slices(box, j, c),
-                                   axis_slices(box, j, c + 1)):
-                found[here] = [f | a & keep
-                               for f, a in zip(found[here], found[ahead])]
+        for here, ahead in axis_pairs(box, j, range(l[j] - 1, -1, -1)):
+            found[here] = [f | a & keep
+                           for f, a in zip(found[here], found[ahead])]
     for i, step in enumerate(steps):
         bits = [f >> i & 1 for f in found]
         if step != bits:

@@ -121,10 +121,14 @@ def euler_check(table, poincare):
     Verify that the Euler characteristic of the graded piece at every
     point of [0, conductor + 1], computed by the local complex (see
     grv_homology_direct), equals the coefficient of poincare, the
-    table's pi series; a series box below conductor + 1 raises ValueError.
+    table's pi series; a series box below conductor + 1, or in other
+    than r variables, raises ValueError.
 
     Returns True, or raises ConsistencyError.
     """
+    if poincare.r != table.invariants.r:
+        raise ValueError("series in %d variables for %d branches"
+                         % (poincare.r, table.invariants.r))
     wide = tuple(c + 1 for c in table.invariants.conductor)
     if any(b < w for b, w in zip(poincare.box, wide)):
         raise ValueError("series box %s is below l + 1" % (poincare.box,))

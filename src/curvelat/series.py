@@ -1,6 +1,8 @@
 r"""
 Generating series built from the Hilbert table: the Hilbert series
-itself, the alternating-sum series pi and h rebuilt from it, the
+itself, the alternating-sum series pi (r difference passes over one
+grid of h) and h rebuilt from it (its mirror: every subset's signed
+series scattered into one flat list, then r running-sum passes), the
 q-refined series and its normalized polynomial form, and, read off pi
 series already computed, the annihilating polynomials and the
 restriction identity relating a curve's series to the series of the
@@ -18,10 +20,11 @@ box; series in the t variables alone keep m = 0 everywhere.
 """
 
 from itertools import accumulate
+from math import prod
 from operator import add, le, sub
 
 from .errors import ConsistencyError, PolynomialityViolation, SupportViolation
-from .hilbert import axis_slices, box_offsets, box_points, local_field
+from .hilbert import axis_pairs, box_offsets, box_points, local_field
 from .oslattice import signed_rank_count
 
 
@@ -125,13 +128,22 @@ def poincare_from_hilbert(table, box):
     d = table.grid(tuple(b + 1 for b in box))
     for i, size in enumerate(shape):
         # ascending, so each layer takes the next one before its own pass
-        for c in range(size - 1):
-            for here, ahead in zip(axis_slices(shape, i, c),
-                                   axis_slices(shape, i, c + 1)):
-                d[here] = map(sub, d[here], d[ahead])
+        for here, ahead in axis_pairs(shape, i, range(size - 1)):
+            d[here] = map(sub, d[here], d[ahead])
     coeffs = {(v, 0): -d[k]
               for v, k in zip(box_points(box), box_offsets(box, shape))}
     return BoxSeries(len(box), box, coeffs)
+
+
+def _series_at(poincares, mask):
+    r"""The pi series of bitmask mask, in as many variables as set bits."""
+    if mask not in poincares:
+        raise ValueError("no pi series for bitmask %d" % mask)
+    p = poincares[mask]
+    if p.r != mask.bit_count():
+        raise ValueError("pi series for bitmask %d has %d variables"
+                         % (mask, p.r))
+    return p
 
 
 def hilbert_from_poincare(poincares, box):
@@ -139,15 +151,18 @@ def hilbert_from_poincare(poincares, box):
     Rebuild h on [0, box] from the pi series of every nonempty branch
     subset: h(v) is the sum over nonempty K of (-1)^(|K|-1) times the
     sum of the K-subcurve pi values over the box from 0 to v restricted
-    to K minus 1, read off running sums of each series built one axis
-    at a time.
+    to K minus 1.  The mirror of poincare_from_hilbert: each signed
+    series is put at w + 1 on the K axes and 0 off them in one flat
+    list over [0, box], and r in-place running-sum passes, one per
+    axis, add up every K at once.
 
     Parameters
     ----------
     poincares : dict mapping bitmask to BoxSeries
         The series for the subcurve with the masked branches, indexed
         in increasing branch order; every box must reach box - 1 on its
-        coordinates, and a missing bitmask raises ValueError.
+        coordinates, and a missing bitmask, or a series in other than
+        its bit count of variables, raises ValueError.
     box : tuple of ints
 
     Returns
@@ -155,26 +170,26 @@ def hilbert_from_poincare(poincares, box):
     dict mapping every point of [0, box] to h there
     """
     r = len(box)
-    sums = []  # (branches of K, signed running sums of its series)
+    shape = tuple(b + 1 for b in box)
+    strides = [prod(shape[i + 1:]) for i in range(r)]
+    h = [0] * prod(shape)
     for mask in range(1, 1 << r):
-        if mask not in poincares:
-            raise ValueError("no pi series for bitmask %d" % mask)
-        idx = [i for i in range(r) if mask >> i & 1]
-        upper = tuple(box[i] - 1 for i in idx)
-        p = poincares[mask]
+        p = _series_at(poincares, mask)
+        on = [mask >> i & 1 for i in range(r)]
+        upper = tuple(b - 1 for b, k in zip(box, on) if k)
         if any(b < u for b, u in zip(p.box, upper)):
             raise ValueError("subcurve series box is too small")
-        sign = 1 if len(idx) % 2 else -1
-        acc = {w: sign * p.coefficient(w) for w in box_points(upper)}
-        for axis in range(len(upper)):
-            for w in box_points(upper):
-                if w[axis]:
-                    acc[w] += acc[w[:axis] + (w[axis] - 1,) + w[axis + 1:]]
-        sums.append((idx, acc))
-    # a point with some v_i = 0, i in K, reads no K term
-    return {v: sum(acc.get(tuple(v[i] - 1 for i in idx), 0)
-                   for idx, acc in sums)
-            for v in box_points(box)}
+        sign = 1 if len(upper) % 2 else -1
+        lift = sum(k * s for k, s in zip(on, strides))  # + 1 on the K axes
+        face = box_offsets([b - 1 if k else 0 for b, k in zip(box, on)],
+                           shape)
+        for k, w in zip(face, box_points(upper)):
+            h[k + lift] = sign * p.coefficient(w)
+    for i, size in enumerate(shape):
+        # ascending, so each layer adds a running sum already taken
+        for here, ahead in axis_pairs(shape, i, range(size - 1)):
+            h[ahead] = map(add, h[ahead], h[here])
+    return dict(zip(box_points(box), h))
 
 
 def hv_polynomial(table, v):
@@ -255,7 +270,8 @@ def alexander(table, poincare):
     r"""
     The annihilating polynomial of the curve, read off poincare, the pi
     series of the given HilbertTable, over [0, l + 2] (l the conductor);
-    a series box below l + 2 raises ValueError.
+    a series box below l + 2, or in other than r variables, raises
+    ValueError.
 
     For one branch this is the pi series times (1 - t): supported in
     [0, mu] (mu = l), palindromic, and it is checked to vanish for two
@@ -264,6 +280,9 @@ def alexander(table, poincare):
     A term outside raises SupportViolation naming the least.
     """
     inv = table.invariants
+    if poincare.r != inv.r:
+        raise ValueError("series in %d variables for %d branches"
+                         % (poincare.r, inv.r))
     l = inv.conductor
     wide = tuple(c + 2 for c in l)
     if any(b < w for b, w in zip(poincare.box, wide)):
@@ -286,8 +305,9 @@ def torres_restriction_check(table, poincares):
     rho and j, on the whole box of the latter.  Both are read from
     poincares, the bitmask -> pi series dict of hilbert_from_poincare;
     the table gives the invariants.  The full series is a polynomial in
-    [0, l - 1] (l the conductor), so a full box below l - 1, or a
-    missing mask, raises ValueError.
+    [0, l - 1] (l the conductor), so a full box below l - 1, a missing
+    mask, or a series in other than its bit count of variables, raises
+    ValueError.
 
     Returns True, or raises ConsistencyError.
     """
@@ -296,9 +316,8 @@ def torres_restriction_check(table, poincares):
     if r < 2:
         raise ValueError("restriction needs at least two branches")
     every = (1 << r) - 1
-    missing = {every, *(every ^ 1 << i for i in range(r))} - set(poincares)
-    if missing:
-        raise ValueError("no pi series for bitmask %d" % min(missing))
+    for mask in sorted({every, *(every ^ 1 << i for i in range(r))}):
+        _series_at(poincares, mask)
     full = poincares[every]
     if any(b < c - 1 for b, c in zip(full.box, inv.conductor)):
         raise ValueError("full series box %s is below l - 1" % (full.box,))

@@ -152,14 +152,14 @@ MUTANTS = {
         "tests/test_hilbert.py::test_grid_is_value_at_every_point"),
     "pi-passes-stop-short": Mutant(
         _SERIES,
-        "for c in range(size - 1):",
-        "for c in range(size - 2):",
+        "range(size - 1)):\n            d[here]",
+        "range(size - 2)):\n            d[here]",
         "tests/test_series.py"
         "::test_poincare_from_hilbert_is_pi_value_at_every_point"),
     "sweep-or-pass-uncapped": Mutant(
         _HILBERT,
-        "for c in range(l[j] - 1, -1, -1):",
-        "for c in range(box[j] - 2, -1, -1):",
+        "axis_pairs(box, j, range(l[j] - 1, -1, -1))",
+        "axis_pairs(box, j, range(box[j] - 2, -1, -1))",
         "tests/test_hilbert.py"
         "::test_sweep_raises_exactly_when_the_witness_search_does"),
     "sweep-or-pass-keeps-bit": Mutant(
@@ -173,6 +173,22 @@ MUTANTS = {
         "h = [known[v] for v in line]",
         "h = [h_oracle(curve, v) for v in line]",
         "tests/test_hilbert.py::test_large_n_steps_compute_each_point_once"),
+    # the round trip's rebuild of h from the pi series
+    "rebuild-term-at-w-on-first-axis": Mutant(
+        _SERIES,
+        "lift = sum(k * s for k, s in zip(on, strides))",
+        "lift = sum(k * s for k, s in zip(on[1:], strides[1:]))",
+        "tests/test_series.py::test_round_trip_reconstructs_h"),
+    "rebuild-passes-stop-short": Mutant(
+        _SERIES,
+        "range(size - 1)):\n            h[ahead]",
+        "range(size - 2)):\n            h[ahead]",
+        "tests/test_series.py::test_rebuild_is_the_running_sums_by_subsets"),
+    "rebuild-even-sign-flipped": Mutant(
+        _SERIES,
+        "sign = 1 if len(upper) % 2 else -1",
+        "sign = 1",
+        "tests/test_series.py::test_round_trip_reconstructs_h"),
     "hilbert-series-by-value": Mutant(
         _SERIES,
         "coeffs = {(v, 0): h for v, h in "
@@ -267,8 +283,8 @@ MUTANTS = {
         "::test_times_one_minus_is_its_per_term_definition"),
     "motivic-passes-skip-last-axis": Mutant(
         _SERIES,
-        "for i in range(r):",
-        "for i in range(r - 1):",
+        "for i in range(r):\n        g = g.times_one_minus",
+        "for i in range(r - 1):\n        g = g.times_one_minus",
         "tests/test_series.py"
         "::test_motivic_normalized_is_the_product_over_subsets"),
     "support-names-first-term": Mutant(

@@ -549,3 +549,40 @@ def times_prod_one_minus_tq_by_subsets(coeffs, box):
                 key = (w, m + size)
                 out[key] = out.get(key, 0) + (-1) ** size * c
     return {key: c for key, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# series oracles
+
+
+def hilbert_from_poincare_by_subsets(poincares, box):
+    r"""
+    h on [0, box] from the pi series of every nonempty branch subset K,
+    a dict from bitmask to an object with ``box`` and ``coefficient(w)``:
+    h(v) is the sum over K of (-1)^(|K|-1) times the K-series summed over
+    [0, v_K - 1].  Each K keeps a dict of running sums built one axis at
+    a time by tuple slicing, and every point sums one read per subset.
+    A missing bitmask or a series box below box_K - 1 raises ValueError.
+    """
+    r = len(box)
+    sums = []  # (branches of K, signed running sums of its series)
+    for mask in range(1, 1 << r):
+        if mask not in poincares:
+            raise ValueError("no pi series for bitmask %d" % mask)
+        idx = [i for i in range(r) if mask >> i & 1]
+        upper = tuple(box[i] - 1 for i in idx)
+        p = poincares[mask]
+        if any(b < u for b, u in zip(p.box, upper)):
+            raise ValueError("subcurve series box is too small")
+        sign = 1 if len(idx) % 2 else -1
+        points = list(itertools.product(*(range(u + 1) for u in upper)))
+        acc = {w: sign * p.coefficient(w) for w in points}
+        for axis in range(len(upper)):
+            for w in points:
+                if w[axis]:
+                    acc[w] += acc[w[:axis] + (w[axis] - 1,) + w[axis + 1:]]
+        sums.append((idx, acc))
+    # a point with some v_i = 0, i in K, reads no K term
+    return {v: sum(acc.get(tuple(v[i] - 1 for i in idx), 0)
+                   for idx, acc in sums)
+            for v in itertools.product(*(range(b + 1) for b in box))}

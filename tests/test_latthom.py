@@ -220,6 +220,13 @@ def test_euler_check_compares_every_point(name):
             euler_check(table, wrong)
 
 
+def test_euler_check_refuses_a_series_of_other_arity():
+    # a two-variable series for the one-branch cusp
+    series = full_series(_table("a3"))
+    with pytest.raises(ValueError, match="2 variables for 1 branches"):
+        euler_check(_table("cusp"), series)
+
+
 def test_euler_check_needs_the_series_up_to_l_plus_1():
     table = _table("a3")
     assert euler_check(table, poincare_from_hilbert(table, (3, 3))) is True

@@ -90,3 +90,12 @@ def test_only_cli_main_prints():
              if isinstance(n, ast.FunctionDef) and n.name == "main"]
     outside = prints(tree) - prints(main)
     assert not outside, "print outside cli.main at lines %s" % outside
+
+
+def test_source_lines_fit_79_columns():
+    long = []
+    for name in _sources():
+        with open(os.path.join(SRC, name + ".py")) as handle:
+            long += [(name, number) for number, line in enumerate(handle, 1)
+                     if len(line.rstrip("\n")) > 79]
+    assert not long, "lines over 79 characters: %s" % long

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,8 @@ from curvelat.series import (
 from conftest import (BENCH_CURVES, CORPUS, cell, corpus_curve,
                       count_reader_calls, first_points, full_series,
                       named_curve, shifted_readers)
-from oracles import (alexander_r1_from_semigroup, numerical_semigroup,
+from oracles import (alexander_r1_from_semigroup,
+                     hilbert_from_poincare_by_subsets, numerical_semigroup,
                      times_prod_one_minus_tq_by_subsets)
 
 
@@ -207,6 +211,50 @@ def test_round_trip_names_a_missing_bitmask():
     del ps[5]
     with pytest.raises(ValueError, match="no pi series for bitmask 5"):
         hilbert_from_poincare(ps, (3, 3, 3))
+
+
+@pytest.mark.parametrize("name", ["d5", "a3"])
+def test_round_trip_refuses_a_series_of_other_arity(name):
+    # the two-branch series where the one-branch series of branch 0 goes
+    box = (4, 4)
+    ps = subset_poincares(corpus_curve(name), box)
+    with pytest.raises(ValueError, match="bitmask 1 has 2 variables"):
+        hilbert_from_poincare({**ps, 1: ps[3]}, box)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rebuild_is_the_running_sums_by_subsets(data):
+    # random integer pi series, zeros included, for r <= 4 on boxes with
+    # coordinates 0..4: each series box reaches box - 1 or past it, and
+    # at most one mask is missing and one series box is one short; the
+    # rebuild gives the reference's dict, keys in the same order, or
+    # the same ValueError
+    r = data.draw(st.integers(1, 4))
+    box = tuple(data.draw(st.lists(st.integers(0, 4), min_size=r,
+                                   max_size=r)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    masks = list(range(1, 1 << r))
+    missing, short = (rng.choice(masks) if rng.random() < 0.2 else None
+                      for _ in range(2))
+    poincares = {}
+    for mask in masks:
+        if mask == missing:
+            continue
+        top = [b - 1 + rng.randint(0, 2)
+               for i, b in enumerate(box) if mask >> i & 1]
+        if mask == short:  # one short on the mask's first axis
+            top[0] = box[(mask & -mask).bit_length() - 1] - 2
+        poincares[mask] = BoxSeries(len(top), top, {
+            (w, 0): rng.randint(-3, 3) for w in box_points(top)})
+    try:
+        expected = list(hilbert_from_poincare_by_subsets(poincares,
+                                                         box).items())
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(exc))):
+            hilbert_from_poincare(poincares, box)
+    else:
+        assert list(hilbert_from_poincare(poincares, box).items()) == expected
 
 
 def test_round_trip_stage_catches_a_wrong_face_cell():
@@ -533,6 +581,13 @@ def test_alexander_names_the_least_term_past_its_box(name, bumps, message):
         alexander(table, BoxSeries(series.r, series.box, coeffs))
 
 
+def test_alexander_refuses_a_series_of_other_arity():
+    # a two-variable series for the one-branch cusp
+    series = full_series(_table("a3"))
+    with pytest.raises(ValueError, match="2 variables for 1 branches"):
+        alexander(_table("cusp"), series)
+
+
 def test_alexander_needs_the_series_up_to_l_plus_2():
     for name, short in [("cusp", (3,)), ("a3", (4, 3))]:
         table = _table(name)
@@ -580,6 +635,13 @@ def test_restriction_rejects_missing_series_and_small_boxes():
         else:
             with pytest.raises(ValueError, match="below l - 1"):
                 torres_restriction_check(table, {**poincares, 7: cut})
+
+
+def test_restriction_refuses_a_series_of_other_arity():
+    # the full three-branch series where the one without branch 2 goes
+    table, poincares = _restriction_inputs("triple")
+    with pytest.raises(ValueError, match="bitmask 3 has 3 variables"):
+        torres_restriction_check(table, {**poincares, 3: poincares[7]})
 
 
 def test_restriction_detects_a_wrong_sub_table_value():
