@@ -19,7 +19,6 @@ point, so nothing global about the polynomial curves enters.
 """
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import index
 
@@ -153,7 +152,7 @@ class BranchParametrization:
         cache = self.__dict__.setdefault(slot, {})
         if n not in cache:
             if n == 0:
-                cache[n] = TruncSeries({0: Fraction(1)}, self.truncation)
+                cache[n] = TruncSeries({0: 1}, self.truncation)
             else:
                 cache[n] = series_mul(self._power(base, n - 1, slot), base)
         return cache[n]

@@ -6,17 +6,19 @@ ranks built on it, and Smith normal form over the integers: one loop on
 sparse rows diagonalizes, and a gcd-lcm pass makes the diagonal a
 divisor chain.
 
-All arithmetic is exact.  Rationals are ``fractions.Fraction`` and
-appear only in series.  A matrix is a list of sparse rows of ints, dicts
-mapping an index to its entry; the kernel's vectors hold nonzero ints,
-with the pivot at the least index.
+All arithmetic is exact.  Rationals appear only in series, where a
+coefficient is an ``int`` when it is integral and a
+``fractions.Fraction`` only otherwise, so a curve with integral
+coefficients computes in ints and never imports ``fractions``.  A
+matrix is a list of sparse rows of ints, dicts mapping an index to its
+entry; the kernel's vectors hold nonzero ints, with the pivot at the
+least index.
 ``echelon_insert`` extends a basis without changing it, and
 ``rank_sparse`` grows one basis in place.
 """
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
@@ -28,7 +30,10 @@ class TruncSeries:
     Power series in one variable kept modulo t^truncation.
 
     Coefficients are stored sparsely as a dict mapping exponent to a
-    nonzero Rational; every stored exponent is below the truncation.
+    nonzero rational, an int when it is integral and a Fraction
+    otherwise; every stored exponent is below the truncation.  A
+    coefficient that is neither an int nor a rational with a numerator
+    and a denominator (a float, say) raises TypeError.
     """
 
     __slots__ = ("coeffs", "truncation")
@@ -37,13 +42,17 @@ class TruncSeries:
         self.truncation = truncation
         self.coeffs = {}
         for e, c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not int:
+                if not hasattr(c, "denominator"):
+                    raise TypeError("a coefficient must be an int or a "
+                                    "rational, not %s" % type(c).__name__)
+                c = _rational(c.numerator, c.denominator)
             if c != 0 and e < truncation:
                 self.coeffs[e] = c
 
     def coefficient(self, e):
         r"""Coefficient of t^e, zero when absent."""
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, 0)
 
     def order(self):
         r"""
@@ -88,8 +97,19 @@ def series_mul(a, b):
         for eb, cb in b.coeffs.items():
             e = ea + eb
             if e < t:
-                coeffs[e] = coeffs.get(e, Fraction(0)) + ca * cb
+                coeffs[e] = coeffs.get(e, 0) + ca * cb
     return TruncSeries(coeffs, t)
+
+
+def _rational(num, den):
+    # num/den as an int when it is integral, else as a Fraction.  The
+    # import is here, on the first rational that is not an int, because
+    # fractions loads decimal: a curve with integral coefficients never
+    # pays for either
+    from fractions import Fraction
+
+    c = Fraction(num, den)
+    return c.numerator if c.denominator == 1 else c
 
 
 # one term and the operator after it; the groups are the bare t, the
@@ -157,7 +177,9 @@ def parse_poly(text, truncation):
             raise PolySyntaxError("expected exponent", m.start(6))
         e = _int(m, 6) if exp else 1 if t or star_t else 0
         if e < truncation:
-            c = Fraction(_int(m, 3), int(den or 1)) if num else Fraction(1)
+            c = _int(m, 3) if num else 1
+            if den:
+                c = _rational(c, _int(m, 4))
             coeffs[e] = coeffs.get(e, 0) + (-c if minus else c) * sign
         if not op:
             if m.end() == len(text):

@@ -35,12 +35,17 @@ class BoxSeries:
     Keys of coeffs are (v, m) with v a tuple of length r and m the
     q exponent; zero coefficients are dropped.  box is the corner of
     the region in which the t support is meaningful (series data
-    outside the box was never computed, not proven zero).
+    outside the box was never computed, not proven zero).  A box whose
+    length is not r raises ValueError, so every comparison of a box
+    with another r-tuple can pair their coordinates by ``zip``.
     """
 
     def __init__(self, r, box, coeffs):
         self.r = r
         self.box = tuple(box)
+        if len(self.box) != r:
+            raise ValueError("series box %s has %d coordinates for %d "
+                             "variables" % (self.box, len(self.box), r))
         self.coeffs = {}
         for (v, m), c in coeffs.items():
             if c != 0:

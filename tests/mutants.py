@@ -78,6 +78,29 @@ MUTANTS = {
         """-1 if op == "-" else 1""",
         "1",
         "tests/test_exactalg.py::test_parse_full_expression"),
+    # the number rule of TruncSeries: an int when integral
+    "integral-fraction-kept": Mutant(
+        "src/curvelat/exactalg.py",
+        "return c.numerator if c.denominator == 1 else c",
+        "return c",
+        "tests/test_hilbert.py"
+        "::test_coefficients_are_ints_exactly_when_integral"),
+    "parse-drops-denominator": Mutant(
+        "src/curvelat/exactalg.py",
+        "c = _rational(c, _int(m, 4))",
+        "c = _rational(c, 1)",
+        "tests/test_exactalg.py::test_parse_full_expression"),
+    "fractions-imported-at-module-level": Mutant(
+        "src/curvelat/exactalg.py",
+        "from math import gcd, lcm\n",
+        "from fractions import Fraction\nfrom math import gcd, lcm\n",
+        "tests/test_cli.py::test_integral_curves_never_import_fractions"),
+    "series-box-length-unchecked": Mutant(
+        _SERIES,
+        "if len(self.box) != r:",
+        "if False:",
+        "tests/test_series.py"
+        "::test_round_trip_refuses_a_series_box_of_other_length"),
     "d0-kills-independent-off": Mutant(
         _D0,
         "if any(col and ok for",

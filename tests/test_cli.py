@@ -8,8 +8,8 @@ from importlib.metadata import EntryPoint
 
 import pytest
 
-from conftest import (BENCH_DIR, CORPUS, corpus_path, count_reader_calls,
-                      first_points)
+from conftest import (BENCH_CURVES, BENCH_DIR, CORPUS, corpus_path,
+                      count_reader_calls, first_points)
 
 import curvelat.curve
 import curvelat.hilbert
@@ -210,6 +210,17 @@ def test_invariants_table(capsys):
     assert "mu: 5" in out
     assert "conductor: 2 4" in out
     assert "pairwise[0]: 0 2" in out
+
+
+def test_rational_twin_of_a3_prints_the_lines_of_a3(capsys, tmp_path):
+    # (t, 1/2 t^2), (t, -1/3 t^2) is a3 with y scaled on each branch, and
+    # its jets are computed in Fractions before they are scaled to ints
+    twin = _write(tmp_path, {"truncation": 32, "branches": [
+        {"x": "t", "y": "1/2*t^2"}, {"x": "t", "y": "-1/3*t^2"}]})
+    for command in ["invariants", "hilbert", "verify"]:
+        code, out, err = _run(capsys, [command, twin])
+        assert (code, out, err) == _run(capsys, [command, corpus_path("a3")])
+        assert code == 0
 
 
 def test_invariants_json(capsys):
@@ -619,6 +630,32 @@ def _run_python(*argv):
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
                           capture_output=True, text=True)
+
+
+def test_integral_curves_never_import_fractions(tmp_path):
+    # every committed curve has integral coefficients, so loading it and
+    # verifying one computes in ints and loads neither fractions nor the
+    # decimal module that fractions imports; a curve with a rational
+    # coefficient loads fractions
+    half = _write(tmp_path, {"truncation": 8,
+                             "branches": [{"x": "t", "y": "1/2*t^2"}]})
+    paths = ([corpus_path(name) for name in CORPUS]
+             + [os.path.join(BENCH_DIR, name + ".json")
+                for name in BENCH_CURVES])
+    script = """import sys
+import curvelat
+from curvelat import cli
+for path in sys.argv[1:-1]:
+    cli.load_curve(path)
+code = cli.main(["verify", sys.argv[1 + %d]])
+print(sorted({"fractions", "decimal"} & set(sys.modules)))
+cli.load_curve(sys.argv[-1])
+print("fractions" in sys.modules)
+sys.exit(code)
+""" % CORPUS.index("cusp")
+    proc = _run_python("-c", script, *paths, half)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("all checks passed\n[]\nTrue\n")
 
 
 def test_console_script_installed(tmp_path):

@@ -277,6 +277,15 @@ def test_series_mul_distributes(a, b, c):
     assert lhs == rhs
 
 
+def test_series_refuses_a_coefficient_that_is_not_rational():
+    # a float is refused, not stored as the Fraction nearest to it, as a
+    # float row is refused by the ranks; so is a numeral written as text
+    for c in [0.1, 2.0, "1/2", None]:
+        with pytest.raises(TypeError, match="^a coefficient must be an int "
+                                            "or a rational, not "):
+            TruncSeries({1: c}, 5)
+
+
 def test_series_min_truncation():
     a = TruncSeries({0: 1, 4: 1}, 8)
     b = TruncSeries({0: 1}, 5)

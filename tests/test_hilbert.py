@@ -4,7 +4,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, reject, settings
@@ -17,7 +17,7 @@ from curvelat.errors import (
     InsufficientTruncation,
     NonStabilizing,
 )
-from curvelat.exactalg import TruncSeries
+from curvelat.exactalg import TruncSeries, parse_poly, series_mul
 from curvelat.hilbert import (
     box_points,
     build_table,
@@ -295,6 +295,55 @@ def _branch(draw, smooth=None):
     if draw(st.booleans()):
         x, y = y, x
     return BranchParametrization(x, y)
+
+
+def _jet_by_fractions(x, y, truncation, a, b):
+    # the jet of x^a y^b as BranchParametrization.jet defines it (x and y
+    # dicts of coefficients), composed one factor at a time with every
+    # coefficient and sum a Fraction.  It is kept here, not in oracles:
+    # bench/run.py executes oracles.py in its own process, whose peak
+    # RSS is what the benchmark's peak_rss_mb reads
+    p = {0: Fraction(1)}
+    for factor in [x] * a + [y] * b:
+        out = {}
+        for e, c in p.items():
+            for k, d in factor.items():
+                if e + k < truncation:
+                    out[e + k] = out.get(e + k, Fraction(0)) + c * Fraction(d)
+        p = out
+    q = lcm(*(Fraction(c).denominator for c in [*x.values(), *y.values()]))
+    jet = tuple((e, c * q ** e) for e, c in sorted(p.items()) if c)
+    assert all(c.denominator == 1 for _, c in jet)
+    return tuple((e, c.numerator) for e, c in jet)
+
+
+def _written(series, k):
+    # the series as parse_poly text, each coefficient n/d written as
+    # (k n)/(k d), so that integral ones are written with a denominator
+    return " + ".join("%d/%d*t^%d" % (k * c.numerator, k * c.denominator, e)
+                      for e, c in sorted(series.coeffs.items()))
+
+
+def _ints_exactly_when_integral(series):
+    return all((type(c) is int) == (c.denominator == 1)
+               for c in series.coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_branch(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+def test_coefficients_are_ints_exactly_when_integral(branch, k, a, b):
+    # the number rule of TruncSeries on every series a jet is composed
+    # from: parsed, multiplied, raised to a power or made a monomial, a
+    # coefficient is an int when it is integral and a Fraction only
+    # otherwise; and the jet is the one of Fraction arithmetic
+    x, y = (parse_poly(_written(s, k), 16) for s in (branch.x, branch.y))
+    assert (x, y) == (branch.x, branch.y)
+    branch = BranchParametrization(x, y)
+    for s in [x, y, series_mul(x, y), branch._power(x, a, "_xpow"),
+              branch._power(y, b, "_ypow"), branch.monomial(a, b)]:
+        assert _ints_exactly_when_integral(s), s
+    assert branch.jet(a, b) == _jet_by_fractions(x.coeffs, y.coeffs, 16,
+                                                 a, b)
 
 
 _curves = st.one_of(

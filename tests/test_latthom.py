@@ -14,7 +14,7 @@ import curvelat.latthom as latthom
 from curvelat.errors import (BoxTooSmall, ConsistencyError,
                              UnclassifiablePattern)
 from curvelat.hilbert import build_table, local_matroid
-from curvelat.series import alexander, poincare_from_hilbert
+from curvelat.series import BoxSeries, alexander, poincare_from_hilbert
 from curvelat.latthom import (GradedGroup, euler_check, graded_pieces,
                               grv_homology, grv_homology_direct,
                               grv_homology_formula, r1_structure,
@@ -225,6 +225,15 @@ def test_euler_check_refuses_a_series_of_other_arity():
     series = full_series(_table("a3"))
     with pytest.raises(ValueError, match="2 variables for 1 branches"):
         euler_check(_table("cusp"), series)
+
+
+def test_euler_check_refuses_a_short_series_box():
+    # a3's series over [0, l + 2] with the box cut to its first coordinate
+    table = _table("a3")
+    series = full_series(table)
+    with pytest.raises(ValueError, match=r"^series box \(4,\) has 1 "
+                                         r"coordinates for 2 variables$"):
+        euler_check(table, BoxSeries(2, series.box[:1], series.coeffs))
 
 
 def test_euler_check_needs_the_series_up_to_l_plus_1():

@@ -10,9 +10,10 @@ import curvelat
 ORDER = ["errors", "exactalg", "curve", "oslattice", "hilbert", "series",
          "latthom", "verify", "cli", "__main__", "__init__"]
 
-# the only modules that may import fractions: the series parser and the
-# branches read from its series; every layer above works on integers
-FRACTIONS = {"exactalg", "curve"}
+# the only module that may import fractions: the series, whose one
+# helper makes a Fraction of a coefficient that is not integral; every
+# other layer works on ints
+FRACTIONS = {"exactalg"}
 
 SRC = os.path.dirname(curvelat.__file__)
 

@@ -222,6 +222,14 @@ def test_round_trip_refuses_a_series_of_other_arity(name):
         hilbert_from_poincare({**ps, 1: ps[3]}, box)
 
 
+def test_round_trip_refuses_a_series_box_of_other_length():
+    # an empty box passed the zip-based box guard, and the rebuild read
+    # the series as covering [0, 3]
+    with pytest.raises(ValueError, match=r"^series box \(\) has 0 "
+                                         r"coordinates for 1 variables$"):
+        hilbert_from_poincare({1: BoxSeries(1, (), {((0,), 0): 1})}, (3,))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rebuild_is_the_running_sums_by_subsets(data):
@@ -588,6 +596,15 @@ def test_alexander_refuses_a_series_of_other_arity():
         alexander(_table("cusp"), series)
 
 
+def test_alexander_refuses_a_short_series_box():
+    # a3's series over [0, l + 2] with the box cut to its first coordinate
+    table = _table("a3")
+    series = full_series(table)
+    with pytest.raises(ValueError, match=r"^series box \(4,\) has 1 "
+                                         r"coordinates for 2 variables$"):
+        alexander(table, BoxSeries(2, series.box[:1], series.coeffs))
+
+
 def test_alexander_needs_the_series_up_to_l_plus_2():
     for name, short in [("cusp", (3,)), ("a3", (4, 3))]:
         table = _table(name)
@@ -612,6 +629,16 @@ def test_restriction_all_corpus_pairs():
         for margin in [-1, 2, 5]:
             table, poincares = _restriction_inputs(name, margin)
             assert torres_restriction_check(table, poincares) is True
+
+
+def test_restriction_refuses_a_short_series_box():
+    # triple's full series with the box cut to its first two coordinates
+    table, poincares = _restriction_inputs("triple")
+    full = poincares[7]
+    with pytest.raises(ValueError, match=r"^series box \(4, 4\) has 2 "
+                                         r"coordinates for 3 variables$"):
+        torres_restriction_check(
+            table, {**poincares, 7: BoxSeries(3, full.box[:2], full.coeffs)})
 
 
 def test_restriction_rejects_single_branch():
