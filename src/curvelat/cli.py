@@ -9,21 +9,30 @@ and prints invariants, Hilbert values and grids, the semigroup
 membership grid, series, graded homology, or runs the
 self-verification battery.
 
-Each command is a function ``(curve, args) -> (payload, lines)``, and
-``main`` is the one output path: it loads the curve, calls the command
-and prints the JSON payload (``--format json``, which ``verify`` lacks)
-or the lines one by one, so ``verify``'s generator of stage lines
-prints each line as its stage finishes.
-Schema and argument problems exit with status 2; computation errors
-exit with status 1 and a line "ErrorName: message" on stderr.
+One table, ``COMMANDS``, holds each command's function, help text,
+positionals and flags, and it alone drives parsing, ``-h``/``--help``
+and dispatch.  A flag that takes a value takes the next token whatever
+it starts with (``--at -1,0``) or the text after "=", and a long flag
+may be shortened to any prefix that names no other.  Each command is a
+function ``(curve, args) -> (payload, lines)``, and ``main`` is the one
+output path: it loads the curve, calls the command and prints the JSON
+payload (``--format json``, which ``verify`` lacks) or the lines one by
+one, so ``verify``'s generator of stage lines prints each line as its
+stage finishes.  Only ``verify`` imports the verify battery.
+
+A command line the table refuses exits with status 2 and prints the
+usage line of its command (or of the whole CLI) and a line
+"curvelat: error: message" on stderr.  Schema and argument problems
+also exit with status 2; computation errors exit with status 1 and a
+line "ErrorName: message" on stderr.
 """
 
-import argparse
 import json
 import sys
+from collections import namedtuple
 from itertools import chain
+from types import SimpleNamespace
 
-from . import verify
 from .curve import BranchParametrization, Curve
 from .errors import CurvelatError, CurveSchemaError
 from .hilbert import box_points, build_table, invariants, semigroup
@@ -210,65 +219,198 @@ def _cmd_homology(curve, args):
 
 
 def _cmd_verify(curve, args):
-    # a generator: each stage line prints as its stage finishes
+    # a generator: each stage line prints as its stage finishes; the
+    # battery is imported here, so no other command loads it
+    from . import verify
+
     stages = ("%s %s" % record for record in verify.run(curve, args.deep))
     return None, chain(stages, ["all checks passed"])
 
 
-def _arg(*flags, **keywords):
-    return flags, keywords
+# An argument whose name starts with "--" is a flag: it takes a value
+# when it has choices or a metavar and is a switch otherwise.  Any other
+# argument is a positional, which is always required.
+Arg = namedtuple("Arg", "name help choices metavar required",
+                 defaults=("", (), None, False))
+
+_CURVE = Arg("curve", "path to a curve JSON file")
+_FORMAT = Arg("--format", "output format, table by default",
+              choices=("table", "json"))
+
+# name -> (function, help, arguments in the order that help lists
+# them): the one table that parsing, help and dispatch read
+COMMANDS = {
+    "invariants": (_cmd_invariants,
+                   "delta, Milnor number, pairwise numbers, conductor",
+                   (_CURVE, _FORMAT)),
+    "value": (_cmd_value, "single Hilbert value",
+              (_CURVE, Arg("--at", "lattice point, comma separated",
+                           metavar="V", required=True), _FORMAT)),
+    "hilbert": (_cmd_hilbert, "grid of Hilbert values",
+                (_CURVE, Arg("--box", "grid corner, comma separated",
+                             metavar="B"), _FORMAT)),
+    "semigroup": (_cmd_semigroup,
+                  "value semigroup membership grid and conductor",
+                  (_CURVE, Arg("--box", "search corner, comma separated",
+                               metavar="B"), _FORMAT)),
+    "series": (_cmd_series, "poincare, motivic, or alexander series",
+               (Arg("kind", "which series",
+                    choices=("poincare", "motivic", "alexander")),
+                _CURVE, _FORMAT)),
+    "homology": (_cmd_homology, "graded lattice homology",
+                 (_CURVE,
+                  Arg("--at", "single lattice point, comma separated",
+                      metavar="V"),
+                  Arg("--box", "report every point of the box",
+                      metavar="B"), _FORMAT)),
+    "verify": (_cmd_verify, "run the self-verification battery",
+               (_CURVE, Arg("--deep", "wider boxes and more sublevel "
+                                      "levels"))),
+}
+
+_HELP = ("-h", "--help")
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="curvelat",
-        description="invariants of plane curve branches from their "
-                    "parametrizations")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _UsageError(Exception):
+    r"""A command line that COMMANDS refuses: (command or None, message)."""
 
-    def add(name, func, help_text, *arguments):
-        p = sub.add_parser(name, help=help_text)
-        for flags, keywords in arguments:
-            p.add_argument(*flags, **keywords)
-        p.set_defaults(func=func)
 
-    curve = _arg("curve", help="path to a curve JSON file")
-    fmt = _arg("--format", choices=("table", "json"), default="table")
-    add("invariants", _cmd_invariants,
-        "delta, Milnor number, pairwise numbers, conductor", curve, fmt)
-    add("value", _cmd_value, "single Hilbert value", curve,
-        _arg("--at", required=True, metavar="V",
-             help="lattice point, comma separated"), fmt)
-    add("hilbert", _cmd_hilbert, "grid of Hilbert values", curve,
-        _arg("--box", metavar="B", help="grid corner, comma separated"),
-        fmt)
-    add("semigroup", _cmd_semigroup,
-        "value semigroup membership grid and conductor", curve,
-        _arg("--box", metavar="B", help="search corner, comma separated"),
-        fmt)
-    add("series", _cmd_series, "poincare, motivic, or alexander series",
-        _arg("kind", choices=("poincare", "motivic", "alexander")), curve,
-        fmt)
-    add("homology", _cmd_homology, "graded lattice homology", curve,
-        _arg("--at", metavar="V",
-             help="single lattice point, comma separated"),
-        _arg("--box", metavar="B", help="report every point of the box"),
-        fmt)
-    add("verify", _cmd_verify, "run the self-verification battery", curve,
-        _arg("--deep", action="store_true",
-             help="wider boxes and more sublevel levels"))
-    return parser
+def _is_flag(arg):
+    return arg.name.startswith("--")
+
+
+def _is_switch(arg):
+    return _is_flag(arg) and not (arg.choices or arg.metavar)
+
+
+def _matches(key, names):
+    # the names a flag token stands for: its own, or every long name of
+    # which it is a prefix
+    return [n for n in names
+            if n == key or key[:2] == "--" and key != "--"
+            and n.startswith(key)]
+
+
+def _invalid(label, value, choices):
+    return ("argument %s: invalid choice: %r (choose from %s)"
+            % (label, value, ", ".join(map(repr, choices))))
+
+
+def _parse(argv):
+    r"""
+    Read argv against COMMANDS.
+
+    Returns the command name and a namespace of its arguments, or the
+    name (None at the top level) and None when help is asked for.  A
+    command line that the table refuses raises _UsageError.
+    """
+    if argv and _matches(argv[0], _HELP):
+        return None, None
+    if not argv:
+        raise _UsageError(None,
+                          "the following arguments are required: command")
+    name, tokens = argv[0], iter(argv[1:])
+    if name not in COMMANDS:
+        raise _UsageError(None, _invalid("command", name, COMMANDS))
+    spec = COMMANDS[name][2]
+    flags = {a.name: a for a in spec if _is_flag(a)}
+    positionals = iter(a for a in spec if not _is_flag(a))
+    args = {a.name.lstrip("-"): False if _is_switch(a) else None
+            for a in spec}
+    extra = []
+    options = True
+    for token in tokens:
+        if options and token == "--":
+            options = False
+            continue
+        if not options or token[:1] != "-" or token == "-":
+            arg, value = next(positionals, None), token
+            if arg is None:
+                extra.append(token)
+                continue
+        else:
+            key, eq, value = token.partition("=")
+            found = _matches(key, _HELP + tuple(flags))
+            if len(found) != 1:
+                extra.append(token)
+                continue
+            if found[0] in _HELP:
+                return name, None
+            arg = flags[found[0]]
+            if _is_switch(arg):
+                if eq:
+                    raise _UsageError(
+                        name, "argument %s: ignored explicit argument %r"
+                        % (arg.name, value))
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise _UsageError(
+                        name, "argument %s: expected one argument"
+                        % arg.name)
+        if arg.choices and value not in arg.choices:
+            raise _UsageError(name, _invalid(arg.name, value, arg.choices))
+        args[arg.name.lstrip("-")] = value
+    missing = [a.name for a in spec if args[a.name.lstrip("-")] is None
+               and (a.required or not _is_flag(a))]
+    if missing:
+        raise _UsageError(name, "the following arguments are required: "
+                          + ", ".join(missing))
+    if extra:
+        raise _UsageError(name, "unrecognized arguments: " + " ".join(extra))
+    return name, SimpleNamespace(**args)
+
+
+def _form(arg):
+    # how the usage line writes an argument
+    shown = ("{%s}" % ",".join(arg.choices) if arg.choices
+             else arg.metavar)
+    if not _is_flag(arg):
+        return shown or arg.name
+    return arg.name + (" " + shown if shown else "")
+
+
+def _usage(name):
+    if name is None:
+        return "usage: curvelat [-h] {%s} ..." % ",".join(COMMANDS)
+    spec = COMMANDS[name][2]
+    return " ".join(
+        ["usage: curvelat", name, "[-h]"]
+        + [_form(a) if a.required else "[%s]" % _form(a)
+           for a in spec if _is_flag(a)]
+        + [_form(a) for a in spec if not _is_flag(a)])
+
+
+def _help(name):
+    # the usage line, then one row per command, or per argument of one
+    if name is None:
+        lines = [_usage(None), "", "invariants of plane curve branches "
+                 "from their parametrizations"]
+        rows = [(n, c[1]) for n, c in COMMANDS.items()]
+    else:
+        lines = [_usage(name)]
+        rows = [(_form(a), a.help) for a in COMMANDS[name][2]]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = 2 + max(len(left) for left, _ in rows)
+    return "\n".join(lines + [""] + [("  " + left.ljust(width) + text)
+                                     .rstrip() for left, text in rows])
 
 
 def main(argv=None):
     r"""Run one command line and return its exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        name, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        name, message = exc.args
+        print(_usage(name), file=sys.stderr)
+        print("curvelat: error: " + message, file=sys.stderr)
+        return 2
+    if args is None:
+        print(_help(name))
+        return 0
     try:
-        payload, lines = args.func(load_curve(args.curve), args)
+        payload, lines = COMMANDS[name][0](load_curve(args.curve), args)
         if getattr(args, "format", None) == "json":
             payload["schema"] = 1
             print(json.dumps(payload, sort_keys=True, indent=2))

@@ -35,9 +35,10 @@ class BoxSeries:
     Keys of coeffs are (v, m) with v a tuple of length r and m the
     q exponent; zero coefficients are dropped.  box is the corner of
     the region in which the t support is meaningful (series data
-    outside the box was never computed, not proven zero).  A box whose
-    length is not r raises ValueError, so every comparison of a box
-    with another r-tuple can pair their coordinates by ``zip``.
+    outside the box was never computed, not proven zero).  A box or a
+    term whose length is not r raises ValueError, so every comparison
+    of a box or a term with another r-tuple can pair their coordinates
+    by ``zip``.
     """
 
     def __init__(self, r, box, coeffs):
@@ -48,8 +49,12 @@ class BoxSeries:
                              "variables" % (self.box, len(self.box), r))
         self.coeffs = {}
         for (v, m), c in coeffs.items():
+            v = tuple(v)
+            if len(v) != r:
+                raise ValueError("series term %s has %d coordinates for %d "
+                                 "variables" % (v, len(v), r))
             if c != 0:
-                self.coeffs[(tuple(v), m)] = c
+                self.coeffs[(v, m)] = c
 
     def coefficient(self, v, m=0):
         return self.coeffs.get((tuple(v), m), 0)

@@ -29,6 +29,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 Mutant = namedtuple("Mutant", "path old new killer")
 Equivalent = namedtuple("Equivalent", "path old new reason")
 
+_CLI = "src/curvelat/cli.py"
 _CURVE = "src/curvelat/curve.py"
 _D0 = "src/curvelat/oslattice.py"
 _HILBERT = "src/curvelat/hilbert.py"
@@ -101,6 +102,36 @@ MUTANTS = {
         "if False:",
         "tests/test_series.py"
         "::test_round_trip_refuses_a_series_box_of_other_length"),
+    "series-term-length-unchecked": Mutant(
+        _SERIES,
+        "if len(v) != r:",
+        "if False:",
+        "tests/test_series.py::test_series_refuses_a_term_of_other_length"),
+    # the command table: usage errors, choices, required flags and
+    # abbreviated long flags
+    "usage-error-exits-zero": Mutant(
+        _CLI,
+        'print("curvelat: error: " + message, file=sys.stderr)\n'
+        "        return 2",
+        'print("curvelat: error: " + message, file=sys.stderr)\n'
+        "        return 0",
+        "tests/test_cli.py::test_argv_table"),
+    "choices-unchecked": Mutant(
+        _CLI,
+        "if arg.choices and value not in arg.choices:",
+        "if False:",
+        "tests/test_cli.py::test_argv_table"),
+    "required-flag-unchecked": Mutant(
+        _CLI,
+        "and (a.required or not _is_flag(a))",
+        "and not _is_flag(a)",
+        "tests/test_cli.py::test_argv_table"),
+    "abbrev-dropped": Mutant(
+        _CLI,
+        'if n == key or key[:2] == "--" and key != "--"\n'
+        "            and n.startswith(key)]",
+        "if n == key]",
+        "tests/test_cli.py::test_argv_table"),
     "d0-kills-independent-off": Mutant(
         _D0,
         "if any(col and ok for",

@@ -606,11 +606,125 @@ def test_too_long_exponent_exits_with_poly_syntax_error(capsys, tmp_path):
     assert err == "PolySyntaxError: integer too long (at offset 2)\n"
 
 
-def test_argparse_failures(capsys):
-    assert main([]) == 2
-    assert main(["unknown-command"]) == 2
-    assert main(["series", "nonsense", corpus_path("a3")]) == 2
-    capsys.readouterr()
+def _json(payload):
+    # main's JSON output of a payload
+    return json.dumps(dict(payload, schema=1), sort_keys=True,
+                      indent=2) + "\n"
+
+
+A3, CUSP, LINE = (corpus_path(name) for name in ("a3", "cusp", "line"))
+INVARIANTS_A3 = {"r": 2, "delta": 2, "delta_branches": [0, 0], "mu": 3,
+                 "mu_branches": [0, 0], "pairwise": [[0, 2], [2, 0]],
+                 "conductor": [2, 2]}
+VERIFY_LINE = "".join(
+    "ok %s\n" % stage for stage in (
+        "invariants", "hilbert-table", "symmetry", "large-index-steps",
+        "semigroup", "series-round-trip", "motivic", "alexander")
+) + "skip restriction (single branch)\n" + "".join(
+    "ok %s\n" % stage for stage in (
+        "euler", "graded-homology", "arrangement-structure",
+        "sublevel-contractible", "branch-structure")
+) + "all checks passed\n"
+COMMAND_NAMES = ["invariants", "value", "hilbert", "semigroup", "series",
+                 "homology", "verify"]
+
+# argv -> exit 0 and its stdout, or exit 2 and the message of its usage
+# error; statuses, stdouts and messages are those argparse gave
+ARGV_TABLE = [
+    (["invariants", A3], 0,
+     "r: 2\ndelta: 2\ndelta_branches: 0 0\nmu: 3\nmu_branches: 0 0\n"
+     "pairwise[0]: 0 2\npairwise[1]: 2 0\nconductor: 2 2\n"),
+    (["invariants", A3, "--format=json"], 0, _json(INVARIANTS_A3)),
+    (["invariants", "--format", "json", A3], 0, _json(INVARIANTS_A3)),
+    (["invariants", A3, "--form", "json"], 0, _json(INVARIANTS_A3)),
+    (["value", "--at", "2,2", A3], 0, "2\n"),
+    (["value", A3, "--at=2,2", "--f=json"], 0,
+     _json({"at": [2, 2], "value": 2})),
+    (["value", "--at", "2,2", "--", A3], 0, "2\n"),
+    (["hilbert", "--bo", "4", CUSP], 0, "0 1 1 2 3\n"),
+    (["semigroup", CUSP, "--box=6"], 0, "* . * * * * *\nconductor: 2\n"),
+    (["series", "alexander", A3], 0, "1 + t1*t2\n"),
+    (["homology", A3, "--at", "2,2"], 0, "Z@-4 Z@-5\n"),
+    (["verify", "--deep", LINE], 0, VERIFY_LINE),
+    (["verify", LINE, "--deep"], 0, VERIFY_LINE),
+    (["verify", LINE, "--de"], 0, VERIFY_LINE),
+    ([], 2, "the following arguments are required: command"),
+    (["unknown-command"], 2,
+     "argument command: invalid choice: 'unknown-command' (choose from %s)"
+     % ", ".join(map(repr, COMMAND_NAMES))),
+    (["series", "nonsense", A3], 2,
+     "argument kind: invalid choice: 'nonsense' (choose from 'poincare', "
+     "'motivic', 'alexander')"),
+    (["series"], 2, "the following arguments are required: kind, curve"),
+    (["value", A3], 2, "the following arguments are required: --at"),
+    (["value", A3, "--at"], 2, "argument --at: expected one argument"),
+    (["invariants"], 2, "the following arguments are required: curve"),
+    (["invariants", A3, "--format", "xml"], 2,
+     "argument --format: invalid choice: 'xml' (choose from 'table', "
+     "'json')"),
+    (["invariants", A3, "--bogus"], 2, "unrecognized arguments: --bogus"),
+    (["invariants", A3, "extra"], 2, "unrecognized arguments: extra"),
+    (["verify", "--format", "json", CUSP], 2,
+     "unrecognized arguments: --format " + CUSP),
+    (["verify", LINE, "--deep=1"], 2,
+     "argument --deep: ignored explicit argument '1'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", ARGV_TABLE,
+                         ids=["_".join(os.path.basename(a)[:-5]
+                                       if a.endswith(".json") else a
+                                       for a in argv) or "no-command"
+                              for argv, _, _ in ARGV_TABLE])
+def test_argv_table(capsys, argv, code, text):
+    got, out, err = _run(capsys, argv)
+    assert got == code
+    if code == 0:
+        assert (out, err) == (text, "")
+        return
+    # a usage error: the usage line of the command, or of the whole
+    # command line when no command is known, then the message
+    assert out == ""
+    usage, error = err.splitlines()
+    command = argv[0] if argv and argv[0] in COMMAND_NAMES else "[-h]"
+    assert usage.startswith("usage: curvelat %s " % command)
+    assert error == "curvelat: error: " + text
+
+
+HELP_NAMES = {
+    None: COMMAND_NAMES,
+    "invariants": ["curve", "--format {table,json}"],
+    "value": ["curve", "--at V", "--format {table,json}"],
+    "hilbert": ["curve", "--box B", "--format {table,json}"],
+    "semigroup": ["curve", "--box B", "--format {table,json}"],
+    "series": ["{poincare,motivic,alexander}", "curve",
+               "--format {table,json}"],
+    "homology": ["curve", "--at V", "--box B", "--format {table,json}"],
+    "verify": ["curve", "--deep"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(HELP_NAMES))
+def test_help_names_every_argument(capsys, command, flag):
+    # help on stdout with status 0: the top level names every command,
+    # a command every flag and positional
+    code, out, err = _run(capsys, [command, flag] if command else [flag])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("usage: curvelat %s" % (command or "[-h]"))
+    named = [line.split("  ")[1] for line in lines[1:]
+             if line.startswith("  ")]
+    assert sorted(named) == sorted(HELP_NAMES[command] + ["-h, --help"])
+
+
+def test_flag_value_may_start_with_a_minus(capsys):
+    # --at takes the next token whatever it starts with, so a point with
+    # a negative coordinate reads as it does after "="
+    for argv in (["value", A3, "--at", "-1,1"], ["value", A3, "--at=-1,1"],
+                 ["value", "--at", "-1,1", A3]):
+        assert _run(capsys, argv) == (0, "1\n", "")
+    assert _run(capsys, ["homology", A3, "--at", "-1,2"]) == (0, "0\n", "")
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -634,28 +748,35 @@ def _run_python(*argv):
 
 def test_integral_curves_never_import_fractions(tmp_path):
     # every committed curve has integral coefficients, so loading it and
-    # verifying one computes in ints and loads neither fractions nor the
-    # decimal module that fractions imports; a curve with a rational
+    # running a command computes in ints and loads neither fractions nor
+    # the decimal module that fractions imports; no command loads
+    # argparse or the gettext and locale modules it brings, and only
+    # verify loads the verify battery; a curve with a rational
     # coefficient loads fractions
     half = _write(tmp_path, {"truncation": 8,
                              "branches": [{"x": "t", "y": "1/2*t^2"}]})
     paths = ([corpus_path(name) for name in CORPUS]
              + [os.path.join(BENCH_DIR, name + ".json")
                 for name in BENCH_CURVES])
-    script = """import sys
+    script = """import contextlib, io, sys
 import curvelat
 from curvelat import cli
 for path in sys.argv[1:-1]:
     cli.load_curve(path)
-code = cli.main(["verify", sys.argv[1 + %d]])
-print(sorted({"fractions", "decimal"} & set(sys.modules)))
+watched = {"fractions", "decimal", "argparse", "gettext", "locale",
+           "curvelat.verify"}
+for command in (["invariants"], ["hilbert"], ["series", "alexander"],
+                ["verify"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(command + [sys.argv[1 + %d]])
+    print(command[0], code, sorted(watched & set(sys.modules)))
 cli.load_curve(sys.argv[-1])
 print("fractions" in sys.modules)
-sys.exit(code)
 """ % CORPUS.index("cusp")
     proc = _run_python("-c", script, *paths, half)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("all checks passed\n[]\nTrue\n")
+    assert proc.stdout == ("invariants 0 []\nhilbert 0 []\nseries 0 []\n"
+                           "verify 0 ['curvelat.verify']\nTrue\n")
 
 
 def test_console_script_installed(tmp_path):
@@ -682,6 +803,14 @@ def test_python_m_curvelat():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "2\n"
     assert proc.stderr == ""
+    proc = _run_python("-m", "curvelat")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        "\ncurvelat: error: the following arguments are required: "
+        "command\n")
+    proc = _run_python("-m", "curvelat", "-h")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: curvelat [-h] ")
 
 
 def test_runs_without_sympy():

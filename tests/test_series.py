@@ -230,6 +230,17 @@ def test_round_trip_refuses_a_series_box_of_other_length():
         hilbert_from_poincare({1: BoxSeries(1, (), {((0,), 0): 1})}, (3,))
 
 
+def test_series_refuses_a_term_of_other_length():
+    # a one- and a three-coordinate term of a two-variable series were
+    # both stored, and canonical_str printed "5 + 3"; a zero term of the
+    # wrong length is refused too
+    with pytest.raises(ValueError, match=r"^series term \(0,\) has 1 "
+                                         r"coordinates for 2 variables$"):
+        BoxSeries(2, (1, 1), {((0,), 0): 5, ((0, 0, 0), 0): 3})
+    with pytest.raises(ValueError, match=r"^series term \(0, 0, 0\) has 3 "):
+        BoxSeries(2, (1, 1), {((0, 0), 0): 5, ((0, 0, 0), 0): 0})
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rebuild_is_the_running_sums_by_subsets(data):
