@@ -8,7 +8,9 @@ h(v) = codimension of the set of functions whose order on branch i is
 at least v_i; everything else in the package is derived from it.  This
 module computes h(v) directly as the rank of a sparse matrix of monomial
 jet coefficients, with no recursion, so it can serve as the ground-truth
-route against which faster routes are checked.  Each branch caches the
+route against which faster routes are checked; oracle_values ranks many
+points in one walk, in which points that share trailing coordinates
+share the elimination of those branches' columns.  Each branch caches the
 sparse jet of every monomial it has composed (``jet``), the columns of
 the jet matrix (``columns``), its delta and conductor (``branch_delta``)
 and its accepted intersection number with each other branch
@@ -29,7 +31,7 @@ from .errors import (
     NonStabilizing,
     PrimitivityError,
 )
-from .exactalg import TruncSeries, parse_poly, rank_sparse, series_mul
+from .exactalg import TruncSeries, echelon_extend, parse_poly, series_mul
 
 
 class BranchParametrization:
@@ -183,7 +185,8 @@ class Curve:
 
 def h_oracle(curve, v):
     r"""
-    Hilbert value h(v) as a matrix rank, directly from the definition.
+    Hilbert value h(v) as a matrix rank, directly from the definition:
+    the one-point case of oracle_values.
 
     The jet matrix of v has a row for each monomial x^a y^b and, branch
     by branch, a column for each e below v_i, holding the t^e entries of
@@ -208,19 +211,91 @@ def h_oracle(curve, v):
     TypeError
         If some coordinate is not an integer.
     """
-    if len(v) != curve.r:
-        raise ValueError("expected %d coordinates, got %d"
-                         % (curve.r, len(v)))
-    v = tuple(max(index(c), 0) for c in v)
-    m = max(v)
-    if m == 0:
-        return 0
-    if curve.truncation < m:
-        raise InsufficientTruncation(
-            "need %d series terms but only %d are kept"
-            % (m, curve.truncation))
-    return rank_sparse([col for b, n in zip(curve.branches[::-1], v[::-1])
-                        for col in b.columns(n)[::-1] if col])
+    return oracle_values(curve, (v,))[0]
+
+
+def oracle_values(curve, points):
+    r"""
+    h at each of the points, ranked as h_oracle ranks one point, with
+    the elimination of a shared suffix of coordinates done once.
+
+    The points are walked as a trie over their reversed (clamped)
+    coordinates, in sorted order.  A node at depth j reduces its block,
+    the nonzero columns e = n - 1, ..., 0 of branch r - 1 - j (n its
+    coordinate), into its parent's basis, and a leaf's rank is its
+    point's value; so every point meets the columns and pivots it meets
+    alone, and only the blocks it shares with an earlier point are not
+    reduced again.  Every child of a node but the last takes a copy of
+    the node's basis, and the last takes the basis itself.
+
+    Parameters
+    ----------
+    curve : Curve
+    points : iterable of tuples of ints, one coordinate per branch
+
+    Returns
+    -------
+    list of ints, one per point, in order
+
+    Raises
+    ------
+    ValueError, TypeError, InsufficientTruncation
+        As h_oracle does, at the first point in order that is of the
+        wrong length, has a coordinate that is not an integer, or needs
+        more series terms than are kept; no rank is computed then.
+    """
+    branches = curve.branches[::-1]
+    r, kept = len(branches), curve.truncation
+    keys = []
+    for v in points:
+        if len(v) != r:
+            raise ValueError("expected %d coordinates, got %d" % (r, len(v)))
+        key = tuple(map(index, v[::-1]))
+        if min(key) < 0:
+            key = tuple([max(c, 0) for c in key])
+        if kept < max(key):
+            raise InsufficientTruncation(
+                "need %d series terms but only %d are kept"
+                % (max(key), kept))
+        keys.append(key)
+    if len(keys) == 1:
+        # one point is one path: its blocks go into one basis in one pass
+        return [echelon_extend({}, _blocks(branches, keys[0]))]
+    walk = sorted(set(keys))
+    ranks = {}
+    bases = [{}]  # bases[j]: the basis of the walk's node at depth j
+    for i, key in enumerate(walk, 1):
+        # bases holds the nodes this point shares with the one before it
+        j = len(bases) - 1
+        if i < len(walk):
+            # the next point shares the nodes of depth <= shared and needs
+            # their bases as they are, so this point's nodes down to depth
+            # shared + 1 each extend a copy of the parent's basis.  A
+            # shallow copy is enough: the reduction never changes a stored
+            # vector, only the dict that holds it
+            after = walk[i]
+            shared = 0
+            while key[shared] == after[shared]:
+                shared += 1
+            while j < shared:
+                bases.append(dict(bases[j]))
+                echelon_extend(bases[-1],
+                               _blocks(branches[j:j + 1], key[j:j + 1]))
+                j += 1
+            basis = dict(bases[j]) if j == shared else bases[j]
+            del bases[shared + 1:]
+        else:
+            basis = bases[j]
+        # the nodes below are this point's alone: one basis takes them all
+        ranks[key] = echelon_extend(basis, _blocks(branches[j:], key[j:]))
+    return [ranks[key] for key in keys]
+
+
+def _blocks(branches, key):
+    # the nonzero columns of a path's nodes, one per branch in order:
+    # the node of coordinate n holds its branch's from e = n - 1 down to 0
+    return [col for b, n in zip(branches, key)
+            for col in reversed(b.columns(n)) if col]
 
 
 def branch_delta(branch):

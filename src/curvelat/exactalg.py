@@ -14,7 +14,7 @@ matrix is a list of sparse rows of ints, dicts mapping an index to its
 entry; the kernel's vectors hold nonzero ints, with the pivot at the
 least index.
 ``echelon_insert`` extends a basis without changing it, and
-``rank_sparse`` grows one basis in place.
+``echelon_extend`` grows one basis in place.
 """
 
 import re
@@ -228,17 +228,23 @@ def echelon_insert(basis, vector):
     return basis if k is None else {**basis, k: w}
 
 
-def rank_sparse(rows):
+def echelon_extend(basis, rows):
     r"""
-    Rank of sparse integer rows, by the one-shot use of the reduction
-    step: one basis grows in place, and the rows are not changed.
+    Grow an echelon basis in place by sparse integer rows, which are not
+    changed, and return its rank: the one-shot use of the reduction
+    step.  A vector once stored is never changed, only the dict that
+    holds it, so a shallow copy of a basis grows apart from it.
     """
-    basis = {}
     for row in rows:
         k, w = _reduce(basis, row)
         if k is not None:
             basis[k] = w
     return len(basis)
+
+
+def rank_sparse(rows):
+    r"""Rank of sparse integer rows, which are not changed."""
+    return echelon_extend({}, rows)
 
 
 def rank_rational(rows):

@@ -5,24 +5,25 @@ numeric invariants of a curve germ.
 The table builder fills [0, l] (l the conductor) with prefix ranks:
 one echelon basis of sparse jet columns per point of the first r - 1
 coordinates, extended by the last branch's columns one at a time with
-exactalg.echelon_insert, the same kernel that ranks h_oracle's columns.
+exactalg.echelon_insert, the same kernel that ranks the oracle's columns.
 Beyond the conductor every unit step adds 1.  The ranks are kept as one
 flat list in lexicographic order, so every read of h is an index
 computed from strides, plus the excess beyond l; membership and the
 unit steps at v are views of its unit cube, and a whole box is read at
-once as a dense grid.  The builder re-derives a sample of cells from
-scratch with a full matrix rank (h_oracle) and checks the step
+once as a dense grid.  The builder re-derives a sample of cells by
+full matrix ranks (curve.oracle_values, in one walk) and checks the step
 recursion (a direction-i step is 1 exactly when some semigroup point
 agrees with v in coordinate i and dominates it elsewhere) over the
 whole box.  Any mismatch raises ConsistencyError.
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import compress, product
 from math import prod
 from operator import index, sub
 
-from .curve import branch_delta, h_oracle, intersection_multiplicity
+from .curve import (branch_delta, h_oracle, intersection_multiplicity,
+                    oracle_values)
 from .errors import ConsistencyError
 from .exactalg import echelon_insert
 from .oslattice import Matroid, signed_rank_count
@@ -69,19 +70,18 @@ def invariants(curve):
     conductor = tuple(mu_branches[i] + sum(pairwise[i][j]
                                            for j in range(r) if j != i)
                       for i in range(r))
-    h = h_oracle(curve, conductor)
+    below = [i for i in range(r) if conductor[i] >= 1]
+    h, *lower = oracle_values(curve, [conductor] + [
+        conductor[:i] + (conductor[i] - 1,) + conductor[i + 1:]
+        for i in below])
     if h != delta:
         raise ConsistencyError(
             "h at the conductor is %d, expected delta = %d" % (h, delta))
-    for i in range(r):
-        if conductor[i] >= 1:
-            lower = list(conductor)
-            lower[i] -= 1
-            h = h_oracle(curve, tuple(lower))
-            if h != delta:
-                raise ConsistencyError(
-                    "h one below the conductor in direction %d is %d, "
-                    "expected delta = %d" % (i, h, delta))
+    for i, h in zip(below, lower):
+        if h != delta:
+            raise ConsistencyError(
+                "h one below the conductor in direction %d is %d, "
+                "expected delta = %d" % (i, h, delta))
     result = CurveInvariants(r=r, delta=delta, delta_branches=delta_branches,
                              mu=mu, mu_branches=mu_branches,
                              pairwise=pairwise, conductor=conductor)
@@ -139,7 +139,8 @@ class HilbertTable:
     checked: the spot check sampled [0, corner] and the step rule held
     on [0, corner - 2].  ``local_homology`` starts empty; the graded
     pieces and the Euler check (both through latthom.grv_homology_direct)
-    keep in it the homology of each local rank vector they have reduced.
+    keep in it the homology of each local rank vector they have reduced,
+    and local_field keeps the field of each box it has read.
     """
 
     def __init__(self, curve, corner, values, inv):
@@ -227,18 +228,23 @@ class HilbertTable:
 
 
 def _spot_check(table):
-    # re-derive a deterministic ~10% of [0, corner] by the matrix rank route
-    for v in box_points(table.corner):
-        acc = 0
-        for c in v:
-            acc = (acc * 1000003 + c) % 2147483648
-        if acc % 10 == 0 and max(v) <= table.curve.truncation:
-            h = table.value(v)
-            direct = h_oracle(table.curve, v)
-            if direct != h:
-                raise ConsistencyError(
-                    "table value %d at %s but direct rank is %d"
-                    % (h, v, direct))
+    # re-derive a deterministic ~10% of [0, corner] by the matrix rank
+    # route: a point is sampled when its hash, built one axis at a time,
+    # is 0 mod 10, and it needs no more series terms than are kept
+    hashes = [0]
+    for top in table.corner:
+        hashes = [(k * 1000003 + c) % 2147483648
+                  for k in hashes for c in range(top + 1)]
+    kept = table.curve.truncation
+    points = [v for v in compress(box_points(table.corner),
+                                  [k % 10 == 0 for k in hashes])
+              if max(v) <= kept]
+    for v, direct in zip(points, oracle_values(table.curve, points)):
+        h = table.value(v)
+        if direct != h:
+            raise ConsistencyError(
+                "table value %d at %s but direct rank is %d"
+                % (h, v, direct))
 
 
 def _fill_to_conductor(curve, l):
@@ -316,9 +322,11 @@ def build_table(curve, box=None):
     basis of that prefix's columns is extended by the last branch's
     columns one at a time, and the rank after each column is the next
     h.  Beyond l every unit step adds 1 (see HilbertTable.value).  A
-    sample of the cells of [0, corner] is then recomputed by h_oracle,
-    a full matrix rank, and the step rule is checked on [0, max(box,
-    l)] by axis passes over one grid of h.
+    sample of the cells of [0, corner] is then recomputed as full
+    matrix ranks, by one oracle_values walk whose points share the
+    elimination of their common trailing coordinates, and the step
+    rule is checked on [0, max(box, l)] by axis passes over one grid of
+    h.
 
     Parameters
     ----------
@@ -354,7 +362,17 @@ def local_field(table, box):
     vector k(v) = (h(v + e_K) - h(v))_K, bit j of K adding e_j, at every
     point of [0, box] in lexicographic order.  vectors lists the distinct
     k(v) by first point; entry K is grid(box + 1) read shifted by e_K.
+    The field of each box is kept on the table, so the stages that read
+    one box read one field; no caller changes the lists.
     """
+    box = tuple(box)
+    fields = table.__dict__.setdefault("_fields", {})
+    if box not in fields:
+        fields[box] = _local_field(table, box)
+    return fields[box]
+
+
+def _local_field(table, box):
     shape = tuple(b + 2 for b in box)
     grid = table.grid(tuple(b + 1 for b in box))
     cells = box_offsets(box, shape)
@@ -418,30 +436,32 @@ def large_n_step_check(table):
     every direction i and every n from conductor_i to conductor_i + 3,
     h increases by exactly 1 in direction i at a spread of sample
     points with v_i = n.  Lines of different directions share points,
-    and each distinct point is computed once.  Only the curve and
-    conductor of the table are read; every value comes from h_oracle.
+    and the distinct points are ranked once, in one oracle_values walk.
+    Only the curve and conductor of the table are read; every value is a
+    matrix rank.
 
     Returns True, or raises ConsistencyError.
     """
     curve = table.curve
     l = table.invariants.conductor
     r = len(l)
-    known = {}
-    for i in range(r):
-        samples = [sorted({0, 1, l[j], l[j] + 1}) if j != i else [l[i]]
-                   for j in range(r)]
-        for base in product(*samples):
-            line = [base[:i] + (n,) + base[i + 1:]
-                    for n in range(l[i], l[i] + 5)]
-            for v in line:
-                if v not in known:
-                    known[v] = h_oracle(curve, v)
-            h = [known[v] for v in line]
-            for v, here, ahead in zip(line, h, h[1:]):
-                if ahead - here != 1:
-                    raise ConsistencyError(
-                        "step beyond the conductor is %d at %s "
-                        "direction %d" % (ahead - here, v, i))
+    lines = [(i, [base[:i] + (n,) + base[i + 1:]
+                  for n in range(l[i], l[i] + 5)])
+             for i in range(r)
+             for base in product(*(sorted({0, 1, l[j], l[j] + 1})
+                                   if j != i else [l[i]] for j in range(r)))]
+    # the distinct points that fit the truncation, ranked in one walk; a
+    # point beyond it raises at its line, as h_oracle there would
+    points = [v for v in dict.fromkeys(v for _, line in lines for v in line)
+              if max(v) <= curve.truncation]
+    known = dict(zip(points, oracle_values(curve, points)))
+    for i, line in lines:
+        h = [known[v] if v in known else h_oracle(curve, v) for v in line]
+        for v, here, ahead in zip(line, h, h[1:]):
+            if ahead - here != 1:
+                raise ConsistencyError(
+                    "step beyond the conductor is %d at %s "
+                    "direction %d" % (ahead - here, v, i))
     return True
 
 

@@ -76,7 +76,7 @@ def run(curve, deep=False):
     tables and the graded pieces cover the conductor plus 2, or plus 4
     when deep is set, which also checks more sublevel complexes; the
     Euler check stays on the conductor plus 1.  The large-index steps
-    read h_oracle up to the largest conductor entry plus 4, so a curve
+    rank h up to the largest conductor entry plus 4, so a curve
     truncated below that raises InsufficientTruncation before any table
     is built.
     """

@@ -174,10 +174,57 @@ MUTANTS = {
         "::test_spot_check_catches_a_poisoned_oracle_column"),
     "oracle-drops-last-branch": Mutant(
         _CURVE,
-        "zip(curve.branches[::-1], v[::-1])",
-        "zip(curve.branches[-2::-1], v[-2::-1])",
+        "key = tuple(map(index, v[::-1]))",
+        "key = (0,) + tuple(map(index, v[-2::-1]))",
         "tests/test_curve.py"
         "::test_h_matches_reference_grid_two_smooth_branches"),
+    # the trie walk of oracle_values
+    "oracle-node-shares-parent-basis": Mutant(
+        _CURVE,
+        """\
+                bases.append(dict(bases[j]))
+                echelon_extend(bases[-1],
+                               _blocks(branches[j:j + 1], key[j:j + 1]))
+                j += 1
+            basis = dict(bases[j]) if j == shared else bases[j]
+""",
+        """\
+                bases.append(bases[j])
+                echelon_extend(bases[-1],
+                               _blocks(branches[j:j + 1], key[j:j + 1]))
+                j += 1
+            basis = bases[j]
+""",
+        "tests/test_curve.py"
+        "::test_oracle_values_are_the_flat_ranks_of_each_point"),
+    "oracle-ascending-order": Mutant(
+        _CURVE,
+        """\
+    branches = curve.branches[::-1]
+    r, kept = len(branches), curve.truncation
+    keys = []
+    for v in points:
+        if len(v) != r:
+            raise ValueError("expected %d coordinates, got %d" % (r, len(v)))
+        key = tuple(map(index, v[::-1]))
+""",
+        """\
+    branches = curve.branches[:]
+    r, kept = len(branches), curve.truncation
+    keys = []
+    for v in points:
+        if len(v) != r:
+            raise ValueError("expected %d coordinates, got %d" % (r, len(v)))
+        key = tuple(map(index, v))
+""",
+        "tests/test_curve.py"
+        "::test_h_oracle_ranks_the_nonzero_columns_of_the_definition"),
+    "oracle-leaf-skips-branch-0": Mutant(
+        _CURVE,
+        "_blocks(branches[j:], key[j:])",
+        "_blocks(branches[j:-1], key[j:-1])",
+        "tests/test_curve.py"
+        "::test_oracle_values_are_the_flat_ranks_of_each_point"),
     "fill-drops-top-degree": Mutant(
         _HILBERT,
         "for d in range(max(l))",
@@ -224,8 +271,8 @@ MUTANTS = {
         "::test_sweep_agrees_with_the_witness_search_on_the_corpus"),
     "large-n-steps-without-memo": Mutant(
         _HILBERT,
-        "h = [known[v] for v in line]",
-        "h = [h_oracle(curve, v) for v in line]",
+        "h = [known[v] if v in known else h_oracle(curve, v) for v in line]",
+        "h = oracle_values(curve, line)",
         "tests/test_hilbert.py::test_large_n_steps_compute_each_point_once"),
     # the round trip's rebuild of h from the pi series
     "rebuild-term-at-w-on-first-axis": Mutant(
@@ -364,15 +411,14 @@ MUTANTS = {
 # Mutants that change no result, each with the reason; a run names them
 # explicitly and expects them to survive the whole of tier-1.
 EQUIVALENT = {
-    # h_oracle's elimination order
-    "oracle-ascending-order": Equivalent(
+    # the oracle's elimination order within a block
+    "oracle-blocks-ascending": Equivalent(
         _CURVE,
-        "zip(curve.branches[::-1], v[::-1])\n"
-        "                        for col in b.columns(n)[::-1] if col]",
-        "zip(curve.branches, v)\n"
-        "                        for col in b.columns(n) if col]",
-        "a rank depends on no order of the vectors; the oracle reduces "
-        "last branch first and highest e first only so that it does not "
+        "for col in reversed(b.columns(n)) if col]",
+        "for col in b.columns(n) if col]",
+        "a rank depends on no order of the vectors, and a node's block is "
+        "its branch's columns in either order, so the walk shares the same "
+        "blocks; the oracle takes highest e first only so that it does not "
         "replay the fill's insertions"),
     # the fill's row index (the oracle's is pinned by
     # test_h_oracle_ranks_the_nonzero_columns_of_the_definition)

@@ -269,7 +269,7 @@ def test_verify_prints_each_stage_as_it_finishes(capsys, monkeypatch):
     ([{"x": "t^2", "y": "t^3"}, {"x": "t^3", "y": "t^2"}], 10)])
 def test_verify_refuses_a_short_truncation_before_building_a_table(
         capsys, monkeypatch, tmp_path, branches, need):
-    # the large-index steps read h_oracle up to max(l) + 4 (the
+    # the large-index steps rank h up to max(l) + 4 (the
     # conductors are (2,) and (6, 6)); one term fewer is refused right
     # after the invariants, naming that need, with no table built
     original = curvelat.hilbert.build_table
@@ -375,10 +375,11 @@ def test_verify_computes_each_graded_piece_once(capsys, monkeypatch, name,
 
 @pytest.mark.parametrize("name", ["cusp", "d5", "triple"])
 def test_verify_field_stages_read_one_grid_and_no_cube(monkeypatch, name):
-    # semigroup, motivic, euler and graded-homology each read one grid,
-    # one point past their box, and no cube or value of their own: every
-    # cube or value read in them is made by a point reader (q-polynomial,
-    # local complex, formula route) run at the first point of a vector
+    # semigroup, motivic, euler and graded-homology read one grid per box,
+    # one point past it, and no cube or value of their own: semigroup's
+    # field of [0, l + 1] serves motivic and euler too, and every cube or
+    # value read in them is made by a point reader (q-polynomial, local
+    # complex, formula route) run at the first point of a vector
     calls = count_reader_calls(monkeypatch, ["cube", "grid", "value"])
     inside = dict.fromkeys(calls, 0)
     depth = [0]
@@ -409,10 +410,34 @@ def test_verify_field_stages_read_one_grid_and_no_cube(monkeypatch, name):
                           for k in ("cube", "value")}, calls["grid"][grids:])
         before, grids = outside, len(calls["grid"])
     assert inside["grid"] == 0
-    for stage, margin in [("semigroup", 2), ("motivic", 2), ("euler", 2),
-                          ("graded-homology", 3)]:
+    for stage, margins in [("semigroup", [2]), ("motivic", []),
+                           ("euler", []), ("graded-homology", [3])]:
         assert stages[stage] == ({"cube": 0, "value": 0},
-                                 [tuple(c + margin for c in l)]), stage
+                                 [tuple(c + m for c in l)
+                                  for m in margins]), stage
+
+
+@pytest.mark.parametrize("name, deep", [("cusp", False), ("d5", False),
+                                        ("triple", True)])
+def test_verify_builds_one_field_per_table_and_box(monkeypatch, name, deep):
+    # the field of [0, l + 1] that semigroup, motivic and euler read, and
+    # that of the graded box, each built once on the one full table
+    fields = []
+    original = curvelat.hilbert._local_field
+
+    def counting(table, box):
+        fields.append((table, box))
+        return original(table, box)
+
+    monkeypatch.setattr(curvelat.hilbert, "_local_field", counting)
+    curve = load_curve(corpus_path(name))
+    l = curvelat.hilbert.invariants(curve).conductor
+    stages = [stage for _, stage in curvelat.verify.run(curve, deep)]
+    assert len(stages) == 14
+    margin = 4 if deep else 2
+    assert [box for _, box in fields] == [tuple(c + 1 for c in l),
+                                          tuple(c + margin for c in l)]
+    assert fields[0][0] is fields[1][0]
 
 
 @pytest.mark.parametrize("path, reductions, matroids", [

@@ -15,6 +15,7 @@ from curvelat.curve import (
     branch_delta,
     h_oracle,
     intersection_multiplicity,
+    oracle_values,
 )
 from curvelat.errors import (
     ConsistencyError,
@@ -23,10 +24,11 @@ from curvelat.errors import (
     NonStabilizing,
     PrimitivityError,
 )
-from curvelat.exactalg import TruncSeries, parse_poly
+from curvelat.exactalg import TruncSeries, parse_poly, rank_sparse
 from curvelat.hilbert import invariants
 
-from conftest import CORPUS, bench_curve, corpus_curve, corpus_path
+from conftest import (BENCH_CURVES, CORPUS, bench_curve, corpus_curve,
+                      corpus_path, named_curve)
 from oracles import (
     REFERENCE_A3,
     REFERENCE_D5,
@@ -253,45 +255,149 @@ def test_h_monomial_cutoff_generated(pairs, points):
     _assert_cutoff(_curve(pairs, 16), points)
 
 
-@pytest.mark.parametrize("args, calls, columns", [
-    # 1750 nonzero rows of monomials, 694 nonzero columns
-    (["--box", "16,16", corpus_path("a3")], 52, 694),
-    # (t, 0) and (0, t): 399 nonzero rows, 401 nonzero columns
-    ([corpus_path("triple")], 68, 401),
+def _recording_extend(monkeypatch, calls):
+    # the oracle's in-place reduction, recording the rows of each call
+    original = curve_module.echelon_extend
+
+    def recorded(basis, rows):
+        calls.append(rows)
+        return original(basis, rows)
+
+    monkeypatch.setattr(curve_module, "echelon_extend", recorded)
+
+
+def _definition_columns(curve, v):
+    # the nonzero columns of the jet matrix of v from its definition, each
+    # in one canonical form, its (monomial index, entry) pairs in order
+    v = [max(c, 0) for c in v]
+    every = [[branch.monomial(a, total - a).coefficient(e)
+              * branch.scale ** e
+              for total in range(max(v)) for a in range(total + 1)]
+             for branch, n in zip(curve.branches, v) for e in range(n)]
+    return sorted([(k, x) for k, x in enumerate(col) if x]
+                  for col in every if any(col))
+
+
+@pytest.mark.parametrize("args, points, columns, reduced", [
+    # 1750 nonzero rows of monomials, 694 nonzero columns over 53 points
+    # (the origin among them), of which the walks reduce 537
+    (["--box", "16,16", corpus_path("a3")], 53, 694, 537),
+    # (t, 0) and (0, t): 399 nonzero rows, 401 nonzero columns over 69
+    # points, of which the walks reduce 256
+    ([corpus_path("triple")], 69, 401, 256),
 ], ids=["a3-box-16", "triple"])
 def test_h_oracle_ranks_the_nonzero_columns_of_the_definition(
-        monkeypatch, args, calls, columns):
-    # every rank of a whole hilbert command gets exactly the nonzero
-    # columns of the monomial jets, each as {monomial index: entry}
-    pending = []
-    sizes = []
-    original_h = curve_module.h_oracle
-    original_rank = curve_module.rank_sparse
+        monkeypatch, args, points, columns, reduced):
+    # every point that a whole hilbert command ranks gets exactly the
+    # nonzero columns of the monomial jets, each as {monomial index:
+    # entry}: ranked alone, one reduction takes them all.  The command's
+    # walks give each point the same value while reducing fewer columns,
+    # as points that share trailing coordinates share their blocks
+    ranked = []
+    original = curve_module.oracle_values
 
-    def recorded_h(curve, v):
-        pending.append((curve, [max(c, 0) for c in v]))
-        return original_h(curve, v)
+    def recorded(curve, pts):
+        pts = list(pts)
+        values = original(curve, pts)
+        ranked.extend((curve, v, h) for v, h in zip(pts, values))
+        return values
 
-    def checked_rank(rows):
-        # each column in one canonical form, its (index, entry) pairs in
-        # order, against the nonzero dense columns of the definition
-        rows = list(rows)
-        curve, v = pending[-1]
-        every = [[branch.monomial(a, total - a).coefficient(e)
-                  * branch.scale ** e
-                  for total in range(max(v)) for a in range(total + 1)]
-                 for branch, n in zip(curve.branches, v) for e in range(n)]
-        assert sorted(sorted(row.items()) for row in rows) == sorted(
-            [(k, x) for k, x in enumerate(col) if x]
-            for col in every if any(col))
-        sizes.append(len(rows))
-        return original_rank(rows)
-
-    monkeypatch.setattr(curve_module, "h_oracle", recorded_h)
-    monkeypatch.setattr(hilbert_module, "h_oracle", recorded_h)
-    monkeypatch.setattr(curve_module, "rank_sparse", checked_rank)
+    walked = []
+    _recording_extend(monkeypatch, walked)
+    monkeypatch.setattr(curve_module, "oracle_values", recorded)
+    monkeypatch.setattr(hilbert_module, "oracle_values", recorded)
     assert main(["hilbert"] + args) == 0
-    assert (len(sizes), sum(sizes)) == (calls, columns)
+    monkeypatch.undo()
+    total = 0
+    for curve, v, h in ranked:
+        alone = []
+        _recording_extend(monkeypatch, alone)
+        assert original(curve, [v]) == [h]
+        monkeypatch.undo()
+        assert len(alone) == 1
+        rows = [sorted(row.items()) for row in alone[0]]
+        assert sorted(rows) == _definition_columns(curve, v)
+        total += len(rows)
+    assert (len(ranked), total) == (points, columns)
+    assert sum(map(len, walked)) == reduced
+
+
+# ---------------------------------------------------------------------------
+# the trie-shared oracle
+
+
+def _flat_rank(curve, v):
+    # h(v) as one rank from scratch of the flat list of the nonzero
+    # columns, last branch first and each from e = v_i - 1 down to 0
+    v = [max(c, 0) for c in v]
+    return rank_sparse([col for b, n in zip(curve.branches[::-1], v[::-1])
+                        for col in b.columns(n)[::-1] if col])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORPUS + BENCH_CURVES), st.data())
+def test_oracle_values_are_the_flat_ranks_of_each_point(name, data):
+    # random point sets, negative coordinates, repeats and the empty set
+    # included, get each point's rank in order
+    curve = named_curve(name)
+    top = min(curve.truncation, 9)
+    points = data.draw(st.lists(st.tuples(*[st.integers(-2, top)] * curve.r),
+                                max_size=40))
+    if points:
+        points += data.draw(st.lists(st.sampled_from(points), max_size=6))
+        points = data.draw(st.permutations(points))
+    assert oracle_values(curve, points) == [_flat_rank(curve, v)
+                                            for v in points]
+
+
+def test_a_walk_changes_no_cached_column():
+    # the walk reads the branches' columns and stores some of them in
+    # its bases, and leaves every one as it was built
+    curve = bench_curve("four")
+    oracle_values(curve, [(6,) * 4])
+    built = [[dict(col) for col in b.columns(6)] for b in curve.branches]
+    points = list(product(range(7), repeat=4))[::7]
+    assert oracle_values(curve, points) == [_flat_rank(curve, v)
+                                            for v in points]
+    assert [b.columns(6) for b in curve.branches] == built
+
+
+def test_walk_copies_a_node_basis_for_every_child_but_the_last(monkeypatch):
+    # (1, 3), (2, 3) and (4, 3) share the node of branch 1 at 3: its first
+    # two children extend copies of its basis and the last the basis itself
+    curve = corpus_curve("d5")
+    points = [(4, 3), (1, 3), (2, 3)]
+    expected = [_flat_rank(curve, v) for v in points]
+    bases = []
+    original = curve_module.echelon_extend
+
+    def recorded(basis, rows):
+        bases.append(basis)
+        return original(basis, rows)
+
+    monkeypatch.setattr(curve_module, "echelon_extend", recorded)
+    assert oracle_values(curve, points) == expected
+    node, first, second, last = bases
+    assert first is not node and second is not node and first is not second
+    assert last is node
+
+
+def test_oracle_values_refuse_at_the_first_bad_point(monkeypatch):
+    # the first point in order that is past the truncation, of the wrong
+    # length or not integral raises, before any rank is computed
+    curve = corpus_curve("d5")
+    assert curve.truncation == 32
+    monkeypatch.setattr(curve_module, "echelon_extend", None)
+    assert oracle_values(curve, []) == []
+    with pytest.raises(InsufficientTruncation,
+                       match="^need 34 series terms but only 32 are kept$"):
+        oracle_values(curve, [(1, 1), (2, 34), (40, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="^expected 2 coordinates, got 3$"):
+        oracle_values(curve, [(1, 1), (1, 1, 1), (40, 1)])
+    with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
+        h_oracle(curve, (1,))
+    with pytest.raises(TypeError):
+        oracle_values(curve, [(1, 1), (1.0, 1), (40, 1)])
 
 
 # ---------------------------------------------------------------------------

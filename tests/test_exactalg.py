@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from curvelat.errors import PolySyntaxError
 from curvelat.exactalg import (
     TruncSeries,
+    echelon_extend,
     echelon_insert,
     parse_poly,
     rank_rational,
@@ -467,6 +468,25 @@ def test_rank_sparse_against_gaussian_oracle(dense):
     rows = [_sparse(row) for row in dense]
     copy = [dict(row) for row in rows]
     assert rank_sparse(rows) == gauss_rank(dense)
+    assert rows == copy
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cancelling_rows(), st.integers(0, 6))
+def test_echelon_extend_never_changes_a_stored_vector(dense, cut):
+    # a basis grown by some rows, then a shallow copy of it grown by the
+    # rest: the first keeps every vector as it was, so the copy ranks
+    # all the rows, and the rows are not changed either
+    rows = [_sparse(row) for row in dense]
+    copy = [dict(row) for row in rows]
+    basis = {}
+    assert echelon_extend(basis, rows[:cut]) == gauss_rank(dense[:cut])
+    stored = {k: (b, dict(b)) for k, b in basis.items()}
+    child = dict(basis)
+    assert echelon_extend(child, rows[cut:]) == gauss_rank(dense)
+    assert basis.keys() == stored.keys()
+    assert all(basis[k] is b and b == frozen
+               for k, (b, frozen) in stored.items())
     assert rows == copy
 
 

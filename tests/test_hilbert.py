@@ -201,22 +201,50 @@ def _spot_checked(v, truncation):
     return acc % 10 == 0 and max(v) <= truncation
 
 
+def _record_oracle(monkeypatch):
+    # the point lists of the oracle calls that the hilbert module makes,
+    # and the points that h_oracle ranks one at a time
+    calls, single = [], []
+    original = hilbert_module.oracle_values
+
+    def recorded(curve, points):
+        calls.append(list(points))
+        return original(curve, points)
+
+    def one_point(curve, v):
+        single.append(tuple(v))
+        return original(curve, [v])[0]
+
+    monkeypatch.setattr(hilbert_module, "oracle_values", recorded)
+    monkeypatch.setattr(hilbert_module, "h_oracle", one_point)
+    return calls, single
+
+
 @pytest.mark.parametrize("name", ["a5", "triple"])
 def test_fill_calls_h_oracle_only_for_the_spot_check(name, monkeypatch):
+    # the build ranks by the oracle only the spot check's sample, all of
+    # it in one walk, in lexicographic order
     c = corpus_curve(name)
     invariants(c)
-    cells = []
-    original = hilbert_module.h_oracle
-
-    def recorded(curve, v):
-        cells.append(v)
-        return original(curve, v)
-
-    monkeypatch.setattr(hilbert_module, "h_oracle", recorded)
+    calls, single = _record_oracle(monkeypatch)
     t = build_table(c)
     checked = list(box_points(t.corner))
-    assert cells == [v for v in checked if _spot_checked(v, c.truncation)]
-    assert 0 < len(cells) < len(checked)
+    assert calls == [[v for v in checked if _spot_checked(v, c.truncation)]]
+    assert 0 < len(calls[0]) < len(checked)
+    assert single == []
+
+
+@pytest.mark.parametrize("name", ["cusp", "d5", "four"])
+def test_spot_check_sample_is_the_per_point_hash(name, monkeypatch):
+    # the sample's hashes are built one axis at a time; the sampled set is
+    # the per-point hash's, past the conductor and up to the truncation
+    c = named_curve(name)
+    invariants(c)
+    calls, _ = _record_oracle(monkeypatch)
+    for box in [None, tuple(a + 3 for a in invariants(c).conductor)]:
+        t = build_table(c, box)
+        assert calls.pop() == [v for v in box_points(t.corner)
+                               if _spot_checked(v, c.truncation)]
 
 
 @pytest.mark.parametrize("name", ["d5", "triple"])
@@ -466,17 +494,31 @@ def test_large_n_steps_all_corpus():
                                          ("tacnode3", 200), ("four", 1008)])
 def test_large_n_steps_compute_each_point_once(monkeypatch, name, calls):
     # the lines of different directions share points, and each distinct
-    # point is one h_oracle call
+    # point is ranked once, all of them in one walk
     table = build_table(named_curve(name))
-    points = []
-
-    def counting(curve, v):
-        points.append(tuple(v))
-        return h_oracle(curve, v)
-
-    monkeypatch.setattr(hilbert_module, "h_oracle", counting)
+    points, single = _record_oracle(monkeypatch)
     assert large_n_step_check(table) is True
-    assert len(points) == len(set(points)) == calls
+    assert len(points) == 1
+    assert len(points[0]) == len(set(points[0])) == calls
+    assert single == []
+
+
+def test_large_n_steps_past_the_truncation_raise_at_their_line():
+    # a point past the truncation raises when its line is reached, as
+    # when each line ranked its own points: with d5's conductor taken as
+    # (1, 4), a direction-0 line meets a step of 0 at (1, 4) before any
+    # line reaches a point past 5 terms, and at (2, 3) every direction-0
+    # line needs 7 terms before the failing direction-1 line
+    for conductor, kept, error, message in [
+            ((2, 4), 7, InsufficientTruncation, "need 8 series terms"),
+            ((1, 4), 5, ConsistencyError,
+             r"step beyond the conductor is 0 at \(1, 4\) direction 0"),
+            ((2, 3), 6, InsufficientTruncation, "need 7 series terms")]:
+        table = _with_conductor("d5", conductor)
+        table.curve = Curve(table.curve.branches)
+        table.curve.truncation = kept
+        with pytest.raises(error, match=message):
+            large_n_step_check(table)
 
 
 def _with_conductor(name, conductor):
