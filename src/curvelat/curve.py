@@ -22,7 +22,8 @@ point, so nothing global about the polynomial curves enters.
 
 from bisect import bisect_left
 from math import gcd, inf, lcm
-from operator import index
+from itertools import groupby
+from operator import index, itemgetter
 
 from .errors import (
     ConsistencyError,
@@ -225,8 +226,9 @@ def oracle_values(curve, points):
     coordinate), into its parent's basis, and a leaf's rank is its
     point's value; so every point meets the columns and pivots it meets
     alone, and only the blocks it shares with an earlier point are not
-    reduced again.  Every child of a node but the last takes a copy of
-    the node's basis, and the last takes the basis itself.
+    reduced again.  Every child of a node but the last extends a copy of
+    the node's basis, and the last the basis itself; a child that holds
+    one point takes all of that point's remaining blocks in one pass.
 
     Parameters
     ----------
@@ -258,36 +260,28 @@ def oracle_values(curve, points):
                 "need %d series terms but only %d are kept"
                 % (max(key), kept))
         keys.append(key)
-    if len(keys) == 1:
-        # one point is one path: its blocks go into one basis in one pass
-        return [echelon_extend({}, _blocks(branches, keys[0]))]
-    walk = sorted(set(keys))
     ranks = {}
-    bases = [{}]  # bases[j]: the basis of the walk's node at depth j
-    for i, key in enumerate(walk, 1):
-        # bases holds the nodes this point shares with the one before it
-        j = len(bases) - 1
-        if i < len(walk):
-            # the next point shares the nodes of depth <= shared and needs
-            # their bases as they are, so this point's nodes down to depth
-            # shared + 1 each extend a copy of the parent's basis.  A
-            # shallow copy is enough: the reduction never changes a stored
-            # vector, only the dict that holds it
-            after = walk[i]
-            shared = 0
-            while key[shared] == after[shared]:
-                shared += 1
-            while j < shared:
-                bases.append(dict(bases[j]))
-                echelon_extend(bases[-1],
-                               _blocks(branches[j:j + 1], key[j:j + 1]))
-                j += 1
-            basis = dict(bases[j]) if j == shared else bases[j]
-            del bases[shared + 1:]
-        else:
-            basis = bases[j]
-        # the nodes below are this point's alone: one basis takes them all
-        ranks[key] = echelon_extend(basis, _blocks(branches[j:], key[j:]))
+
+    def walk(depth, basis, group):
+        # the sorted keys of group share their first depth coordinates,
+        # and basis holds those nodes' blocks.  Each child extends it by
+        # its own block, every child but the last in a copy.  A shallow
+        # copy is enough: the reduction never changes a stored vector,
+        # only the dict that holds it
+        children = [list(g) for _, g in groupby(group, itemgetter(depth))]
+        for child in children:
+            node = basis if child is children[-1] else dict(basis)
+            key = child[0]
+            if len(child) == 1:
+                # the nodes below are this point's alone: one pass
+                ranks[key] = echelon_extend(
+                    node, _blocks(branches[depth:], key[depth:]))
+            else:
+                echelon_extend(node, _blocks(branches[depth:depth + 1],
+                                             key[depth:depth + 1]))
+                walk(depth + 1, node, child)
+
+    walk(0, {}, sorted(set(keys)))
     return [ranks[key] for key in keys]
 
 

@@ -31,7 +31,7 @@ def grv_homology_direct(table, v):
     U-extended complex; its homology, shifted down by 2 h(v), is the
     graded piece.  The unshifted homology depends on that rank function
     alone, so it is computed once per distinct relative rank vector
-    h(v + e_K) - h(v) and kept in the table's ``local_homology``.
+    h(v + e_K) - h(v) and kept on the table, keyed by that vector.
 
     Parameters
     ----------
@@ -44,10 +44,10 @@ def grv_homology_direct(table, v):
     """
     cube = table.cube(v)
     key = tuple(h - cube[0] for h in cube)
-    base = table.local_homology.get(key)
-    if base is None:
-        base = table.local_homology[key] = du_homology(
-            local_matroid(table, v))
+    kept = table.__dict__.setdefault("_homology", {})
+    if key not in kept:
+        kept[key] = du_homology(local_matroid(table, v))
+    base = kept[key]
     shift = -2 * cube[0]
     return GradedGroup({q + shift: grp for q, grp in base.groups.items()})
 

@@ -181,22 +181,17 @@ MUTANTS = {
     # the trie walk of oracle_values
     "oracle-node-shares-parent-basis": Mutant(
         _CURVE,
-        """\
-                bases.append(dict(bases[j]))
-                echelon_extend(bases[-1],
-                               _blocks(branches[j:j + 1], key[j:j + 1]))
-                j += 1
-            basis = dict(bases[j]) if j == shared else bases[j]
-""",
-        """\
-                bases.append(bases[j])
-                echelon_extend(bases[-1],
-                               _blocks(branches[j:j + 1], key[j:j + 1]))
-                j += 1
-            basis = bases[j]
-""",
+        "node = basis if child is children[-1] else dict(basis)",
+        "node = basis",
         "tests/test_curve.py"
         "::test_oracle_values_are_the_flat_ranks_of_each_point"),
+    # every point ranked alone: the same ranks, with no block shared
+    "oracle-each-point-walks-from-the-root": Mutant(
+        _CURVE,
+        "    walk(0, {}, sorted(set(keys)))\n",
+        "    for key in set(keys):\n        walk(0, {}, [key])\n",
+        "tests/test_curve.py"
+        "::test_walk_reduces_the_block_of_each_trie_node_once"),
     "oracle-ascending-order": Mutant(
         _CURVE,
         """\
@@ -221,8 +216,8 @@ MUTANTS = {
         "::test_h_oracle_ranks_the_nonzero_columns_of_the_definition"),
     "oracle-leaf-skips-branch-0": Mutant(
         _CURVE,
-        "_blocks(branches[j:], key[j:])",
-        "_blocks(branches[j:-1], key[j:-1])",
+        "_blocks(branches[depth:], key[depth:])",
+        "_blocks(branches[depth:-1], key[depth:-1])",
         "tests/test_curve.py"
         "::test_oracle_values_are_the_flat_ranks_of_each_point"),
     "fill-drops-top-degree": Mutant(

@@ -25,7 +25,7 @@ from curvelat.errors import (
     PrimitivityError,
 )
 from curvelat.exactalg import TruncSeries, parse_poly, rank_sparse
-from curvelat.hilbert import invariants
+from curvelat.hilbert import build_table, invariants
 
 from conftest import (BENCH_CURVES, CORPUS, bench_curve, corpus_curve,
                       corpus_path, named_curve)
@@ -380,6 +380,40 @@ def test_walk_copies_a_node_basis_for_every_child_but_the_last(monkeypatch):
     node, first, second, last = bases
     assert first is not node and second is not node and first is not second
     assert last is node
+
+
+def test_walk_reduces_the_block_of_each_trie_node_once(monkeypatch):
+    # four's spot-check sample at box l + 2 (409 points of [0, l + 4]):
+    # the walk hands echelon_extend the block of every distinct node of
+    # the trie over the reversed points once, 3021 rows, where ranking
+    # each point alone takes 5718
+    curve = bench_curve("four")
+    l = invariants(curve).conductor
+    samples = []
+    original = hilbert_module.oracle_values
+
+    def recorded(curve, points):
+        samples.append(points)
+        return original(curve, points)
+
+    monkeypatch.setattr(hilbert_module, "oracle_values", recorded)
+    build_table(curve, tuple(c + 2 for c in l))
+    sample, = samples
+    assert len(sample) == 409
+    rows = []
+    _recording_extend(monkeypatch, rows)
+    assert oracle_values(curve, sample) == [_flat_rank(curve, v)
+                                            for v in sample]
+
+    def block(j, n):
+        return sum(1 for col in curve.branches[-1 - j].columns(n) if col)
+
+    keys = {tuple(v[::-1]) for v in sample}
+    nodes = {key[:j] for key in keys for j in range(1, curve.r + 1)}
+    assert sum(map(len, rows)) == sum(block(len(node) - 1, node[-1])
+                                      for node in nodes) == 3021
+    assert sum(block(j, n) for key in keys
+               for j, n in enumerate(key)) == 5718
 
 
 def test_oracle_values_refuse_at_the_first_bad_point(monkeypatch):

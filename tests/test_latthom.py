@@ -92,25 +92,30 @@ def test_grv_catches_a_raised_interior_cell_after_the_box_is_read(name):
     # the kept homology belongs to a rank vector, not to a point, so +1 on
     # any interior cell of [0, l] after every piece of the box has been
     # computed still fails somewhere on the box, as it does on a fresh
-    # table: point by point, and through graded_pieces, which compares
-    # the two routes once per vector (20 cells over the three curves; on
-    # a3, whose one interior cell is (1, 1), it fails nowhere)
+    # table: point by point, and through graded_pieces, which reads the
+    # raised values through a fresh field and compares the two routes
+    # once per vector (20 cells over the three curves; on a3, whose one
+    # interior cell is (1, 1), it fails nowhere)
     table = build_table(named_curve(name))
     l = table.invariants.conductor
     box = tuple(c + 2 for c in l)
     assert graded_pieces(table, box) == {v: grv_homology(table, v)
                                          for v in _points(box)}
+    kept = dict(table._homology)
     interior = [v for v in _points(l) if all(0 < c < top
                                              for c, top in zip(v, l))]
     assert len(interior) == {"triple": 1, "d5": 3, "four": 16}[name]
     for v in interior:
         table.values[cell(table, v)] += 1
+        del table._fields
         with pytest.raises(ConsistencyError):
             graded_pieces(table, box)
         with pytest.raises(ConsistencyError):
             for w in _points(box):
                 grv_homology(table, w)
         table.values[cell(table, v)] -= 1
+        # the homology reduced before any cell was raised is still read
+        assert table._homology.items() >= kept.items()
 
 
 @pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
