@@ -14,10 +14,11 @@ share the elimination of those branches' columns.  Each branch caches the
 sparse jet of every monomial it has composed (``jet``), the columns of
 the jet matrix (``columns``), its delta and conductor (``branch_delta``)
 and its accepted intersection number with each other branch
-(``intersection_multiplicity``); h itself is never cached.  Branch
-deltas and intersection numbers are read off h values too; the second
-route for an intersection number is a local check at one lattice
-point, so nothing global about the polynomial curves enters.
+(``intersection_multiplicity``); h itself is never cached.  A branch's
+delta is read off the ranks of its column prefixes, and past its
+conductor its h is k - delta, so an intersection number is read off h
+values of the pair alone; its second route is a local check at one
+lattice point, so nothing global about the polynomial curves enters.
 """
 
 from bisect import bisect_left
@@ -32,7 +33,8 @@ from .errors import (
     NonStabilizing,
     PrimitivityError,
 )
-from .exactalg import TruncSeries, echelon_extend, parse_poly, series_mul
+from .exactalg import (TruncSeries, echelon_extend, echelon_insert,
+                       parse_poly, series_mul)
 
 
 class BranchParametrization:
@@ -296,12 +298,14 @@ def branch_delta(branch):
     r"""
     Delta invariant and semigroup conductor of a single branch.
 
-    Scans n = 0, 1, 2, ... deciding membership of n in the value
-    semigroup by whether h(n+1) - h(n) = 1, and stops once a run of
-    consecutive members as long as the branch multiplicity is seen;
-    from then on every integer is a member, so the gap list is
-    complete.  The result is kept on the branch, so each branch is
-    scanned once however many pairs it belongs to.
+    n = 0, 1, 2, ... is in the value semigroup iff h(n+1) - h(n) = 1,
+    that is iff column n of the branch's ``columns`` raises the rank of
+    those below it, decided in one ascending pass (``echelon_insert``).
+    The pass stops once a run of consecutive members as long as the
+    branch multiplicity is seen; from then on every integer is a member,
+    so the gap list is complete and h(k) = k - delta for k >= conductor.
+    The result is kept on the branch, so each branch is scanned once
+    however many pairs it belongs to.
 
     Returns
     -------
@@ -315,38 +319,35 @@ def branch_delta(branch):
     known = branch.__dict__.get("_delta")
     if known is not None:
         return known
-    sub = Curve([branch])
     a = branch.multiplicity()
     gaps = []
     run = 0
-    prev = 0
-    n = 0
-    while n + 1 <= branch.truncation:
-        cur = h_oracle(sub, (n + 1,))
-        if cur - prev == 1:
-            run += 1
-            if run >= a:
-                conductor = gaps[-1] + 1 if gaps else 0
-                branch._delta = len(gaps), conductor
-                return branch._delta
-        else:
+    basis = {}
+    for n in range(branch.truncation):
+        grown = echelon_insert(basis, branch.columns(n + 1)[n])
+        if grown is basis:
             gaps.append(n)
             run = 0
-        prev = cur
-        n += 1
+        else:
+            run += 1
+            if run >= a:
+                branch._delta = len(gaps), gaps[-1] + 1 if gaps else 0
+                return branch._delta
+        basis = grown
     raise NonStabilizing(
         "semigroup membership not certified within truncation %d"
         % branch.truncation)
 
 
-def _local_intersection_check(bi, ci, bj, cj, m):
+def _local_intersection_check(bi, bj, m):
     r"""
     Raise ConsistencyError unless m is the intersection number I of
-    branches bi and bj (conductors ci and cj), using three h values.
+    branches bi and bj, using two h values of the pair.
 
-    For an ordering (a, b) let s = m // m_b + 1, k = c_a + m_a s and J
-    the functions of order >= k on a; accept iff
-    h_ab(k, m) = h_a(k) < h_ab(k, m + 1).  This is exact: the local
+    For an ordering (a, b) let s = m // m_b + 1, k = c_a + m_a s (c_a
+    the conductor of a) and J the functions of order >= k on a; accept
+    iff h_ab(k, m) = h_a(k) < h_ab(k, m + 1), where h_a(k) = k - delta_a
+    since k >= c_a (see branch_delta).  This is exact: the local
     equation f_a lies in J and has order I on b, so h_ab(k, e) = h_a(k)
     forces e <= I; and a series of order >= c_a + m_a s on a is z^s (z
     a coordinate of order m_a) times one of order >= c_a, which is a
@@ -355,10 +356,11 @@ def _local_intersection_check(bi, ci, bj, cj, m):
     not the rest of the polynomial curves.  The ordering with the
     smaller k is used: a line against a cusp needs k = 2, not 8.
     """
-    k, a, b = min(((c + a.multiplicity() * (m // b.multiplicity() + 1), a, b)
-                   for a, c, b in ((bi, ci, bj), (bj, cj, bi))),
+    k, a, b = min(((branch_delta(a)[1]
+                    + a.multiplicity() * (m // b.multiplicity() + 1), a, b)
+                   for a, b in ((bi, bj), (bj, bi))),
                   key=lambda option: option[0])
-    h_a = h_oracle(Curve([a]), (k,))
+    h_a = k - branch_delta(a)[0]
     h_m, h_next = (h_oracle(Curve([a, b]), (k, e)) for e in (m, m + 1))
     if not h_m == h_a < h_next:
         raise ConsistencyError(
@@ -374,9 +376,12 @@ def intersection_multiplicity(curve, i, j):
     Primary route: the count of missing jets
     g(k) = h_i(k) + h_j(k) - h_{ij}(k, k) stabilizes to the
     intersection multiplicity; the scan accepts once the value repeats
-    past the conductors of both branches plus the candidate value.
+    past the conductors of both branches plus the candidate value.  It
+    starts at the larger conductor, where h_i(k) = k - delta_i and
+    h_j(k) = k - delta_j (see branch_delta), so only the pair's values
+    are ranked; as g >= 0, no k below it could be accepted.
 
-    Second route: three h values of the pair at (k, m) and (k, m + 1)
+    Second route: two h values of the pair at (k, m) and (k, m + 1)
     certify the scan's value m (see _local_intersection_check); this
     needs max(k, m + 1) series terms, up to m_a - 1 more than the scan.
     The accepted number is kept on both branches, so each pair is
@@ -402,23 +407,16 @@ def intersection_multiplicity(curve, i, j):
     di, ci = branch_delta(bi)
     dj, cj = branch_delta(bj)
     k0 = max(ci, cj)
-    sub_i = Curve([bi])
-    sub_j = Curve([bj])
-    accepted = None
     prev_g = None
-    k = 1
-    while k <= curve.truncation:
-        g = (h_oracle(sub_i, (k,)) + h_oracle(sub_j, (k,))
-             - h_oracle(pair, (k, k)))
+    for k in range(max(k0, 1), curve.truncation + 1):
+        g = 2 * k - di - dj - h_oracle(pair, (k, k))
         if g == prev_g and k >= k0 + g + 1:
-            accepted = g
             break
         prev_g = g
-        k += 1
-    if accepted is None:
+    else:
         raise NonStabilizing(
             "intersection scan did not stabilize within truncation %d"
             % curve.truncation)
-    _local_intersection_check(bi, ci, bj, cj, accepted)
-    pairs[bj] = bj.__dict__.setdefault("_pairs", {})[bi] = accepted
-    return accepted
+    _local_intersection_check(bi, bj, g)
+    pairs[bj] = bj.__dict__.setdefault("_pairs", {})[bi] = g
+    return g

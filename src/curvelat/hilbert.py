@@ -39,9 +39,10 @@ def invariants(curve):
     Numeric invariants of the curve.
 
     Branch deltas come from semigroup gap counts, pairwise intersection
-    numbers from the two-route scan in the curve module; the rest are
-    the standard combinations: mu_i = 2 delta_i, the total delta adds
-    pairwise intersections over branch pairs, mu = 2 delta - r + 1, and
+    numbers from the two-route scan in the curve module, which ranks
+    points of branch pairs only; the rest are the standard
+    combinations: mu_i = 2 delta_i, the total delta adds pairwise
+    intersections over branch pairs, mu = 2 delta - r + 1, and
     conductor_i = mu_i + sum of intersections with the other branches.
     The conductor is then verified against two direct matrix-rank
     values, h(l) = delta and h(l - e_i) = delta.

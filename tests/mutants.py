@@ -220,6 +220,28 @@ MUTANTS = {
         "_blocks(branches[depth:-1], key[depth:-1])",
         "tests/test_curve.py"
         "::test_oracle_values_are_the_flat_ranks_of_each_point"),
+    # the one-branch pass and the intersection number's two routes
+    "branch-delta-run-one-short": Mutant(
+        _CURVE,
+        "if run >= a:",
+        "if run >= a - 1:",
+        "tests/test_curve.py"
+        "::test_branch_delta_is_the_scan_of_one_branch_ranks"),
+    "scan-reads-delta-i-for-both": Mutant(
+        _CURVE,
+        "g = 2 * k - di - dj - h_oracle(pair, (k, k))",
+        "g = 2 * k - di - di - h_oracle(pair, (k, k))",
+        "tests/test_curve.py::test_intersection_line_with_cusp"),
+    "local-check-h-a-off-by-one": Mutant(
+        _CURVE,
+        "h_a = k - branch_delta(a)[0]",
+        "h_a = k - branch_delta(a)[0] + 1",
+        "tests/test_curve.py::test_local_check_accepts_only_the_true_value"),
+    "local-check-off": Mutant(
+        _CURVE,
+        "if not h_m == h_a < h_next:",
+        "if False:",
+        "tests/test_curve.py::test_local_check_accepts_only_the_true_value"),
     "fill-drops-top-degree": Mutant(
         _HILBERT,
         "for d in range(max(l))",

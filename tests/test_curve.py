@@ -279,12 +279,12 @@ def _definition_columns(curve, v):
 
 
 @pytest.mark.parametrize("args, points, columns, reduced", [
-    # 1750 nonzero rows of monomials, 694 nonzero columns over 53 points
-    # (the origin among them), of which the walks reduce 537
-    (["--box", "16,16", corpus_path("a3")], 53, 694, 537),
-    # (t, 0) and (0, t): 399 nonzero rows, 401 nonzero columns over 69
-    # points, of which the walks reduce 256
-    ([corpus_path("triple")], 69, 401, 256),
+    # 1730 nonzero rows of monomials, 677 nonzero columns over 44 points
+    # (the origin among them), of which the walks reduce 520
+    (["--box", "16,16", corpus_path("a3")], 44, 677, 520),
+    # (t, 0) and (0, t): 370 nonzero rows, 374 nonzero columns over 51
+    # points, of which the walks reduce 229
+    ([corpus_path("triple")], 51, 374, 229),
 ], ids=["a3-box-16", "triple"])
 def test_h_oracle_ranks_the_nonzero_columns_of_the_definition(
         monkeypatch, args, points, columns, reduced):
@@ -447,21 +447,24 @@ def test_branch_delta_values():
 
 def test_invariants_scans_each_branch_once(monkeypatch):
     # every branch keeps its (delta, conductor), so the six pair scans
-    # of four lines reuse the four branch scans; 46 one-branch h values
-    # when each pair rescanned both of its branches
+    # of four lines reuse the four branch scans, and each reads h_i(k)
+    # = k - delta_i past the conductor: the oracle ranks the pairs' 24
+    # points and the conductor checks' 5, and no one-branch point
     calls = []
-    original = curve_module.h_oracle
+    original = curve_module.oracle_values
 
-    def counted(curve, v):
-        if curve.r == 1:
-            calls.append(v)
-        return original(curve, v)
+    def counted(curve, points):
+        points = list(points)
+        calls.append((curve.r, len(points)))
+        return original(curve, points)
 
-    monkeypatch.setattr(curve_module, "h_oracle", counted)
+    monkeypatch.setattr(curve_module, "oracle_values", counted)
+    monkeypatch.setattr(hilbert_module, "oracle_values", counted)
     c = bench_curve("four")
     invariants(c)
-    assert len(calls) == 34
+    assert calls == [(2, 1)] * 24 + [(4, 5)]
     calls.clear()
+    monkeypatch.setattr(curve_module, "echelon_insert", None)
     assert [branch_delta(b) for b in c.branches] == [(0, 0)] * 4
     assert calls == []
 
@@ -565,7 +568,8 @@ def test_intersection_needs_enough_terms():
     # check reads h at k = c + m_a (6 // m_b + 1) = 10
     c = Curve([BranchParametrization.from_strings("t^2", y, 9)
                for y in ("t^3", "2*t^3")])
-    with pytest.raises(InsufficientTruncation):
+    with pytest.raises(InsufficientTruncation,
+                       match="^need 10 series terms but only 9 are kept$"):
         intersection_multiplicity(c, 0, 1)
     c = Curve([BranchParametrization.from_strings("t^2", y, 10)
                for y in ("t^3", "2*t^3")])
@@ -579,11 +583,9 @@ def test_intersection_needs_enough_terms():
 def test_local_check_accepts_only_the_true_value(name, expected):
     # every branch pair of these curves has the same intersection number
     c = corpus_curve(name) if name in CORPUS else bench_curve(name)
-    conductors = [branch_delta(b)[1] for b in c.branches]
     for i in range(c.r):
         for j in range(i + 1, c.r):
-            args = (c.branches[i], conductors[i], c.branches[j],
-                    conductors[j])
+            args = c.branches[i], c.branches[j]
             _local_intersection_check(*args, expected)
             for wrong in (expected - 1, expected + 1):
                 with pytest.raises(ConsistencyError):
@@ -644,3 +646,46 @@ def test_intersection_tangent_monomial_branches(pq, twist):
     c = _pair(((1, p), (1, q)), ((1, p), (2, q)),
               (p - 1) * (q - 1) + p * q + min(p, q) + 1, twist)
     assert intersection_multiplicity(c, 0, 1) == p * q
+
+
+# ---------------------------------------------------------------------------
+# the one-branch scan against ranks of one-branch points
+
+
+def _scanned_delta(branch):
+    # (delta, conductor) as branch_delta certifies it, with h(n + 1)
+    # ranked afresh by the oracle for each n
+    sub = Curve([branch])
+    gaps, run, prev = [], 0, 0
+    for n in range(branch.truncation):
+        cur = h_oracle(sub, (n + 1,))
+        if cur - prev == 1:
+            run += 1
+            if run >= branch.multiplicity():
+                return len(gaps), gaps[-1] + 1 if gaps else 0
+        else:
+            gaps.append(n)
+            run = 0
+        prev = cur
+    raise NonStabilizing("no run certificate within the truncation")
+
+
+@settings(max_examples=30, deadline=None)
+@given(coprime, twists, st.integers(0, 12))
+def test_branch_delta_is_the_scan_of_one_branch_ranks(pq, twist, extra):
+    # the pass over the columns certifies or refuses as ranking each
+    # h(n + 1) did, and past the conductor the oracle's h is k - delta;
+    # the truncation ranges from a refusal to several terms to spare
+    p, q = pq
+    b = _branch((1, p), (1, q), max(p, q) + 1 + extra, twist == 0)
+    try:
+        expected = _scanned_delta(b)
+    except NonStabilizing:
+        with pytest.raises(NonStabilizing):
+            branch_delta(b)
+        return
+    assert branch_delta(b) == expected == ((p - 1) * (q - 1) // 2,
+                                           (p - 1) * (q - 1))
+    delta, conductor = expected
+    for k in range(conductor, min(conductor + 4, b.truncation) + 1):
+        assert h_oracle(Curve([b]), (k,)) == k - delta

@@ -102,6 +102,25 @@ def test_invariants_milnor_relation():
         assert sum(inv.conductor) == 2 * inv.delta
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CORPUS + BENCH_CURVES), st.booleans(), st.data())
+def test_invariants_follow_a_relabeling_of_the_branches(name, swap, data):
+    # new branch objects, so nothing cached is read: listing the branches
+    # in another order permutes every per-branch invariant, and swapping
+    # x and y in every branch changes none
+    curve = named_curve(name)
+    inv = invariants(curve)
+    order = data.draw(st.permutations(range(curve.r)))
+    relabeled = invariants(Curve([
+        BranchParametrization(*((b.y, b.x) if swap else (b.x, b.y)))
+        for b in (curve.branches[i] for i in order)]))
+    assert relabeled == inv._replace(
+        delta_branches=[inv.delta_branches[i] for i in order],
+        mu_branches=[inv.mu_branches[i] for i in order],
+        pairwise=[[inv.pairwise[i][j] for j in order] for i in order],
+        conductor=tuple(inv.conductor[i] for i in order))
+
+
 # ---------------------------------------------------------------------------
 # families with closed-form invariants
 
