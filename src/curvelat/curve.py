@@ -33,8 +33,7 @@ from .errors import (
     NonStabilizing,
     PrimitivityError,
 )
-from .exactalg import (TruncSeries, echelon_extend, echelon_insert,
-                       parse_poly, series_mul)
+from .exactalg import TruncSeries, echelon_extend, parse_poly, series_mul
 
 
 class BranchParametrization:
@@ -300,10 +299,12 @@ def branch_delta(branch):
 
     n = 0, 1, 2, ... is in the value semigroup iff h(n+1) - h(n) = 1,
     that is iff column n of the branch's ``columns`` raises the rank of
-    those below it, decided in one ascending pass (``echelon_insert``).
-    The pass stops once a run of consecutive members as long as the
-    branch multiplicity is seen; from then on every integer is a member,
-    so the gap list is complete and h(k) = k - delta for k >= conductor.
+    those below it.  One ascending pass extends one basis by column n
+    (``echelon_extend``) and counts n as a gap when the rank stays at
+    n - len(gaps), the number of members below n.  The pass stops once
+    a run of consecutive members as long as the branch multiplicity is
+    seen; from then on every integer is a member, so the gap list is
+    complete and h(k) = k - delta for k >= conductor.
     The result is kept on the branch, so each branch is scanned once
     however many pairs it belongs to.
 
@@ -324,8 +325,7 @@ def branch_delta(branch):
     run = 0
     basis = {}
     for n in range(branch.truncation):
-        grown = echelon_insert(basis, branch.columns(n + 1)[n])
-        if grown is basis:
+        if echelon_extend(basis, [branch.columns(n + 1)[n]]) == n - len(gaps):
             gaps.append(n)
             run = 0
         else:
@@ -333,7 +333,6 @@ def branch_delta(branch):
             if run >= a:
                 branch._delta = len(gaps), gaps[-1] + 1 if gaps else 0
                 return branch._delta
-        basis = grown
     raise NonStabilizing(
         "semigroup membership not certified within truncation %d"
         % branch.truncation)

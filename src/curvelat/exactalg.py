@@ -11,10 +11,9 @@ coefficient is an ``int`` when it is integral and a
 ``fractions.Fraction`` only otherwise, so a curve with integral
 coefficients computes in ints and never imports ``fractions``.  A
 matrix is a list of sparse rows of ints, dicts mapping an index to its
-entry; the kernel's vectors hold nonzero ints, with the pivot at the
-least index.
-``echelon_insert`` extends a basis without changing it, and
-``echelon_extend`` grows one basis in place.
+entry.  The kernel is one elimination step, ``echelon_extend``, which
+grows a basis in place; every rank is one or more calls of it, and a
+caller that must keep a basis as it was extends a shallow copy.
 """
 
 import re
@@ -200,61 +199,42 @@ def _int(m, group):
 # exact linear algebra
 
 
-def _reduce(basis, w):
-    # w reduced at its least index k by the basis vector b led there, as
-    # (p/g) w - (f/g) b (f, p their entries at k, g = gcd(f, p)), until k
-    # is at no pivot; returns k (None in the span) and w made primitive
-    k = min(w) if w else None
-    while k in basis:
-        b = basis[k]
-        g = gcd(w[k], b[k])
-        f, p = w[k] // g, b[k] // g
-        w = w.copy() if p == 1 else {j: p * x for j, x in w.items()}
-        _add_multiple(w, b, -f)
-        k = min(w) if w else None
-    c = gcd(*w.values())
-    return k, {j: x // c for j, x in w.items()} if c > 1 else w
-
-
-def echelon_insert(basis, vector):
-    r"""
-    Insert a sparse integer vector into an echelon basis, a dict mapping
-    each pivot k to a primitive sparse vector whose least index is k.
-    The persistent use of the one reduction step: no argument changes,
-    and the result is ``basis`` itself for a vector in its span, else a
-    new dict with one more pivot, whose vector may be ``vector`` itself.
-    """
-    k, w = _reduce(basis, vector)
-    return basis if k is None else {**basis, k: w}
-
-
 def echelon_extend(basis, rows):
     r"""
     Grow an echelon basis in place by sparse integer rows, which are not
-    changed, and return its rank: the one-shot use of the reduction
-    step.  A vector once stored is never changed, only the dict that
-    holds it, so a shallow copy of a basis grows apart from it.
+    changed, and return its rank: the one elimination step.  The basis
+    maps each pivot k to a primitive sparse vector with no zero entry
+    whose least index is k.  A row is reduced at its least index k
+    against the vector b led there, as (p/g) w - (f/g) b (f, p their
+    entries at k, g = gcd(f, p)), until k is at no pivot; it is then
+    stored there divided by the gcd of its entries (the row itself when
+    that is 1), or it has become zero.  A vector once stored is never
+    changed, only the dict that holds it, so a shallow copy of a basis
+    grows apart from it.
     """
-    for row in rows:
-        k, w = _reduce(basis, row)
+    for w in rows:
+        k = min(w) if w else None
+        while k in basis:
+            b = basis[k]
+            g = gcd(w[k], b[k])
+            f, p = w[k] // g, b[k] // g
+            w = w.copy() if p == 1 else {j: p * x for j, x in w.items()}
+            _add_multiple(w, b, -f)
+            k = min(w) if w else None
         if k is not None:
-            basis[k] = w
+            c = gcd(*w.values())
+            basis[k] = {j: x // c for j, x in w.items()} if c > 1 else w
     return len(basis)
-
-
-def rank_sparse(rows):
-    r"""Rank of sparse integer rows, which are not changed."""
-    return echelon_extend({}, rows)
 
 
 def rank_rational(rows):
     r"""
     Rank over the rationals of a matrix of sparse integer rows, which
-    are not changed: ``rank_sparse`` of the checked rows.  A dense row
-    (a list) or an entry that is not an int (a Fraction or a float)
-    raises TypeError.
+    are not changed: ``echelon_extend`` of the checked rows on an empty
+    basis.  A dense row (a list) or an entry that is not an int (a
+    Fraction or a float) raises TypeError.
     """
-    return rank_sparse(_int_rows(rows))
+    return echelon_extend({}, _int_rows(rows))
 
 
 SNFResult = namedtuple("SNFResult", ["divisors", "rank"])

@@ -2,10 +2,11 @@ r"""
 The Hilbert function on a lattice box, the value semigroup, and the
 numeric invariants of a curve germ.
 
-The table builder fills [0, l] (l the conductor) with prefix ranks:
-one echelon basis of sparse jet columns per point of the first r - 1
-coordinates, extended by the last branch's columns one at a time with
-exactalg.echelon_insert, the same kernel that ranks the oracle's columns.
+The table builder fills [0, l] (l the conductor) with prefix ranks in
+one walk over the box, which extends an echelon basis of sparse jet
+columns one column at a time with exactalg.echelon_extend, the same
+step that ranks the oracle's columns; each call of the walk extends its
+own shallow copy of its caller's basis.
 Beyond the conductor every unit step adds 1.  The ranks are kept as one
 flat list in lexicographic order, so every read of h is an index
 computed from strides, plus the excess beyond l; membership and the
@@ -25,7 +26,7 @@ from operator import index, sub
 from .curve import (branch_delta, h_oracle, intersection_multiplicity,
                     oracle_values)
 from .errors import ConsistencyError
-from .exactalg import echelon_insert
+from .exactalg import echelon_extend
 from .oslattice import Matroid, signed_rank_count
 
 CurveInvariants = namedtuple("CurveInvariants", [
@@ -266,13 +267,16 @@ def _fill_to_conductor(curve, l):
 
     def sweep(depth, basis):
         # basis spans the columns e < v_j of each branch j < depth, and
-        # the walk visits [0, l] in lexicographic order
+        # the walk visits [0, l] in lexicographic order.  Each call grows
+        # a shallow copy, which stays apart from the caller's basis as a
+        # stored vector is never changed
         if depth == len(columns):
             values.append(len(basis))
             return
+        basis = dict(basis)
         for col in columns[depth]:
             sweep(depth + 1, basis)
-            basis = echelon_insert(basis, col)
+            echelon_extend(basis, [col])
         sweep(depth + 1, basis)
 
     sweep(0, {})

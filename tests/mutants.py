@@ -227,6 +227,11 @@ MUTANTS = {
         "if run >= a - 1:",
         "tests/test_curve.py"
         "::test_branch_delta_is_the_scan_of_one_branch_ranks"),
+    "branch-delta-gap-off-by-one": Mutant(
+        _CURVE,
+        "== n - len(gaps):",
+        "== n - len(gaps) + 1:",
+        "tests/test_curve.py::test_branch_delta_values"),
     "scan-reads-delta-i-for-both": Mutant(
         _CURVE,
         "g = 2 * k - di - dj - h_oracle(pair, (k, k))",
@@ -251,12 +256,17 @@ MUTANTS = {
         _HILBERT,
         """\
             sweep(depth + 1, basis)
-            basis = echelon_insert(basis, col)
+            echelon_extend(basis, [col])
 """,
         """\
-            basis = echelon_insert(basis, col)
+            echelon_extend(basis, [col])
             sweep(depth + 1, basis)
 """,
+        "tests/test_hilbert.py::test_table_agrees_with_oracle_everywhere"),
+    "fill-shares-parent-basis": Mutant(
+        _HILBERT,
+        "        basis = dict(basis)\n",
+        "",
         "tests/test_hilbert.py::test_table_agrees_with_oracle_everywhere"),
     "fill-column-cut-early": Mutant(
         _HILBERT,

@@ -14,10 +14,8 @@ from curvelat.errors import PolySyntaxError
 from curvelat.exactalg import (
     TruncSeries,
     echelon_extend,
-    echelon_insert,
     parse_poly,
     rank_rational,
-    rank_sparse,
     series_mul,
     smith_normal_form,
 )
@@ -421,28 +419,36 @@ def _sparse(row):
 
 @settings(max_examples=150, deadline=None)
 @given(_sparse_matrices())
-def test_echelon_insert_contract(drawn):
-    # folding the kernel over the rows and over the columns, as sparse
-    # vectors, both give the rank; it never changes its arguments,
-    # stores primitive vectors led at their pivot with no zero entry,
-    # and returns the basis it was given for a vector in its span
+def test_echelon_extend_contract(drawn):
+    # the rows and the columns, as sparse vectors, each extend a shallow
+    # copy of the basis so far: the source keeps its pivots and the very
+    # vectors it held, unchanged, so a copy grows apart from it and no
+    # later row changes a stored vector.  The stored vectors are
+    # primitive, led at their pivot with no zero entry, the rank is the
+    # Gaussian one, a row in the span leaves it as it was, and no row
+    # is changed
     ints = _scaled(drawn[0])
     for dense in (ints, [list(col) for col in zip(*ints)]):
+        rows = list(map(_sparse, dense))
+        copy = [dict(w) for w in rows]
         basis = {}
-        for w in map(_sparse, dense):
-            before = {k: dict(b) for k, b in basis.items()}
-            w_before = dict(w)
-            grown = echelon_insert(basis, w)
-            assert basis == before and w == w_before
-            assert grown is basis or (len(grown) == len(basis) + 1
-                                      and grown.items() >= basis.items())
+        for w in rows:
+            before = {k: (b, dict(b)) for k, b in basis.items()}
+            grown = dict(basis)
+            rank = echelon_extend(grown, [w])
+            assert basis.keys() == before.keys()
+            for held in (basis, grown):
+                assert all(held[k] is b and b == kept
+                           for k, (b, kept) in before.items())
+            assert rank == len(grown) in (len(basis), len(basis) + 1)
             basis = grown
         for k, b in basis.items():
             assert min(b) == k and all(b.values())
             assert gcd(*b.values()) == 1
         assert len(basis) == gauss_rank(dense)
-        for w in map(_sparse, dense):
-            assert echelon_insert(basis, w) is basis
+        for w in rows:
+            assert echelon_extend(basis, [w]) == gauss_rank(dense)
+        assert rows == copy
 
 
 @st.composite
@@ -462,12 +468,12 @@ def _cancelling_rows(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_cancelling_rows())
-def test_rank_sparse_against_gaussian_oracle(dense):
-    # the one-shot rank, whose basis grows in place, leaves the caller's
-    # rows as they were
+def test_rank_of_cancelling_rows_against_gaussian_oracle(dense):
+    # the rank, whose basis grows in place, leaves the caller's rows as
+    # they were
     rows = [_sparse(row) for row in dense]
     copy = [dict(row) for row in rows]
-    assert rank_sparse(rows) == gauss_rank(dense)
+    assert rank_rational(rows) == gauss_rank(dense)
     assert rows == copy
 
 
