@@ -301,10 +301,12 @@ def branch_delta(branch):
     that is iff column n of the branch's ``columns`` raises the rank of
     those below it.  One ascending pass extends one basis by column n
     (``echelon_extend``) and counts n as a gap when the rank stays at
-    n - len(gaps), the number of members below n.  The pass stops once
-    a run of consecutive members as long as the branch multiplicity is
-    seen; from then on every integer is a member, so the gap list is
-    complete and h(k) = k - delta for k >= conductor.
+    n - len(gaps), the number of members below n; it asks ``columns``
+    for multiplicity-many more each time it reaches the end of those it
+    has, so the jets are walked once per run of that length.  The pass
+    stops once a run of consecutive members as long as the branch
+    multiplicity is seen; from then on every integer is a member, so the
+    gap list is complete and h(k) = k - delta for k >= conductor.
     The result is kept on the branch, so each branch is scanned once
     however many pairs it belongs to.
 
@@ -324,8 +326,11 @@ def branch_delta(branch):
     gaps = []
     run = 0
     basis = {}
+    cols = []
     for n in range(branch.truncation):
-        if echelon_extend(basis, [branch.columns(n + 1)[n]]) == n - len(gaps):
+        if n == len(cols):
+            cols = branch.columns(min(n + a, branch.truncation))
+        if echelon_extend(basis, [cols[n]]) == n - len(gaps):
             gaps.append(n)
             run = 0
         else:

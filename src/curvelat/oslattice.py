@@ -300,9 +300,10 @@ def d0_structure_checks(matroid):
       dependent-set spans;
     - the kernel of the rank-preserving boundary is spanned by
       independent generators together with its image;
-    - that image splits into its intersections with the dependent and
-      independent spans;
     - the quotient dimensions match the arrangement polynomial.
+
+    (The image splits over the dependent and independent spans: a column
+    hits only faces of its subset's rank, all independent or dependent.)
 
     Returns True, or raises ConsistencyError.  Guarded to n <= 8.
     """
@@ -339,14 +340,6 @@ def d0_structure_checks(matroid):
             raise ConsistencyError(
                 "kernel of the weight-0 boundary is not independent "
                 "span plus image in degree %d" % k)
-
-        # image splits across the dependent and independent spans
-        dim_image = rank_rational(image_d0)
-        if sum(dim_image + len(span) - rank_rational(image_d0 + span)
-               for span in (dep_vectors, indep_vectors)) != dim_image:
-            raise ConsistencyError(
-                "image of the weight-0 boundary does not split in "
-                "degree %d" % k)
 
         # quotient by dependent span plus full boundary of it matches
         # the arrangement polynomial coefficient

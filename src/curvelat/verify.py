@@ -9,7 +9,7 @@ those tables or the round trip's pi series, and none builds a table.
 
 from .errors import ConsistencyError, InsufficientTruncation
 from .hilbert import (build_table, invariants, large_n_step_check,
-                      local_matroid, semigroup, symmetry_check)
+                      local_field, local_matroid, semigroup, symmetry_check)
 from .latthom import (euler_check, graded_pieces, r1_structure,
                       r2_classify, sk_homology)
 from .oslattice import GradedGroup, d0_structure_checks
@@ -126,11 +126,17 @@ def run(curve, deep=False):
                 "sublevel complex at level %d is not contractible" % k)
     yield ("ok", "sublevel-contractible")
     if curve.r == 1:
-        r1_structure(table, pieces, poly)
+        r1_structure(table, pieces)
         yield ("ok", "branch-structure")
     elif curve.r == 2:
-        for v, groups in pieces.items():
-            r2_classify(table, v, groups)
+        # the case and the piece both shift by h(v) along a local rank
+        # vector, so the first point of each vector is classified
+        ids = local_field(table, box)[1]
+        classified = 0
+        for (v, groups), i in zip(pieces.items(), ids):
+            if i == classified:
+                r2_classify(table, v, groups)
+                classified += 1
         yield ("ok", "branch-structure")
     else:
         yield ("skip", "branch-structure (three or more branches)")

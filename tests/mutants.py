@@ -1,6 +1,8 @@
 """
 A committed mutation battery: small named changes to src/ that each
 disable or weaken one guard, and the tier-1 test expected to kill each.
+GUARDS names, for every `raise ConsistencyError` in src/, the mutant
+that shows it can fire.
 
     python tests/mutants.py [NAME ...]
 
@@ -35,6 +37,7 @@ _D0 = "src/curvelat/oslattice.py"
 _HILBERT = "src/curvelat/hilbert.py"
 _LATTHOM = "src/curvelat/latthom.py"
 _SERIES = "src/curvelat/series.py"
+_VERIFY = "src/curvelat/verify.py"
 
 MUTANTS = {
     # two whitespace runs with only an optional '-' between them
@@ -144,12 +147,6 @@ MUTANTS = {
         "if False:",
         "tests/test_oslattice.py"
         "::test_d0_structure_checks_detect_lost_kernel"),
-    "d0-split-off": Mutant(
-        _D0,
-        "if sum(dim_image + len(span)",
-        "if False and sum(dim_image + len(span)",
-        "tests/test_oslattice.py"
-        "::test_d0_structure_checks_detect_unsplit_image"),
     "d0-ideal-off": Mutant(
         _D0,
         "if dim - rank_rational(ideal) != expected:",
@@ -323,22 +320,6 @@ MUTANTS = {
         "zip(box_points(box), table.grid(box))}",
         "coeffs = {(v, 0): table.value(v) for v in box_points(box)}",
         "tests/test_series.py::test_hilbert_series_reads_one_grid"),
-    "r1-signed-count-check-off": Mutant(
-        _LATTHOM,
-        "if signed.get(e, 0) != poly.coefficient((e,)):",
-        "if False:",
-        "tests/test_latthom.py"
-        "::test_r1_structure_checks_the_polynomial_against_the_second_page"),
-    "r1-u-kernel-check-off": Mutant(
-        _LATTHOM,
-        "if ker != (1 if v in e2_alpha else 0):",
-        "if False:",
-        "tests/test_latthom.py::test_r1_structure_checks_exactness"),
-    "r1-u-cokernel-check-off": Mutant(
-        _LATTHOM,
-        "if coker != (1 if v + 1 in e2_a else 0):",
-        "if False:",
-        "tests/test_latthom.py::test_r1_structure_checks_exactness"),
     # the local field and its readers
     "field-table-strides": Mutant(
         _HILBERT,
@@ -428,11 +409,196 @@ MUTANTS = {
         "+ inv.pairwise[rho - 1][rho + 1:]",
         "tests/test_series.py::test_restriction_all_corpus_pairs"),
     "verify-preflight-one-short": Mutant(
-        "src/curvelat/verify.py",
+        _VERIFY,
         "need = max(inv.conductor) + 4",
         "need = max(inv.conductor) + 3",
         "tests/test_cli.py"
         "::test_verify_refuses_a_short_truncation_before_building_a_table"),
+    # guards turned off, each killed by a test that feeds a curve, a
+    # table from build_table with cells of values changed, or (for
+    # projective_poincare) the matroid with no elements
+    "spot-check-off": Mutant(
+        _HILBERT,
+        "if direct != h:",
+        "if False:",
+        "tests/test_hilbert.py::test_spot_check_refuses_a_changed_cell"),
+    "step-rule-check-off": Mutant(
+        _HILBERT,
+        "if step != bits:",
+        "if False:",
+        "tests/test_hilbert.py::test_step_rule_refuses_a_changed_cell"),
+    "symmetry-check-off": Mutant(
+        _HILBERT,
+        "if mirrored - hv != inv.delta - sum(v):",
+        "if False:",
+        "tests/test_hilbert.py::test_symmetry_detects_corruption"),
+    "local-matroid-error-uncaught": Mutant(
+        _HILBERT,
+        "except ValueError as exc:",
+        "except ArithmeticError as exc:",
+        "tests/test_oslattice.py"
+        "::test_corrupted_table_breaks_the_local_matroid"),
+    "q-sign-check-off": Mutant(
+        _LATTHOM,
+        "if rank < 0:",
+        "if False:",
+        "tests/test_latthom.py::test_grv_formula_refuses_a_step_of_two"),
+    "euler-check-off": Mutant(
+        _LATTHOM,
+        "if chi[i] != poincare.coefficient(v):",
+        "if False:",
+        "tests/test_latthom.py::test_euler_check_refuses_a_changed_cell"),
+    "projective-empty-check-off": Mutant(
+        _D0,
+        "if matroid.n == 0:\n        raise ConsistencyError(",
+        "if False:\n        raise ConsistencyError(",
+        "tests/test_oslattice.py"
+        "::test_projective_poincare_rejects_inexact_division"),
+    "restriction-check-off": Mutant(
+        _SERIES,
+        "if collapsed.get(w, 0) != product.coefficient(w):",
+        "if False:",
+        "tests/test_series.py"
+        "::test_restriction_detects_a_wrong_sub_table_value"),
+    "round-trip-check-off": Mutant(
+        _VERIFY,
+        "if h != expected:",
+        "if False:",
+        "tests/test_series.py"
+        "::test_round_trip_stage_catches_a_wrong_face_cell"),
+    "motivic-reflection-check-off": Mutant(
+        _VERIFY,
+        "if series.coefficient(w, m + inv.delta - sum(v)) != coeff:",
+        "if False:",
+        "tests/test_series.py::test_verify_motivic_refuses_a_changed_cell"),
+    "palindrome-check-off": Mutant(
+        _VERIFY,
+        "if poly.coefficient((k,)) != poly.coefficient((inv.mu - k,)):",
+        "if False:",
+        "tests/test_series.py::test_verify_alexander_refuses_a_changed_cell"),
+    "alexander-reflection-check-off": Mutant(
+        _VERIFY,
+        "if poly.coefficient(v) != sign * poly.coefficient(w):",
+        "if False:",
+        "tests/test_series.py::test_verify_alexander_refuses_a_changed_cell"),
+    # wrong computations, each killed by a test that fails with the
+    # message of the guard that GUARDS names it for
+    "invariants-delta-drops-pairwise": Mutant(
+        _HILBERT,
+        "for j in range(i + 1, r))",
+        "for j in range(i + 2, r))",
+        "tests/test_hilbert.py::test_invariants_two_branch_curves"),
+    "invariants-conductor-one-short": Mutant(
+        _HILBERT,
+        "conductor = tuple(mu_branches[i] + sum(",
+        "conductor = tuple(mu_branches[i] - 1 + sum(",
+        "tests/test_latthom.py::test_grv_pins_cusp"),
+    "large-n-lines-start-one-early": Mutant(
+        _HILBERT,
+        "for n in range(l[i], l[i] + 5)]",
+        "for n in range(l[i] - 1, l[i] + 5)]",
+        "tests/test_hilbert.py::test_large_n_steps_all_corpus"),
+    "du-drops-top-weight": Mutant(
+        _D0,
+        "for w in range(matroid.full_rank()):",
+        "for w in range(matroid.full_rank() - 1):",
+        "tests/test_latthom.py::test_grv_pins_cusp"),
+    "du-boundary-unsigned": Mutant(
+        _D0,
+        "mask & ~(1 << e)]: (-1) ** pos",
+        "mask & ~(1 << e)]: 1",
+        "tests/test_oslattice.py::test_du_boolean_three"),
+    "r2-case-e-alpha-degree": Mutant(
+        _LATTHOM,
+        "-1 - 2 * h: (1, ())})",
+        "1 - 2 * h: (1, ())})",
+        "tests/test_latthom.py::test_r2_classify_pins_a3"),
+    "sublevel-drops-level-k": Mutant(
+        _LATTHOM,
+        "if h <= k and all(",
+        "if h < k and all(",
+        "tests/test_cli.py"
+        "::test_verify_field_stages_read_one_grid_and_no_cube"),
+    "d0-faces-of-any-drop": Mutant(
+        _D0,
+        "lambda drop: drop == 0)",
+        "lambda drop: drop < 2)",
+        "tests/test_oslattice.py::test_d0_structure_checks_pass"),
+    "d0-keeps-no-face": Mutant(
+        _D0,
+        "lambda drop: drop == 0)",
+        "lambda drop: drop < 0)",
+        "tests/test_oslattice.py::test_d0_structure_checks_pass"),
+    "d1-faces-of-any-drop": Mutant(
+        _D0,
+        "lambda drop: drop == 1)",
+        "lambda drop: drop < 2)",
+        "tests/test_oslattice.py::test_d0_structure_checks_pass"),
+    "face-signs-dropped": Mutant(
+        _D0,
+        "col[index[smaller]] = -1 if pos % 2 else 1",
+        "col[index[smaller]] = 1",
+        "tests/test_oslattice.py::test_d0_structure_checks_pass"),
+}
+
+# Every `raise ConsistencyError` in src/, by (module, enclosing function,
+# its message up to the first %), and the mutant of MUTANTS that shows it
+# can fire: (a) the guard turned off, with a killer that feeds a curve, a
+# table from build_table with cells of values changed, or another honest
+# input, and no patched reader or result type; or (b) a wrong computation
+# whose killer fails with this guard's message.  A guard with neither is
+# one that nothing the program computes can make fail, and is deleted.
+# tests/test_mutants.py finds the sites with ast and keeps this complete.
+GUARDS = {
+    ("curve", "_local_intersection_check",
+     "intersection multiplicity: jet scan gives"): "local-check-off",
+    ("hilbert", "invariants",
+     "h at the conductor is"): "invariants-delta-drops-pairwise",
+    ("hilbert", "invariants",
+     "h one below the conductor in direction"):
+        "invariants-conductor-one-short",
+    ("hilbert", "_spot_check", "table value"): "spot-check-off",
+    ("hilbert", "_step_rule_sweep", "step rule fails at"):
+        "step-rule-check-off",
+    ("hilbert", "symmetry_check", "symmetry fails at"): "symmetry-check-off",
+    ("hilbert", "large_n_step_check", "step beyond the conductor is"):
+        "large-n-lines-start-one-early",
+    ("hilbert", "local_matroid", "local matroid at"):
+        "local-matroid-error-uncaught",
+    ("latthom", "grv_homology_formula", "q coefficient at"):
+        "q-sign-check-off",
+    ("latthom", "grv_homology", "graded homology at"): "du-drops-top-weight",
+    ("latthom", "euler_check", "Euler characteristic at"): "euler-check-off",
+    ("latthom", "r2_classify", "graded piece at"): "r2-case-e-alpha-degree",
+    ("oslattice", "homology_from_boundaries",
+     "negative free rank in homology"): "du-boundary-unsigned",
+    ("oslattice", "projective_poincare",
+     "arrangement polynomial not divisible by 1 + t"):
+        "projective-empty-check-off",
+    ("oslattice", "d0_structure_checks",
+     "weight-0 boundary does not kill an independent generator"):
+        "d0-faces-of-any-drop",
+    ("oslattice", "d0_structure_checks",
+     "weight-1 boundary leaks a dependent generator into the independent "
+     "span"): "d1-faces-of-any-drop",
+    ("oslattice", "d0_structure_checks",
+     "kernel of the weight-0 boundary is not independent span plus image "
+     "in degree"): "d0-keeps-no-face",
+    ("oslattice", "d0_structure_checks",
+     "ideal quotient dimension disagrees with the arrangement polynomial "
+     "in degree"): "face-signs-dropped",
+    ("series", "torres_restriction_check", "restriction identity fails at"):
+        "restriction-check-off",
+    ("verify", "_verify_round_trip", "series round trip fails at"):
+        "round-trip-check-off",
+    ("verify", "_verify_motivic",
+     "normalized series is not reflection symmetric at"):
+        "motivic-reflection-check-off",
+    ("verify", "_verify_alexander",
+     "polynomial is not palindromic at degree"): "palindrome-check-off",
+    ("verify", "_verify_alexander", "polynomial reflection fails at"):
+        "alexander-reflection-check-off",
+    ("verify", "run", "sublevel complex at level"): "sublevel-drops-level-k",
 }
 
 # Mutants that change no result, each with the reason; a run names them

@@ -242,7 +242,7 @@ def test_criterion_10_r1_structure():
         mu = table.invariants.mu
         poly = alexander(table, full_series(table))
         record = r1_structure(table, {(v,): grv_homology(table, (v,))
-                                      for v in range(mu + 3)}, poly)
+                                      for v in range(mu + 3)})
         # homology supported exactly on semigroup members, one copy in
         # degree -2 h(v)
         for v, groups in record.hl.items():

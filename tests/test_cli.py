@@ -373,6 +373,24 @@ def test_verify_computes_each_graded_piece_once(capsys, monkeypatch, name,
     assert result == {v: original(table, v) for v in box_points(box)}
 
 
+def test_verify_classifies_two_branches_once_per_local_rank_vector(
+        monkeypatch):
+    # the case and the piece both shift by h(v) along a local rank
+    # vector, so branch-structure reads one cube, at the first point of
+    # each vector of [0, l + 2]: 5 of d5's 35 points
+    curve = load_curve(corpus_path("d5"))
+    box = tuple(c + 2 for c in curvelat.hilbert.invariants(curve).conductor)
+    firsts = first_points(build_table(curve, box), box)
+    assert (len(firsts), len(list(box_points(box)))) == (5, 35)
+    cubes = count_reader_calls(monkeypatch, ["cube"])["cube"]
+    read = 0
+    for _status, stage in curvelat.verify.run(curve):
+        if stage == "branch-structure":
+            assert cubes[read:] == firsts
+        read = len(cubes)
+    assert stage == "branch-structure"
+
+
 @pytest.mark.parametrize("name", ["cusp", "d5", "triple"])
 def test_verify_field_stages_read_one_grid_and_no_cube(monkeypatch, name):
     # semigroup, motivic, euler and graded-homology read one grid per box,

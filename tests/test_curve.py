@@ -483,6 +483,22 @@ def test_branch_delta_needs_enough_terms():
     assert branch_delta(b) == (3, 6)
 
 
+def test_branch_delta_builds_its_columns_a_run_at_a_time(monkeypatch):
+    # <7, 17> has conductor 96, so the pass certifies at n = 102 after
+    # asking for 7, 14, ..., 105 columns, one call per 7 of them
+    b = BranchParametrization.from_strings("t^7", "t^17", 300)
+    calls = []
+    columns = b.columns
+
+    def counted(n):
+        calls.append(n)
+        return columns(n)
+
+    monkeypatch.setattr(b, "columns", counted)
+    assert branch_delta(b) == (48, 96)
+    assert calls == list(range(7, 106, 7))
+
+
 # ---------------------------------------------------------------------------
 # intersection multiplicities
 

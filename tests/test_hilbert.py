@@ -457,21 +457,6 @@ def test_semigroup_default_box():
     assert got == [(0,), (2,), (3,)]
 
 
-def test_semigroup_requires_the_conductor_itself(monkeypatch):
-    # the conductor dominates itself, so it must be a member too: h + 1 at
-    # l alone makes both unit steps there 0, and no point before l in
-    # lexicographic order dominates it
-    table = build_table(corpus_curve("d5"))
-    l = table.invariants.conductor
-    assert l == (2, 4)
-    for name, reader in shifted_readers(table, l, 1).items():
-        monkeypatch.setattr(table, name, reader)
-    assert not table.in_semigroup(l)
-    with pytest.raises(ConsistencyError,
-                       match=r"\(2, 4\) dominates the conductor"):
-        semigroup(table)
-
-
 @pytest.mark.parametrize("name", CORPUS + BENCH_CURVES)
 def test_semigroup_is_in_semigroup_at_every_point(name):
     # the default box, boxes below the conductor and past the corner
@@ -777,6 +762,27 @@ def test_symmetry_detects_corruption():
     t.values[cell(t, (1, 0))] += 1
     with pytest.raises(ConsistencyError):
         symmetry_check(t)
+
+
+@pytest.mark.parametrize("name", ["cusp", "a3", "triple"])
+def test_spot_check_refuses_a_changed_cell(name):
+    # h is 0 at the origin of every curve, and the origin's hash is 0, so
+    # every spot check samples it
+    table = build_table(corpus_curve(name))
+    table.values[0] += 1
+    with pytest.raises(ConsistencyError,
+                       match=r"^table value 1 at \(0(, 0)*,?\) but direct "
+                             r"rank is 0$"):
+        hilbert_module._spot_check(table)
+
+
+def test_step_rule_refuses_a_changed_cell():
+    # the cusp's h is 0, 1, 1 on [0, 2]; h(1) = 2 makes the step at 0 a 2
+    table = build_table(corpus_curve("cusp"))
+    table.values[cell(table, (1,))] += 1
+    with pytest.raises(ConsistencyError,
+                       match=r"^step rule fails at \(0,\) direction 0$"):
+        hilbert_module._step_rule_sweep(table, table.invariants.conductor)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import copy
 import re
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import (BENCH_CURVES, CORPUS, cell, corpus_curve, full_series,
 from oracles import cubical_homology_brute
 
 import curvelat.latthom as latthom
+from curvelat.curve import BranchParametrization, Curve
 from curvelat.errors import (BoxTooSmall, ConsistencyError,
                              UnclassifiablePattern)
 from curvelat.hilbert import build_table, local_matroid
@@ -170,6 +172,16 @@ def test_grv_formula_rejects_a_q_coefficient_of_the_wrong_sign(
         grv_homology_formula(table, (2, 2))
 
 
+def test_grv_formula_refuses_a_step_of_two():
+    # h(1) raised to 2 on the cusp makes the step at 0 a 2; the
+    # q-polynomial there is 1 + q, which gives rank -1 in degree -1
+    table = _table("cusp")
+    table.values[cell(table, (1,))] += 1
+    with pytest.raises(ConsistencyError,
+                       match=r"^q coefficient at \(0,\) has the wrong sign$"):
+        grv_homology_formula(table, (0,))
+
+
 def test_euler_check_corpus():
     for name in CORPUS:
         table = _table(name)
@@ -182,6 +194,18 @@ def test_euler_check_detects_corruption():
     series = full_series(table)
     series.coeffs[((1, 2), 0)] = series.coefficient((1, 2)) + 1
     with pytest.raises(ConsistencyError, match=r"\(1, 2\)"):
+        euler_check(table, series)
+
+
+def test_euler_check_refuses_a_changed_cell():
+    # h(1) lowered to 0 on the cusp keeps every step 0 or 1, but the
+    # local complex at 0 then has no homology, against the coefficient 1
+    # of the unchanged curve's series there
+    series = full_series(_table("cusp"))
+    table = _table("cusp")
+    table.values[cell(table, (1,))] -= 1
+    with pytest.raises(ConsistencyError,
+                       match=r"^Euler characteristic at \(0,\) does not"):
         euler_check(table, series)
 
 
@@ -317,17 +341,15 @@ def test_sk_raises_when_a_table_breaks_the_delta_bound():
         sk_homology(table, (0,), 2)
 
 
-def _poly(table):
-    return alexander(table, full_series(table))
+def _r1_of(table):
+    # the record over the graded pieces that verify hands it
+    bound = table.invariants.mu + 2
+    return r1_structure(table, {(v,): grv_homology(table, (v,))
+                                for v in range(bound + 1)})
 
 
 def _r1(name):
-    # the record over the graded pieces and the polynomial that verify
-    # hands it
-    table = _table(name)
-    bound = table.invariants.mu + 2
-    return r1_structure(table, {(v,): grv_homology(table, (v,))
-                                for v in range(bound + 1)}, _poly(table))
+    return _r1_of(_table(name))
 
 
 def test_r1_structure_line():
@@ -357,51 +379,74 @@ def test_r1_structure_t2t5():
 
 
 def test_r1_structure_rejects_multibranch():
-    table = _table("a3")
     with pytest.raises(ValueError):
-        r1_structure(table, {}, _poly(table))
+        r1_structure(_table("a3"), {})
 
 
 def test_r1_structure_needs_every_piece_up_to_mu_plus_2():
     table = _table("cusp")
     pieces = {(v,): grv_homology(table, (v,)) for v in range(5)}
-    poly = _poly(table)
-    assert r1_structure(table, pieces, poly).bound == 4
+    assert r1_structure(table, pieces).bound == 4
     del pieces[(4,)]
     with pytest.raises(ValueError, match="no graded piece at 4"):
-        r1_structure(table, pieces, poly)
+        r1_structure(table, pieces)
 
 
-def test_r1_structure_checks_the_polynomial_against_the_second_page():
-    # the cusp's polynomial is 1 - t + t^2; a doubled top term meets the
-    # signed second-page count 1 at degree 2
-    table = _table("cusp")
-    pieces = {(v,): grv_homology(table, (v,)) for v in range(5)}
-    poly = _poly(table)
-    poly.coeffs[((2,), 0)] *= 2
-    with pytest.raises(ConsistencyError, match="at degree 2"):
-        r1_structure(table, pieces, poly)
+def _torus_coefficients(p, q):
+    # (1 - t)(1 - t^pq) / ((1 - t^p)(1 - t^q)) by exact long division,
+    # lowest degree first, as a list of its mu + 1 coefficients
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return out
+
+    def binomial(k):
+        return [1] + [0] * (k - 1) + [-1]  # 1 - t^k
+
+    num = times(binomial(1), binomial(p * q))
+    den = times(binomial(p), binomial(q))
+    quotient = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quotient)):
+        quotient[k] = num[k]  # den[0] == 1
+        for j, d in enumerate(den):
+            num[k + j] -= quotient[k] * d
+    assert not any(num)
+    return quotient
 
 
-class _Overcounted(GradedGroup):
-    # equal to its groups, but its total rank is one too many
-    def total_rank(self):
-        return super().total_rank() + 1
+_TORUS = [(p, q) for q in range(3, 10) for p in range(2, q)
+          if gcd(p, q) == 1]
 
 
-@pytest.mark.parametrize("v, message", [(0, "U kernel at 0"),
-                                        (1, "U cokernel at 0")])
-def test_r1_structure_checks_exactness(v, message):
-    # the pieces are checked against the closed form first, and the
-    # U ranks and the second page come from the same members, so the
-    # four-term exactness holds on every input that passes that check;
-    # a piece that equals the closed form but reports another total
-    # rank reaches it
-    table = _table("cusp")
-    pieces = {(w,): grv_homology(table, (w,)) for w in range(5)}
-    pieces[(v,)] = _Overcounted(pieces[(v,)].groups)
-    with pytest.raises(ConsistencyError, match=message):
-        r1_structure(table, pieces, _poly(table))
+@pytest.mark.parametrize("p, q", _TORUS)
+def test_r1_structure_of_a_torus_knot_is_its_closed_form(p, q):
+    # for (t^p, t^q) the semigroup is <p, q> and Delta is the torus-knot
+    # polynomial, both from outside the program; the record's signed
+    # second-page count (+1 at an a term, -1 one past an alpha term) and
+    # alexander's polynomial both equal Delta, and the a and alpha terms
+    # reflect about mu and mu - 2 (criterion 10)
+    curve = Curve([BranchParametrization.from_strings(
+        "t^%d" % p, "t^%d" % q, (p - 1) * (q - 1) + q)])
+    table = build_table(curve, ((p - 1) * (q - 1) + 2,))
+    mu = table.invariants.mu
+    assert mu == (p - 1) * (q - 1)
+    rec = _r1_of(table)
+    assert rec.members == tuple(
+        v for v in range(mu + 4)
+        if any((v - a * p) % q == 0 for a in range(v // p + 1)))
+    delta = _torus_coefficients(p, q)
+    signed = [0] * (mu + 2)
+    for v in rec.e2_a:
+        signed[v] += 1
+    for v in rec.e2_alpha:
+        signed[v + 1] -= 1
+    assert signed == delta + [0]
+    poly = alexander(table, full_series(table))
+    assert [poly.coefficient((e,)) for e in range(mu + 4)] == delta + [0] * 3
+    assert {mu - v for v in rec.e2_a} == set(rec.e2_a)
+    assert {mu - 2 - v for v in rec.e2_alpha} == set(rec.e2_alpha)
 
 
 def _classify(table, v):

@@ -358,21 +358,6 @@ def test_d0_structure_checks_detect_lost_kernel(monkeypatch):
         d0_structure_checks(Matroid.generic_lines(3))
 
 
-def test_d0_structure_checks_detect_unsplit_image(monkeypatch):
-    # four lines of a plane and a fifth free element: the column of the
-    # dependent set 0b01111 hits only dependent triples, and an added
-    # independent triple 0b10011 keeps the kernel's rank but leaves the
-    # image with no dependent part
-    matroid = Matroid(5, {m: min((m & 0b1111).bit_count(), 2) + (m >> 4)
-                          for m in range(32)})
-    row = OSComplex(matroid).basis(3).index(0b10011)
-    _patch_boundary(monkeypatch, "boundary_d0", 4,
-                    lambda cols: [{**cols[0], row: 1}] + cols[1:])
-    with pytest.raises(ConsistencyError,
-                       match="does not split in degree 3"):
-        d0_structure_checks(matroid)
-
-
 def test_d0_structure_checks_detect_wrong_ideal(monkeypatch):
     # the dependent triple's full boundary emptied: the ideal loses it
     _patch_boundary(monkeypatch, "boundary_full", 3,

@@ -479,6 +479,16 @@ def test_verify_motivic_catches_a_broken_reflection(monkeypatch):
         verify._verify_motivic(table)
 
 
+def test_verify_motivic_refuses_a_changed_cell():
+    # h(0) raised to 1 on the cusp: the normalized series loses its
+    # reflection symmetry, first seen at the conductor
+    table = _table("cusp")
+    table.values[0] += 1
+    with pytest.raises(ConsistencyError,
+                       match=r"not reflection symmetric at \(2,\)$"):
+        verify._verify_motivic(table)
+
+
 # ---------------------------------------------------------------------------
 # annihilating polynomials
 
@@ -556,6 +566,21 @@ def test_verify_alexander_catches_a_broken_reflection(name, top):
     verify._verify_alexander(table, poly)
     poly.coeffs[(top, 0)] *= 2
     with pytest.raises(ConsistencyError, match="reflection"):
+        verify._verify_alexander(table, poly)
+
+
+@pytest.mark.parametrize("name, v, message", [
+    ("cusp", (0,), r"^polynomial is not palindromic at degree 0$"),
+    ("a3", (0, 0), r"^polynomial reflection fails at \(1, 1\)$"),
+    ("d5", (1, 1), r"^polynomial reflection fails at \(0, 1\)$")])
+def test_verify_alexander_refuses_a_changed_cell(name, v, message):
+    # +1 on one cell of the table, read by the series and the polynomial
+    # as verify reads them
+    table = _table(name)
+    table.values[cell(table, v)] += 1
+    box = tuple(c + 2 for c in table.invariants.conductor)
+    poly = alexander(table, poincare_from_hilbert(table, box))
+    with pytest.raises(ConsistencyError, match=message):
         verify._verify_alexander(table, poly)
 
 
